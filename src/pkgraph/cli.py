@@ -195,6 +195,10 @@ def run_cli(argv, stdin=None, stdout=None, stderr=None) -> int:
     except OSError as exc:
         print(f"pkgraph: error: {exc}", file=stderr)
         return 3
+    except RecursionError as exc:
+        # The C extractor recurses once per nesting level of a call.
+        print(f"pkgraph: error: input nested too deeply ({exc})", file=stderr)
+        return 3
     return 2
 
 

@@ -12,6 +12,7 @@ declared capability gap because a call graph carries no data flow.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,19 +54,40 @@ class UnsupportedTemplate(Exception):
 # Graph structure helpers
 # ---------------------------------------------------------------------------
 
-def _classify(graph: PropertyGraph):
-    """Partition CallGraph nodes into (entry node ids, call-site node ids).
+@dataclass(frozen=True)
+class _CallGraphIndex:
+    entries: tuple  # function-entry node ids, ascending
+    sites: tuple  # call-site node ids, ascending
+    roots: tuple  # entries without an incoming CALLS edge, `main` first
+
+
+#: Index per sealed graph; an entry goes away with its graph.
+_INDEXES = weakref.WeakKeyDictionary()
+
+
+def _index(graph: PropertyGraph) -> _CallGraphIndex:
+    """The call-graph index of graph, built once per sealed graph. An
+    unsealed graph can still change, so its index is never kept."""
+    index = _INDEXES.get(graph)
+    if index is None:
+        index = _build_index(graph)
+        if graph.sealed:
+            _INDEXES[graph] = index
+    return index
+
+
+def _build_index(graph: PropertyGraph) -> _CallGraphIndex:
+    """Partition CallGraph nodes into function entries and call sites.
 
     Roots (no incoming CALLS edge) are function entries; an entry's
     CALLS targets are call sites; a call site's CALLS target is the
     entry of the function it invokes. Alternating from the roots
     classifies every node, including recursive cycles.
     """
-    call_nodes = [n.id for n in graph.find_nodes("CallGraph")]
     roots = [
-        n
-        for n in call_nodes
-        if not any(e.type == "CALLS" for e in graph.in_edges(n))
+        n.id
+        for n in graph.find_nodes("CallGraph")
+        if not any(e.type == "CALLS" for e in graph.in_edges(n.id))
     ]
     entries, sites = set(roots), set()
     stack = [(n, True) for n in roots]
@@ -78,36 +100,37 @@ def _classify(graph: PropertyGraph):
             if edge.target not in bucket:
                 bucket.add(edge.target)
                 stack.append((edge.target, not is_entry))
-    return entries, sites
+    roots.sort(key=lambda n: (graph.node(n).properties.get("Name") != "main", n))
+    return _CallGraphIndex(tuple(sorted(entries)), tuple(sorted(sites)), tuple(roots))
 
 
 def entry_nodes(graph: PropertyGraph) -> list:
     """CallGraph roots (no incoming CALLS edge), ascending id, with a
     node named `main` listed first when present."""
-    call_nodes = graph.find_nodes("CallGraph")
-    roots = [
-        n.id
-        for n in call_nodes
-        if not any(e.type == "CALLS" for e in graph.in_edges(n.id))
-    ]
-    roots.sort(key=lambda n: (graph.node(n).properties.get("Name") != "main", n))
-    return roots
+    return list(_index(graph).roots)
 
 
 def _call_sites_matching(graph: PropertyGraph, names: list) -> list:
-    _, sites = _classify(graph)
+    names = list(names)
     return [
         n
-        for n in sorted(sites)
-        if values_equal(graph.node(n).properties.get("Name", ""), list(names))
+        for n in _index(graph).sites
+        if values_equal(graph.node(n).properties.get("Name", ""), names)
     ]
 
 
 def _witness_paths(graph: PropertyGraph, starts: list, terminals: list) -> list:
+    """Witness paths from each start to the terminals: per start, the
+    paths to each terminal in ascending terminal id order. One search
+    per start covers every terminal."""
+    order = sorted(terminals)
     paths = []
     for start in starts:
-        for terminal in sorted(terminals):
-            paths.extend(graph.enumerate_paths(start, {terminal}, "CALLS"))
+        by_end = {}
+        for path in graph.enumerate_paths(start, order, "CALLS"):
+            by_end.setdefault(path.end, []).append(path)
+        for terminal in order:
+            paths.extend(by_end.get(terminal, ()))
     return paths
 
 
@@ -195,14 +218,14 @@ def detect_signal_nonreentrant(graph: PropertyGraph, cwe: CweRecord) -> list:
     """A signal handler that reaches a non-reentrant procedure. The
     handler is resolved from the second argument of a signal() call;
     witness paths run from the handler's entry to the offending call."""
-    entries_set, _ = _classify(graph)
+    entries = _index(graph).entries
     offending = _call_sites_matching(graph, cwe.function_events)
     findings = []
     for node_id in _call_sites_matching(graph, ["signal"]):
         handler_name = graph.node(node_id).properties.get("Argument2")
         handler_entries = [
             n
-            for n in sorted(entries_set)
+            for n in entries
             if isinstance(handler_name, str)
             and graph.node(n).properties.get("Name") == handler_name
         ]

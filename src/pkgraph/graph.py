@@ -95,7 +95,9 @@ class PropertyGraph:
     Ids are opaque, unique, and stable; nodes are never deduplicated at
     this layer. All query results use deterministic orderings (ascending
     node id, lexicographic edge-id sequences) so downstream golden files
-    are byte-stable.
+    are byte-stable. Ids are issued in increasing order and only ever
+    appended to the indexes, so every index is already in ascending id
+    order and reads need not sort.
     """
 
     def __init__(self) -> None:
@@ -118,7 +120,7 @@ class PropertyGraph:
         node_id = self._next_node_id
         self._next_node_id += 1
         self._nodes[node_id] = Node(node_id, label, dict(properties or {}))
-        self._by_label.setdefault(label, set()).add(node_id)
+        self._by_label.setdefault(label, []).append(node_id)
         self._out[node_id] = []
         self._in[node_id] = []
         return node_id
@@ -158,16 +160,11 @@ class PropertyGraph:
     def edge(self, edge_id: int) -> Edge:
         return self._edges[edge_id]
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._nodes
-
     def nodes(self) -> Iterator[Node]:
-        for node_id in sorted(self._nodes):
-            yield self._nodes[node_id]
+        yield from self._nodes.values()
 
     def edges(self) -> Iterator[Edge]:
-        for edge_id in sorted(self._edges):
-            yield self._edges[edge_id]
+        yield from self._edges.values()
 
     @property
     def node_count(self) -> int:
@@ -179,18 +176,18 @@ class PropertyGraph:
 
     def out_edges(self, node_id: int) -> list:
         self.node(node_id)
-        return [self._edges[e] for e in sorted(self._out[node_id])]
+        return [self._edges[e] for e in self._out[node_id]]
 
     def in_edges(self, node_id: int) -> list:
         self.node(node_id)
-        return [self._edges[e] for e in sorted(self._in[node_id])]
+        return [self._edges[e] for e in self._in[node_id]]
 
     def find_nodes(self, label: str, filters: Optional[dict] = None) -> list:
         """All nodes with the given label whose properties satisfy every
         filter entry under values_equal. Ascending node-id order; an
         unknown label yields an empty list."""
         result = []
-        for node_id in sorted(self._by_label.get(label, ())):
+        for node_id in self._by_label.get(label, ()):
             node = self._nodes[node_id]
             if all(
                 key in node.properties and values_equal(value, node.properties[key])
@@ -214,38 +211,69 @@ class PropertyGraph:
         Only edges of edge_type are followed (None = any type); no edge
         appears twice in one path; path length is within [min_len,
         max_len] (max_len None = unbounded). Results are ordered
-        lexicographically by edge-id sequence.
+        lexicographically by edge-id sequence. With min_len 0 a start
+        that is itself a target yields the zero-length path once.
+
+        The walk is depth-first over an explicit stack, so path length is
+        not limited by the interpreter's recursion limit. It never enters
+        a node from which no target can be reached over edge_type edges;
+        such a branch emits no path, so skipping it leaves both the result
+        set and its order unchanged. The number of paths itself is not
+        bounded: a d-level diamond has 2**d of them.
         """
         self.node(start)
         target_set = set(targets)
+        live = self._reaching(target_set, edge_type)
+        if start not in live:
+            return []
         results = []
+        if min_len == 0 and start in target_set:
+            results.append(Path((start,), ()))
         node_seq = [start]
         edge_seq = []
         used = set()
-
-        def walk(current: int) -> None:
-            if len(edge_seq) >= min_len and current in target_set:
-                results.append(Path(tuple(node_seq), tuple(edge_seq)))
-            if max_len is not None and len(edge_seq) >= max_len:
-                return
-            for edge_id in sorted(self._out[current]):
-                if edge_id in used:
-                    continue
+        # One iterator per node on the current path, over its out-edges in
+        # ascending id order; the top one resumes where its child returned.
+        stack = [iter(self._out[start])] if max_len is None or max_len > 0 else []
+        while stack:
+            for edge_id in stack[-1]:
                 edge = self._edges[edge_id]
-                if edge_type is not None and edge.type != edge_type:
+                if (
+                    edge.target not in live
+                    or edge_id in used
+                    or (edge_type is not None and edge.type != edge_type)
+                ):
                     continue
                 used.add(edge_id)
                 edge_seq.append(edge_id)
                 node_seq.append(edge.target)
-                walk(edge.target)
+                if len(edge_seq) >= min_len and edge.target in target_set:
+                    results.append(Path(tuple(node_seq), tuple(edge_seq)))
+                if max_len is None or len(edge_seq) < max_len:
+                    stack.append(iter(self._out[edge.target]))
+                    break
                 node_seq.pop()
                 edge_seq.pop()
                 used.discard(edge_id)
-
-        if min_len == 0 and start in target_set:
-            results.append(Path((start,), ()))
-        walk(start)
+            else:
+                stack.pop()
+                if edge_seq:
+                    node_seq.pop()
+                    used.discard(edge_seq.pop())
         return results
+
+    def _reaching(self, target_set: set, edge_type: Optional[str]) -> set:
+        """Nodes with a walk over edge_type edges to a target, the targets
+        included."""
+        live = {t for t in target_set if t in self._nodes}
+        frontier = list(live)
+        while frontier:
+            for edge_id in self._in[frontier.pop()]:
+                edge = self._edges[edge_id]
+                if edge.source not in live and (edge_type is None or edge.type == edge_type):
+                    live.add(edge.source)
+                    frontier.append(edge.source)
+        return live
 
     def is_valid_path(self, path: Path) -> bool:
         """Check contiguity, direction, and edge uniqueness of a path."""

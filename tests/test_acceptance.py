@@ -222,6 +222,7 @@ def test_path_enumeration_matches_oracle():
             targets = set(rng.sample(nodes, rng.randint(1, len(nodes))))
             max_len = rng.choice([None, 1, 2, 3, 5])
             edge_type = rng.choice(["CALLS", None])
+            min_len = rng.choice([0, 1, 2])
             usable = sum(
                 1 for e in g.edges() if edge_type is None or e.type == edge_type
             )
@@ -232,8 +233,8 @@ def test_path_enumeration_matches_oracle():
                 max_len = min(max_len or 3, 3)
             elif max_len is None and usable > 8:
                 max_len = 5
-            got = g.enumerate_paths(start_node, targets, edge_type, 1, max_len)
-            want = brute_force_paths(g, start_node, targets, edge_type, 1, max_len)
+            got = g.enumerate_paths(start_node, targets, edge_type, min_len, max_len)
+            want = brute_force_paths(g, start_node, targets, edge_type, min_len, max_len)
             assert got == want
         assert time.perf_counter() - start < 10.0
 

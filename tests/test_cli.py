@@ -64,6 +64,27 @@ class TestScan:
         assert code == 1
         assert "CWE-242" not in out
 
+    def test_long_call_chain(self, tmp_path):
+        chain = tmp_path / "chain.c"
+        chain.write_text(
+            "".join(f"void f{i}() {{ f{i + 1}(); }}\n" for i in range(599))
+            + "void f599() { char buf[8]; gets(buf); }\n"
+        )
+        code, out, _ = cli("scan", str(chain), "--format", "json")
+        assert code == 1
+        (finding,) = json.loads(out)["findings"]
+        assert finding["cwe_id"] == "CWE-242"
+
+    def test_deep_nesting_exits_three(self, tmp_path):
+        nested = tmp_path / "nested.c"
+        nested.write_text("void main() { " + "atoi(" * 1000 + "s" + ")" * 1000 + "; }\n")
+        code, out, err = cli("scan", str(nested))
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("pkgraph: error: ")
+        assert "Traceback" not in err
+
     def test_parse_error_exits_three(self, tmp_path):
         bad = tmp_path / "bad.c"
         bad.write_text("void f() {")

@@ -10,6 +10,7 @@ from conftest import (
     load_catalog,
     merged_graph_of,
 )
+from test_graph import brute_force_paths
 from pkgraph.cypher.eval import execute_query
 from pkgraph.cypher.parser import parse_query
 from pkgraph.detectors import (
@@ -20,6 +21,7 @@ from pkgraph.detectors import (
     detect_missing_release,
     detect_signal_nonreentrant,
     detect_sizeof_on_pointer,
+    _witness_paths,
     entry_nodes,
     generate_detection_query,
     run_all,
@@ -50,6 +52,28 @@ class TestEntryNodes:
     def test_main_listed_first(self):
         graph, _ = call_graph_of("void aux() { g(); }\nvoid main() { h(); }")
         assert names_of(graph, entry_nodes(graph)) == ["main", "aux"]
+
+    def test_unsealed_graph_is_reclassified(self):
+        graph = PropertyGraph()
+        aux = graph.add_node("CallGraph", {"Name": "aux"})
+        assert entry_nodes(graph) == [aux]
+        main = graph.add_node("CallGraph", {"Name": "main"})
+        assert entry_nodes(graph) == [main, aux]
+        graph.add_edge(main, aux, "CALLS")
+        graph.seal()
+        assert entry_nodes(graph) == [main]
+
+    def test_index_is_per_graph(self):
+        first = PropertyGraph()
+        foo = first.add_node("CallGraph", {"Name": "foo"})
+        first.seal()
+        second = PropertyGraph()
+        aux = second.add_node("CallGraph", {"Name": "aux"})
+        main = second.add_node("CallGraph", {"Name": "main"})
+        second.seal()
+        assert entry_nodes(first) == [foo]
+        assert entry_nodes(second) == [main, aux]
+        assert entry_nodes(first) == [foo]
 
 
 class TestBannedCalls:
@@ -282,3 +306,24 @@ class TestRunAll:
         assert [(f.cwe_id, f.terminal_nodes) for f in first] == [
             (f.cwe_id, f.terminal_nodes) for f in second
         ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_witness_paths_match_per_terminal_oracle(seed):
+    """One search per start, grouped by end node, gives the paths of one
+    search per (start, terminal) pair in ascending terminal order."""
+    rng = random.Random(seed)
+    graph = PropertyGraph()
+    nodes = [graph.add_node("CallGraph", {}) for _ in range(rng.randint(1, 9))]
+    for _ in range(rng.randint(0, 12)):
+        graph.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(["CALLS", "OTHER"]))
+    graph.seal()
+    starts = rng.sample(nodes, rng.randint(1, len(nodes)))
+    terminals = rng.sample(nodes, rng.randint(1, len(nodes)))
+    want = [
+        path
+        for start in starts
+        for terminal in sorted(terminals)
+        for path in brute_force_paths(graph, start, {terminal}, "CALLS", 1, None)
+    ]
+    assert _witness_paths(graph, starts, terminals) == want

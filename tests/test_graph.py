@@ -150,6 +150,14 @@ class TestEnumeratePaths:
         for path in double_free_graph.enumerate_paths(foo.id, all_ids, "CALLS"):
             assert double_free_graph.is_valid_path(path)
 
+    def test_long_chain_has_one_path(self):
+        g = PropertyGraph()
+        chain = [g.add_node("N", {}) for _ in range(3001)]
+        for source, target in zip(chain, chain[1:]):
+            g.add_edge(source, target, "CALLS")
+        (path,) = g.enumerate_paths(chain[0], {chain[-1]}, "CALLS")
+        assert path.nodes == tuple(chain)
+
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_brute_force_oracle(self, seed):
         rng = random.Random(seed)

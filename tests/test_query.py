@@ -106,6 +106,20 @@ class TestExecuteQuery:
         table = execute_query(parse_query(DETECTION_QUERY), graph)
         assert table.rows == []
 
+    def test_zero_length_path_listed_once(self):
+        graph, _ = call_graph_of("void main() { free(p); }")
+        table = execute_query(
+            parse_query('MATCH path=(a:CallGraph {Name: "main"})-[*0..1]->(b) RETURN path'),
+            graph,
+        )
+        assert table.rows == [
+            ('(:CallGraph {ExecOrder: 1, Name: "main"})',),
+            (
+                '(:CallGraph {ExecOrder: 1, Name: "main"})'
+                '-[:CALLS]->(:CallGraph {Argument1: "p", ExecOrder: 2, Name: "free"})',
+            ),
+        ]
+
     def test_count_group_by(self):
         graph, _ = call_graph_of(DOUBLE_FREE_SRC)
         table = execute_query(
