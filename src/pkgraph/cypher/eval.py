@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..graph import Node, Path, PropertyGraph, values_equal
+from ..render import render_value
 from . import ast
 from .ast import Binary, Func, Literal, Not, Prop, Var
 
@@ -36,24 +37,6 @@ class ResultTable:
     rows: list  # of tuples of rendered strings
 
 
-# -- value rendering ---------------------------------------------------------
-# Node/path rendering is delegated to the canonical renderer so query
-# results and finding reports produce identical strings.
-
-def _render_value(value, graph: PropertyGraph) -> str:
-    from ..render import render_node, render_path, render_scalar
-
-    if value is None:
-        return "null"
-    if isinstance(value, Node):
-        return render_node(value)
-    if isinstance(value, Path):
-        return render_path(graph, value)
-    if isinstance(value, list):
-        return "[" + ", ".join(_render_value(v, graph) for v in value) + "]"
-    return render_scalar(value, quote_text=False)
-
-
 def _group_key(value):
     if isinstance(value, Node):
         return ("node", value.id)
@@ -67,6 +50,7 @@ def _group_key(value):
 class _Evaluator:
     def __init__(self, graph: PropertyGraph):
         self.graph = graph
+        self._candidates = {}  # literal-only NodePattern -> the nodes it matches
 
     # -- scalar expressions ------------------------------------------------
 
@@ -158,11 +142,7 @@ class _Evaluator:
                 if not isinstance(node, Node):
                     raise TypeMismatch(f"pattern variable {np.var!r} is not bound to a node")
                 return [node] if self._node_matches(np, node, merged) else []
-            if np.label is not None:
-                pool = self.graph.find_nodes(np.label)
-            else:
-                pool = list(self.graph.nodes())
-            return [n for n in pool if self._node_matches(np, n, merged)]
+            return self._unbound_candidates(np, merged)
 
         def extend(index, node, env, node_seq, edge_seq, used):
             if index == len(pattern.rels):
@@ -219,6 +199,19 @@ class _Evaluator:
                 env[first.var] = start
             extend(0, start, env, [start.id], [], set())
         return results
+
+    def _unbound_candidates(self, np, row: dict) -> list:
+        """The nodes an unbound node pattern matches under row. A pattern
+        whose property filters are all literals matches the same nodes on
+        every row, so its scan runs once per query."""
+        cacheable = all(isinstance(expr, Literal) for _, expr in np.props)
+        if cacheable and np in self._candidates:
+            return self._candidates[np]
+        pool = self.graph.find_nodes(np.label) if np.label is not None else self.graph.nodes()
+        found = [n for n in pool if self._node_matches(np, n, row)]
+        if cacheable:
+            self._candidates[np] = found
+        return found
 
     def _bind_target(self, np, node: Node, env: dict, row: dict) -> Optional[dict]:
         merged = {**row, **env}
@@ -341,7 +334,7 @@ class _Evaluator:
                 projected = self.project(items, rows)
                 out_columns = [alias for _, alias in items]
                 rendered = [
-                    tuple(_render_value(row[c], self.graph) for c in out_columns)
+                    tuple(render_value(row[c], self.graph) for c in out_columns)
                     for row in projected
                 ]
                 rendered.sort()

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import logging
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cparse import TranslationUnit
-from .graph import PropertyGraph, values_equal
+from .graph import PropertyGraph
 from .vulndata import CweRecord
 
 log = logging.getLogger(__name__)
@@ -57,8 +57,8 @@ class UnsupportedTemplate(Exception):
 @dataclass(frozen=True)
 class _CallGraphIndex:
     entries: tuple  # function-entry node ids, ascending
-    sites: tuple  # call-site node ids, ascending
     roots: tuple  # entries without an incoming CALLS edge, `main` first
+    by_name: dict  # call-site Name -> call-site ids, ascending
 
 
 #: Index per sealed graph; an entry goes away with its graph.
@@ -101,7 +101,12 @@ def _build_index(graph: PropertyGraph) -> _CallGraphIndex:
                 bucket.add(edge.target)
                 stack.append((edge.target, not is_entry))
     roots.sort(key=lambda n: (graph.node(n).properties.get("Name") != "main", n))
-    return _CallGraphIndex(tuple(sorted(entries)), tuple(sorted(sites)), tuple(roots))
+    by_name = {}
+    for n in sorted(sites):
+        name = graph.node(n).properties.get("Name", "")
+        if isinstance(name, str):
+            by_name.setdefault(name, []).append(n)
+    return _CallGraphIndex(tuple(sorted(entries)), tuple(roots), by_name)
 
 
 def entry_nodes(graph: PropertyGraph) -> list:
@@ -111,12 +116,9 @@ def entry_nodes(graph: PropertyGraph) -> list:
 
 
 def _call_sites_matching(graph: PropertyGraph, names: list) -> list:
-    names = list(names)
-    return [
-        n
-        for n in _index(graph).sites
-        if values_equal(graph.node(n).properties.get("Name", ""), names)
-    ]
+    """Call sites whose Name is one of names, ascending id."""
+    by_name = _index(graph).by_name
+    return sorted(set().union(*(by_name.get(name, ()) for name in names)))
 
 
 def _witness_paths(graph: PropertyGraph, starts: list, terminals: list) -> list:

@@ -55,6 +55,20 @@ def render_path(graph: PropertyGraph, path: Path) -> str:
     return out
 
 
+def render_value(value, graph: PropertyGraph) -> str:
+    """A query result cell: `null`, a node, a path, a list of values, or
+    a scalar with text unquoted."""
+    if value is None:
+        return "null"
+    if isinstance(value, Node):
+        return render_node(value)
+    if isinstance(value, Path):
+        return render_path(graph, value)
+    if isinstance(value, list):
+        return "[" + ", ".join(render_value(v, graph) for v in value) + "]"
+    return render_scalar(value, quote_text=False)
+
+
 def findings_to_json(findings: list, capabilities: list, graph: PropertyGraph) -> bytes:
     """Stable-key-order JSON report; byte-identical for identical inputs."""
     doc = {

@@ -133,6 +133,19 @@ class TestQuery:
         code, _, err = cli("query", double_free_file, stdin_text="MATCH (n RETURN n")
         assert code == 3
 
+    def test_unbound_filter_variable_exits_three(self, double_free_file):
+        code, out, err = cli(
+            "query", double_free_file, stdin_text="MATCH (n:CallGraph {Name: y.z}) RETURN n"
+        )
+        assert code == 3
+        assert out == ""
+        assert "unbound variable" in err
+
+    def test_unknown_label_never_reads_the_filter(self, double_free_file):
+        code, out, _ = cli("query", double_free_file, stdin_text="MATCH (n:Nope {Name: y.z}) RETURN n")
+        assert code == 0
+        assert out == "n\n"
+
 
 class TestIngestAndExport:
     def test_ingest_writes_csv(self, tmp_path):

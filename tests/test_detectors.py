@@ -21,12 +21,14 @@ from pkgraph.detectors import (
     detect_missing_release,
     detect_signal_nonreentrant,
     detect_sizeof_on_pointer,
+    _call_sites_matching,
+    _index,
     _witness_paths,
     entry_nodes,
     generate_detection_query,
     run_all,
 )
-from pkgraph.graph import PropertyGraph
+from pkgraph.graph import PropertyGraph, values_equal
 from pkgraph.render import render_node
 from pkgraph.vulndata import CweRecord
 
@@ -327,3 +329,36 @@ def test_witness_paths_match_per_terminal_oracle(seed):
         for path in brute_force_paths(graph, start, {terminal}, "CALLS", 1, None)
     ]
     assert _witness_paths(graph, starts, terminals) == want
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_call_sites_matching_equals_name_filter(seed):
+    """The name map of the index gives the call sites a per-site Name
+    comparison gives, for requests with repeated and absent names. A
+    defined function named like a requested event is an entry, not a call
+    site, and never matches."""
+    rng = random.Random(seed)
+    defined = ["main", rng.choice(EVENT_POOL)]
+    defined += rng.sample([n for n in EVENT_POOL if n not in defined], rng.randint(0, 2))
+    source = "\n".join(
+        f"void {fn}(char *p) {{\n"
+        + "".join(
+            f"    {rng.choice(EVENT_POOL)}({rng.choice(ARG_POOL)});\n"
+            for _ in range(rng.randint(0, 6))
+        )
+        + "}"
+        for fn in defined
+    )
+    graph, _ = call_graph_of(source)
+    names = rng.choices(EVENT_POOL, k=rng.randint(0, 5)) + [defined[1], defined[1], "absent"]
+    rng.shuffle(names)
+    entries = _index(graph).entries
+    sites = {e.target for n in entries for e in graph.out_edges(n) if e.type == "CALLS"}
+    want = [
+        n
+        for n in sorted(sites)
+        if values_equal(graph.node(n).properties.get("Name", ""), names)
+    ]
+    got = _call_sites_matching(graph, names)
+    assert got == want
+    assert not set(got) & set(entries)

@@ -10,6 +10,9 @@ from pkgraph.cypher.eval import (
 )
 from pkgraph.cypher.parser import QuerySyntaxError, parse_query
 from pkgraph.detectors import generate_detection_query
+from pkgraph.graph import values_equal
+from pkgraph.render import render_node
+from pkgraph.vulndata import CweRecord
 
 DETECTION_QUERY = generate_detection_query(catalog_entry("CWE-415"), "foo")
 
@@ -213,6 +216,54 @@ class TestExecuteQuery:
         second = execute_query(query, graph)
         assert first.columns == second.columns
         assert first.rows == second.rows
+
+
+class TestRowDependentPattern:
+    """A node pattern whose filter reads a row variable gives the rows of a
+    scan per row; a pattern with literal filters is scanned once per query."""
+
+    CATALOG = [
+        CweRecord("CWE-1", "a", "", ["free", "gets"]),
+        CweRecord("CWE-2", "b", "", ["free"]),
+        CweRecord("CWE-3", "c", "", ["free", "gets"]),
+        CweRecord("CWE-4", "d", "", ["strcpy"]),
+    ]
+    # Two `free` calls give each CWE row two rows for the last pattern.
+    QUERY = (
+        "MATCH (c:CWE) MATCH (f:CallGraph {Name: \"free\"}) "
+        "MATCH (n:CallGraph {Name: c.`Function Events`}) "
+        "RETURN c.`CWE-ID`, f, n"
+    )
+
+    def test_rows_equal_a_scan_per_row(self):
+        graph, _, _ = merged_graph_of(DOUBLE_FREE_SRC, self.CATALOG)
+        table = execute_query(parse_query(self.QUERY), graph)
+        calls = graph.find_nodes("CallGraph")
+        want = sorted(
+            (c.properties["CWE-ID"], render_node(f), render_node(n))
+            for c in graph.find_nodes("CWE")
+            for f in calls
+            if f.properties["Name"] == "free"
+            for n in calls
+            if values_equal(n.properties["Name"], c.properties["Function Events"])
+        )
+        assert table.rows == want
+        assert {row[0] for row in table.rows} == {"CWE-1", "CWE-2", "CWE-3"}
+
+    def test_literal_pattern_scanned_once(self, monkeypatch):
+        graph, _, _ = merged_graph_of(DOUBLE_FREE_SRC, self.CATALOG)
+        scanned = []
+        find_nodes = graph.find_nodes
+
+        def counting(label, *args):
+            scanned.append(label)
+            return find_nodes(label, *args)
+
+        monkeypatch.setattr(graph, "find_nodes", counting)
+        execute_query(parse_query(self.QUERY), graph)
+        # `free` once for the query, the last pattern once for each of the
+        # 4 x 2 rows it is matched against.
+        assert scanned == ["CWE"] + ["CallGraph"] * 9
 
 
 class TestFormatResultTable:
