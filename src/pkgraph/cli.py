@@ -196,7 +196,8 @@ def run_cli(argv, stdin=None, stdout=None, stderr=None) -> int:
         print(f"pkgraph: error: {exc}", file=stderr)
         return 3
     except RecursionError as exc:
-        # The C extractor recurses once per nesting level of a call.
+        # The query parser recurses once per nesting level of an
+        # expression; the C extractor does not recurse.
         print(f"pkgraph: error: input nested too deeply ({exc})", file=stderr)
         return 3
     return 2

@@ -31,16 +31,38 @@ _TYPE_WORDS = {
     "union", "const", "static", "auto", "register", "bool",
 }
 
+# One alternative per token kind, tried in order at each offset: a run of
+# whitespace (unnamed, so its lastgroup is None), a token, or any other
+# single character, which is an error. Without re.DOTALL `.` never matches
+# a newline, so `\\.` in a literal cannot escape one; `\s+` takes it.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+    \s+
+  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<num>(?:0[xX][0-9a-fA-F]+|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)[uUlLfF]*)
   | (?P<str>"(?:[^"\\\n]|\\.)*")
   | (?P<char>'(?:[^'\\\n]|\\.)*')
   | (?P<punct>::|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[-+*/%&|^~!<>=?:;,.(){}\[\]\\\#])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+
+# What _blank_comments recognizes. A literal may span lines and runs to
+# the end of the text when unterminated; it is kept. A `/*` comment runs
+# to the first `*/` after it, or to the end. A directive is a `#` preceded
+# on its line only by whitespace, which stays, and runs to the end of the
+# line, continued by a backslash-newline.
+_BLANK_RE = re.compile(
+    r"""
+    (?P<literal>"(?:[^"\\]|\\[\s\S])*"?|'(?:[^'\\]|\\[\s\S])*'?)
+  | //[^\n]*
+  | /\*[\s\S]*?(?:\*/|\Z)
+  | ^(?P<indent>[^\S\n]*)\#(?:\\\n|[^\n])*
+    """,
+    re.VERBOSE | re.MULTILINE,
+)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
 
 
 class ParseError(Exception):
@@ -51,14 +73,23 @@ class ParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
+def _position(text: str, offset: int) -> tuple:
+    """1-based (line, column) of offset in text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _error(blanked: str, offset: int, message: str) -> ParseError:
+    return ParseError(*_position(blanked, offset), message)
+
+
 class Token:
-    kind: str
-    text: str
-    start: int  # offset into the (comment-blanked) source
-    end: int
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "start", "end")
+
+    def __init__(self, kind: str, text: str, start: int, end: int):
+        self.kind = kind
+        self.text = text
+        self.start = start  # offset into the (comment-blanked) source
+        self.end = end
 
 
 @dataclass
@@ -97,71 +128,32 @@ class TranslationUnit:
 # Tokenizing
 # ---------------------------------------------------------------------------
 
+def _blank(match) -> str:
+    if match.lastgroup == "literal":
+        return match.group()
+    indent = match.group("indent") or ""
+    return indent + _NOT_NEWLINE_RE.sub(" ", match.group()[len(indent):])
+
+
 def _blank_comments(source: str) -> str:
     """Replace comments and preprocessor lines with spaces, preserving
     offsets and newlines so token positions stay source-accurate."""
-    out = list(source)
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "/" and i + 1 < n and source[i + 1] == "/":
-            while i < n and source[i] != "\n":
-                out[i] = " "
-                i += 1
-        elif c == "/" and i + 1 < n and source[i + 1] == "*":
-            end = source.find("*/", i + 2)
-            stop = n if end < 0 else end + 2
-            for j in range(i, stop):
-                if out[j] != "\n":
-                    out[j] = " "
-            i = stop
-        elif c in "\"'":
-            quote = c
-            i += 1
-            while i < n and source[i] != quote:
-                i += 2 if source[i] == "\\" else 1
-            i += 1
-        elif c == "#":
-            # only at line start (modulo whitespace)
-            line_start = source.rfind("\n", 0, i) + 1
-            if source[line_start:i].strip() == "":
-                while i < n and source[i] != "\n":
-                    if source[i] == "\\" and i + 1 < n and source[i + 1] == "\n":
-                        out[i] = " "
-                        i += 2
-                        continue
-                    out[i] = " "
-                    i += 1
-            else:
-                i += 1
-        else:
-            i += 1
-    return "".join(out)
+    return _BLANK_RE.sub(_blank, source)
 
 
 def _tokenize(blanked: str) -> list:
     tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    n = len(blanked)
-    while pos < n:
-        c = blanked[pos]
-        if c == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if c.isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(blanked, pos)
-        if not m:
-            if c in "\"'":
-                raise ParseError(line, pos - line_start + 1, "unterminated literal")
-            raise ParseError(line, pos - line_start + 1, f"unexpected character {c!r}")
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(blanked):
         kind = m.lastgroup
-        tokens.append(Token(kind, m.group(), m.start(), m.end(), line, m.start() - line_start + 1))
-        pos = m.end()
+        if kind is None:
+            continue
+        if kind == "bad":
+            c = m.group()
+            message = "unterminated literal" if c in "\"'" else f"unexpected character {c!r}"
+            raise _error(blanked, m.start(), message)
+        start, end = m.span()
+        append(Token(kind, m.group(), start, end))
     return tokens
 
 
@@ -169,19 +161,34 @@ def _tokenize(blanked: str) -> list:
 # Extraction
 # ---------------------------------------------------------------------------
 
-def _match_forward(tokens: list, i: int, open_: str, close: str) -> int:
+def _bracket_table(tokens: list) -> dict:
+    """Index of the closing token per '(' and '{' token index, matched
+    with one stack per kind; an opener without a match is absent. Each
+    match is the one a forward scan counting only that kind finds."""
+    table = {}
+    parens, braces = [], []
+    for j, tok in enumerate(tokens):
+        text = tok.text
+        if text == "(":
+            parens.append(j)
+        elif text == ")":
+            if parens:
+                table[parens.pop()] = j
+        elif text == "{":
+            braces.append(j)
+        elif text == "}":
+            if braces:
+                table[braces.pop()] = j
+    return table
+
+
+def _closing(table: dict, tokens: list, i: int, blanked: str) -> int:
     """Index of the token closing the bracket at tokens[i]."""
-    depth = 0
-    for j in range(i, len(tokens)):
-        text = tokens[j].text
-        if text == open_:
-            depth += 1
-        elif text == close:
-            depth -= 1
-            if depth == 0:
-                return j
-    tok = tokens[i]
-    raise ParseError(tok.line, tok.column, f"unbalanced {open_!r}")
+    close = table.get(i)
+    if close is None:
+        tok = tokens[i]
+        raise _error(blanked, tok.start, f"unbalanced {tok.text!r}")
+    return close
 
 
 def _skip_template_args(tokens: list, i: int) -> int:
@@ -220,6 +227,9 @@ def _render_argument(tokens: list, lo: int, hi: int, blanked: str) -> str:
 
 
 def _split_arguments(tokens: list, lo: int, hi: int, blanked: str) -> list:
+    """Render the comma-separated arguments in tokens[lo:hi]. An empty
+    argument raises ParseError at the comma after it, or at the comma
+    before it when it is the last."""
     if lo >= hi:
         return []
     args = []
@@ -232,25 +242,38 @@ def _split_arguments(tokens: list, lo: int, hi: int, blanked: str) -> list:
         elif text in ")]}":
             depth -= 1
         elif text == "," and depth == 0:
+            if start == j:
+                raise _error(blanked, tokens[j].start, "empty argument")
             args.append(_render_argument(tokens, start, j, blanked))
             start = j + 1
+    if start == hi:
+        raise _error(blanked, tokens[hi - 1].start, "empty argument")
     args.append(_render_argument(tokens, start, hi, blanked))
     return args
 
 
-def _scan_calls(tokens: list, lo: int, hi: int, blanked: str, out: list) -> None:
-    """Record calls in tokens[lo:hi] in evaluation order: arguments are
-    scanned before the enclosing call is appended."""
+def _scan_calls(tokens: list, lo: int, hi: int, table: dict, blanked: str) -> list:
+    """(name, arguments) of each call in tokens[lo:hi], in evaluation
+    order: a call is appended after the calls in its arguments. Nesting
+    is kept on an explicit stack of pending calls, not in recursion."""
+    out = []
+    pending = []  # (name, '(' index, ')' index, hi of the enclosing range)
     i = lo
-    while i < hi:
+    while True:
+        if i >= hi:
+            if not pending:
+                return out
+            name, open_, close, hi = pending.pop()
+            out.append((name, _split_arguments(tokens, open_ + 1, close, blanked)))
+            i = close + 1
+            continue
         tok = tokens[i]
         if tok.kind == "id" and tok.text not in _CONTROL_KEYWORDS:
             after = _skip_template_args(tokens, i + 1)
             if after < hi and tokens[after].text == "(":
-                close = _match_forward(tokens, after, "(", ")")
-                _scan_calls(tokens, after + 1, close, blanked, out)
-                out.append((tok.text, _split_arguments(tokens, after + 1, close, blanked)))
-                i = close + 1
+                close = _closing(table, tokens, after, blanked)
+                pending.append((tok.text, after, close, hi))
+                i, hi = after + 1, close
                 continue
         i += 1
 
@@ -292,6 +315,7 @@ def extract_translation_unit(source: str) -> TranslationUnit:
     """
     blanked = _blank_comments(source)
     tokens = _tokenize(blanked)
+    table = _bracket_table(tokens)
     tu = TranslationUnit()
     counter = 0
     i = 0
@@ -299,20 +323,18 @@ def extract_translation_unit(source: str) -> TranslationUnit:
     while i < n:
         tok = tokens[i]
         if tok.kind == "id" and i + 1 < n and tokens[i + 1].text == "(":
-            close = _match_forward(tokens, i + 1, "(", ")")
+            close = _closing(table, tokens, i + 1, blanked)
             if close + 1 < n and tokens[close + 1].text == "{":
-                body_close = _match_forward(tokens, close + 1, "{", "}")
+                body_close = _closing(table, tokens, close + 1, blanked)
                 name = tok.text
                 if name in tu.defined_names:
-                    raise ParseError(tok.line, tok.column, f"duplicate definition of {name!r}")
+                    raise _error(blanked, tok.start, f"duplicate definition of {name!r}")
                 counter += 1
                 fn = FunctionDef(name=name, exec_order=counter)
                 fn.pointer_locals = _pointer_decls(tokens, i + 2, close) | _pointer_decls(
                     tokens, close + 2, body_close
                 )
-                calls = []
-                _scan_calls(tokens, close + 2, body_close, blanked, calls)
-                for callee, args in calls:
+                for callee, args in _scan_calls(tokens, close + 2, body_close, table, blanked):
                     counter += 1
                     fn.call_sites.append(CallSite(counter, callee, args))
                 tu.functions.append(fn)
@@ -327,7 +349,7 @@ def extract_translation_unit(source: str) -> TranslationUnit:
             continue
         if tok.text == "{":
             # stray top-level block (e.g. struct body we don't model)
-            i = _match_forward(tokens, i, "{", "}") + 1
+            i = _closing(table, tokens, i, blanked) + 1
             continue
         if tok.text == ";":
             i += 1
@@ -345,8 +367,7 @@ def extract_translation_unit(source: str) -> TranslationUnit:
         elif not (i < n and tokens[i].kind == "id"):
             log.warning(
                 "skipping unparseable top-level item at %d:%d",
-                tokens[run_start].line,
-                tokens[run_start].column,
+                *_position(blanked, tokens[run_start].start),
             )
     return tu
 

@@ -121,19 +121,44 @@ def _call_sites_matching(graph: PropertyGraph, names: list) -> list:
     return sorted(set().union(*(by_name.get(name, ()) for name in names)))
 
 
-def _witness_paths(graph: PropertyGraph, starts: list, terminals: list) -> list:
-    """Witness paths from each start to the terminals: per start, the
-    paths to each terminal in ascending terminal id order. One search
-    per start covers every terminal."""
-    order = sorted(terminals)
-    paths = []
+def _paths_by_end(graph: PropertyGraph, starts: list, terminals: list):
+    """Per start, in order, a map from terminal to the witness paths from
+    that start to it. One search per start covers every terminal."""
     for start in starts:
         by_end = {}
-        for path in graph.enumerate_paths(start, order, "CALLS"):
+        for path in graph.enumerate_paths(start, terminals, "CALLS"):
             by_end.setdefault(path.end, []).append(path)
+        yield by_end
+
+
+def _witness_paths(graph: PropertyGraph, starts: list, terminals: list) -> list:
+    """Witness paths from each start to the terminals: per start, the
+    paths to each terminal in ascending terminal id order."""
+    order = sorted(terminals)
+    paths = []
+    for by_end in _paths_by_end(graph, starts, order):
         for terminal in order:
             paths.extend(by_end.get(terminal, ()))
     return paths
+
+
+def _site_findings(graph: PropertyGraph, cwe: CweRecord, messages: dict) -> list:
+    """One finding per call site in messages (site id -> message), in
+    that order, with the witness paths from every entry to the site. One
+    search per entry covers all the sites."""
+    if not messages:
+        return []
+    searches = list(_paths_by_end(graph, entry_nodes(graph), list(messages)))
+    return [
+        Finding(
+            cwe_id=cwe.cwe_id,
+            cwe_name=cwe.name,
+            witness_paths=[path for by_end in searches for path in by_end.get(node_id, ())],
+            terminal_nodes=[node_id],
+            message=message,
+        )
+        for node_id, message in messages.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -143,20 +168,11 @@ def _witness_paths(graph: PropertyGraph, starts: list, terminals: list) -> list:
 def detect_banned_calls(graph: PropertyGraph, cwe: CweRecord) -> list:
     """One finding per call of a procedure in the weakness's function
     events (dangerous or obsolete APIs)."""
-    findings = []
-    entries = entry_nodes(graph)
-    for node_id in _call_sites_matching(graph, cwe.function_events):
-        name = graph.node(node_id).properties["Name"]
-        findings.append(
-            Finding(
-                cwe_id=cwe.cwe_id,
-                cwe_name=cwe.name,
-                witness_paths=_witness_paths(graph, entries, [node_id]),
-                terminal_nodes=[node_id],
-                message=f"call to {name}",
-            )
-        )
-    return findings
+    messages = {
+        node_id: f"call to {graph.node(node_id).properties['Name']}"
+        for node_id in _call_sites_matching(graph, cwe.function_events)
+    }
+    return _site_findings(graph, cwe, messages)
 
 
 def detect_double_release(graph: PropertyGraph, cwe: CweRecord) -> list:
@@ -193,8 +209,7 @@ def detect_sizeof_on_pointer(
     """sizeof applied to a pointer-typed local. The pointer-local sets
     come from the translation unit; without one we fall back to flagging
     sizeof over any bare identifier (weaker, documented heuristic)."""
-    findings = []
-    entries = entry_nodes(graph)
+    messages = {}
     for node_id in _call_sites_matching(graph, ["sizeof"]):
         node = graph.node(node_id)
         argument = node.properties.get("Argument1")
@@ -204,16 +219,8 @@ def detect_sizeof_on_pointer(
             fn = tu.enclosing_function(node.properties["ExecOrder"])
             if fn is None or argument not in fn.pointer_locals:
                 continue
-        findings.append(
-            Finding(
-                cwe_id=cwe.cwe_id,
-                cwe_name=cwe.name,
-                witness_paths=_witness_paths(graph, entries, [node_id]),
-                terminal_nodes=[node_id],
-                message=f"sizeof applied to pointer {argument!r}",
-            )
-        )
-    return findings
+        messages[node_id] = f"sizeof applied to pointer {argument!r}"
+    return _site_findings(graph, cwe, messages)
 
 
 def detect_signal_nonreentrant(graph: PropertyGraph, cwe: CweRecord) -> list:
@@ -255,19 +262,11 @@ def detect_getlogin_multithreaded(graph: PropertyGraph, cwe: CweRecord) -> list:
     getlogin call when any pthread_create call exists."""
     if not _call_sites_matching(graph, ["pthread_create"]):
         return []
-    findings = []
-    entries = entry_nodes(graph)
-    for node_id in _call_sites_matching(graph, cwe.function_events):
-        findings.append(
-            Finding(
-                cwe_id=cwe.cwe_id,
-                cwe_name=cwe.name,
-                witness_paths=_witness_paths(graph, entries, [node_id]),
-                terminal_nodes=[node_id],
-                message="getlogin used in a multithreaded program",
-            )
-        )
-    return findings
+    messages = dict.fromkeys(
+        _call_sites_matching(graph, cwe.function_events),
+        "getlogin used in a multithreaded program",
+    )
+    return _site_findings(graph, cwe, messages)
 
 
 def detect_missing_release(graph: PropertyGraph, cwe: CweRecord) -> DetectorCapability:

@@ -75,15 +75,14 @@ class TestScan:
         (finding,) = json.loads(out)["findings"]
         assert finding["cwe_id"] == "CWE-242"
 
-    def test_deep_nesting_exits_three(self, tmp_path):
+    def test_deep_nesting(self, tmp_path):
         nested = tmp_path / "nested.c"
         nested.write_text("void main() { " + "atoi(" * 1000 + "s" + ")" * 1000 + "; }\n")
-        code, out, err = cli("scan", str(nested))
-        assert code == 3
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("pkgraph: error: ")
-        assert "Traceback" not in err
+        code, out, _ = cli("scan", str(nested), "--format", "json")
+        assert code == 1
+        findings = json.loads(out)["findings"]
+        assert len(findings) == 1000
+        assert {f["cwe_id"] for f in findings} == {"CWE-242"}
 
     def test_parse_error_exits_three(self, tmp_path):
         bad = tmp_path / "bad.c"
@@ -91,6 +90,17 @@ class TestScan:
         code, _, err = cli("scan", str(bad))
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("call", ["f(a,)", "f(,b)", "f(a,,b)"])
+    def test_empty_argument_exits_three(self, tmp_path, call):
+        bad = tmp_path / "bad.c"
+        bad.write_text(f"void main() {{ {call}; }}\n")
+        code, out, err = cli("scan", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("pkgraph: error: 1:")
+        assert err.endswith(": empty argument\n")
+        assert len(err.splitlines()) == 1
 
 
 class TestExtract:

@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DOUBLE_FREE_INTERPROC_SRC, DOUBLE_FREE_SRC, call_graph_of
-from pkgraph.cparse import ParseError, build_call_graph, extract_translation_unit
+from pkgraph.cparse import (
+    ParseError,
+    _blank_comments,
+    _bracket_table,
+    _tokenize,
+    build_call_graph,
+    extract_translation_unit,
+)
 from pkgraph.graph import PropertyGraph
 
 
@@ -111,6 +119,127 @@ class TestExtractTranslationUnit:
         a = extract_translation_unit(DOUBLE_FREE_SRC)
         b = extract_translation_unit(DOUBLE_FREE_SRC)
         assert a == b
+
+    def test_deep_nesting_innermost_first(self):
+        depth = 3000
+        tu = extract_translation_unit("void f() { " + "atoi(" * depth + "s" + ")" * depth + "; }")
+        sites = tu.functions[0].call_sites
+        assert len(sites) == depth
+        assert [c.exec_order for c in sites] == list(range(2, depth + 2))
+        assert {c.name for c in sites} == {"atoi"}
+        assert sites[0].arguments == ["s"]
+        assert sites[1].arguments == ["atoi(s)"]
+        assert sites[-1].arguments == ["atoi(" * (depth - 1) + "s" + ")" * (depth - 1)]
+
+
+BLANKED = [
+    pytest.param("  \t#define X 1\nint a;", "  \t           \nint a;", id="indent-before-hash-kept"),
+    pytest.param("/**/#x\n", "    #x\n", id="hash-after-comment-is-not-a-directive"),
+    pytest.param(
+        "#define A \\\n  (1)\nvoid f() { g(); }",
+        "           \n     \nvoid f() { g(); }",
+        id="continued-directive-blanked-on-both-lines",
+    ),
+    pytest.param(
+        "void f() { g('\\\n/* c */'); }",
+        "void f() { g('\\\n/* c */'); }",
+        id="char-literal-holding-backslash-newline",
+    ),
+    pytest.param(
+        "void f() { g(); } /* free(x);\n h();",
+        "void f() { g(); }            \n     ",
+        id="unterminated-block-comment",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, blanked", BLANKED)
+def test_blank_comments(source, blanked):
+    assert _blank_comments(source) == blanked
+
+
+PARSE_ERRORS = [
+    pytest.param("void f() { g('\\\n/* c */'); }", 1, 14, "unterminated literal", id="char-literal"),
+    pytest.param("/* a\n b */ void f() { @ }", 2, 18, "unexpected character '@'", id="bad-character"),
+    pytest.param("/* a\n\n */\n  void f() { g(); ", 4, 12, "unbalanced '{'", id="unbalanced-brace"),
+    pytest.param("void f() { g(a,); }", 1, 15, "empty argument", id="empty-last-argument"),
+    pytest.param("void f() { g(,b); }", 1, 14, "empty argument", id="empty-first-argument"),
+    pytest.param("void f() {\n  g(a,,b); }", 2, 7, "empty argument", id="empty-middle-argument"),
+    pytest.param("void f() { h(g(a,)); }", 1, 17, "empty argument", id="empty-nested-argument"),
+]
+
+
+@pytest.mark.parametrize("source, line, column, message", PARSE_ERRORS)
+def test_parse_error_position(source, line, column, message):
+    with pytest.raises(ParseError) as exc:
+        extract_translation_unit(source)
+    assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)
+
+
+# Text built from the fragments that start, end or escape comments,
+# literals and directives, so generated inputs hit their interactions;
+# half of it is a function body of call fragments, so that the call
+# scanner sees its inputs without a lexical error stopping it first.
+C_FRAGMENTS = [
+    "//", "/*", "*/", '"', "'", "#", "\\\n", "\\", "\n", " ", "\t",
+    "(", ")", "{", "}", "[", "]", ",", ";", "<", ">", "*",
+    "f", "main", "void", "char", "x", "1", "sizeof", "free(p);", "@",
+]
+CALL_FRAGMENTS = ["g(", "a", ",", ")", " ", ";"]
+c_texts = st.one_of(
+    st.lists(st.sampled_from(C_FRAGMENTS), max_size=40).map("".join),
+    st.lists(st.sampled_from(CALL_FRAGMENTS), max_size=20).map(
+        lambda body: "void f() {" + "".join(body) + "}"
+    ),
+)
+
+
+class TestNeverCrash:
+    @given(c_texts)
+    @settings(deadline=None)
+    def test_result_or_parse_error(self, source):
+        try:
+            extract_translation_unit(source)
+        except ParseError as exc:
+            lines = source.split("\n")
+            assert 1 <= exc.line <= len(lines)
+            assert 1 <= exc.column <= len(lines[exc.line - 1])
+
+    @given(c_texts)
+    @settings(deadline=None)
+    def test_blanking_keeps_offsets_and_newlines(self, source):
+        blanked = _blank_comments(source)
+        assert len(blanked) == len(source)
+        newlines = [i for i, c in enumerate(source) if c == "\n"]
+        assert [i for i, c in enumerate(blanked) if c == "\n"] == newlines
+
+    @given(c_texts)
+    @settings(deadline=None)
+    def test_token_text_is_its_span(self, source):
+        blanked = _blank_comments(source)
+        try:
+            tokens = _tokenize(blanked)
+        except ParseError:
+            return
+        assert all(tok.text == blanked[tok.start : tok.end] for tok in tokens)
+
+    @given(st.text("(){}[]x", max_size=40))
+    def test_bracket_table_matches_forward_scan(self, text):
+        """Each '(' and '{' is matched to the first later token at which
+        a scan counting only its own kind returns to depth zero."""
+        tokens = _tokenize(text)
+        want = {}
+        for i, tok in enumerate(tokens):
+            if tok.text not in ("(", "{"):
+                continue
+            close = ")" if tok.text == "(" else "}"
+            depth = 0
+            for j in range(i, len(tokens)):
+                depth += (tokens[j].text == tok.text) - (tokens[j].text == close)
+                if depth == 0:
+                    want[i] = j
+                    break
+        assert _bracket_table(tokens) == want
 
 
 class TestBuildCallGraph:

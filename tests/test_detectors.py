@@ -362,3 +362,42 @@ def test_call_sites_matching_equals_name_filter(seed):
     got = _call_sites_matching(graph, names)
     assert got == want
     assert not set(got) & set(entries)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_site_findings_match_per_site_search(seed):
+    """The per-site detectors search once per entry for all their call
+    sites; each finding holds the paths of a search for its site alone.
+    Nothing calls main or aux, so a site can be reached from both."""
+    rng = random.Random(seed)
+    helpers = rng.sample(["f1", "f2", "f3", "f4"], rng.randint(1, 4))
+    functions = ["main", "aux"] + helpers
+    events = ["gets", "atoi", "getlogin", "pthread_create", "sizeof", "free"]
+    source = "\n".join(
+        f"void {fn}(char *p) {{\n"
+        + "".join(
+            f"    {rng.choice(events + helpers)}({rng.choice(ARG_POOL)});\n"
+            for _ in range(rng.randint(0, 8))
+        )
+        + "}"
+        for fn in functions
+    )
+    graph, tu = call_graph_of(source)
+    entries = entry_nodes(graph)
+    banned = catalog_entry("CWE-242")
+    results = [
+        (detect_banned_calls(graph, banned), _call_sites_matching(graph, banned.function_events)),
+        (detect_sizeof_on_pointer(graph, tu, catalog_entry("CWE-467")), None),
+        (
+            detect_getlogin_multithreaded(graph, catalog_entry("CWE-558")),
+            _call_sites_matching(graph, ["getlogin"])
+            if _call_sites_matching(graph, ["pthread_create"])
+            else [],
+        ),
+    ]
+    for findings, sites in results:
+        if sites is not None:
+            assert [f.terminal_nodes for f in findings] == [[s] for s in sites]
+        for finding in findings:
+            (site,) = finding.terminal_nodes
+            assert finding.witness_paths == _witness_paths(graph, entries, [site])
