@@ -47,23 +47,28 @@ def _build_parser() -> _ArgumentParser:
     ingest.add_argument("--cwe", required=True, help="weakness catalog CSV")
     ingest.add_argument("--cve", required=True, help="vulnerability catalog CSV")
     ingest.add_argument("--out", default=".", help="output directory for CSV export")
+    ingest.set_defaults(run=_cmd_ingest)
 
     extract = sub.add_parser("extract", help="print the call-graph node table for a C file")
     extract.add_argument("source", help="C source file")
+    extract.set_defaults(run=_cmd_extract)
 
     scan = sub.add_parser("scan", help="scan a C file for weaknesses")
     scan.add_argument("source", help="C source file")
     scan.add_argument("--catalog", help="weakness catalog CSV (default: bundled)")
     scan.add_argument("--format", choices=("table", "json"), default="table")
+    scan.set_defaults(run=_cmd_scan)
 
     query = sub.add_parser("query", help="run a query over the merged graph of a C file")
     query.add_argument("source", help="C source file")
     query.add_argument("--query-file", help="query text file (default: stdin)")
     query.add_argument("--catalog", help="weakness catalog CSV (default: bundled)")
+    query.set_defaults(run=_cmd_query)
 
     export = sub.add_parser("export", help="export a C file's call graph")
     export.add_argument("source", help="C source file")
     export.add_argument("--out", required=True, help="output directory")
+    export.set_defaults(run=_cmd_export)
     return parser
 
 
@@ -77,29 +82,32 @@ def _load_catalog(path) -> list:
     return parse_cwe_csv(Path(path).read_bytes())
 
 
-def _merged_graph(source_path: str, catalog_path):
+def _merged_graph(source_path: str, catalog=()):
     """Knowledge graph of the catalog plus the file's call graph, sealed."""
-    catalog = _load_catalog(catalog_path)
     source = Path(source_path).read_text(encoding="utf-8")
     graph = PropertyGraph()
     build_knowledge_graph(catalog, [], graph)
     tu = extract_translation_unit(source)
     build_call_graph(tu, graph)
     graph.seal()
-    return graph, tu, catalog
+    return graph, tu
 
 
-def _cmd_ingest(args, stdout) -> int:
+def _write_import_csv(graph, out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    nodes, relationships = export_import_csv(graph)
+    (out / "nodes.csv").write_bytes(nodes)
+    (out / "relationships.csv").write_bytes(relationships)
+
+
+def _cmd_ingest(args, stdin, stdout) -> int:
     cwes = parse_cwe_csv(Path(args.cwe).read_bytes())
     cves = parse_cve_csv(Path(args.cve).read_bytes())
     graph = PropertyGraph()
     stats = build_knowledge_graph(cwes, cves, graph)
     graph.seal()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    nodes, relationships = export_import_csv(graph)
-    (out / "nodes.csv").write_bytes(nodes)
-    (out / "relationships.csv").write_bytes(relationships)
+    _write_import_csv(graph, out)
     print(
         f"ingested {stats.nodes_created} nodes, {stats.edges_created} edges"
         f" ({stats.orphan_cves} orphan CVEs) -> {out}",
@@ -119,17 +127,15 @@ def _node_table(graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_extract(args, stdout) -> int:
-    source = Path(args.source).read_text(encoding="utf-8")
-    graph = PropertyGraph()
-    build_call_graph(extract_translation_unit(source), graph)
-    graph.seal()
+def _cmd_extract(args, stdin, stdout) -> int:
+    graph, _ = _merged_graph(args.source)
     stdout.write(_node_table(graph))
     return 0
 
 
-def _cmd_scan(args, stdout) -> int:
-    graph, tu, catalog = _merged_graph(args.source, args.catalog)
+def _cmd_scan(args, stdin, stdout) -> int:
+    catalog = _load_catalog(args.catalog)
+    graph, tu = _merged_graph(args.source, catalog)
     findings, capabilities = run_all(graph, tu, catalog)
     if args.format == "json":
         stdout.write(findings_to_json(findings, capabilities, graph).decode("utf-8"))
@@ -149,21 +155,15 @@ def _cmd_query(args, stdin, stdout) -> int:
     else:
         text = stdin.read()
     query = parse_query(text)
-    graph, _, _ = _merged_graph(args.source, args.catalog)
+    graph, _ = _merged_graph(args.source, _load_catalog(args.catalog))
     stdout.write(format_result_table(execute_query(query, graph)))
     return 0
 
 
-def _cmd_export(args, stdout) -> int:
-    source = Path(args.source).read_text(encoding="utf-8")
-    graph = PropertyGraph()
-    build_call_graph(extract_translation_unit(source), graph)
-    graph.seal()
+def _cmd_export(args, stdin, stdout) -> int:
+    graph, _ = _merged_graph(args.source)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    nodes, relationships = export_import_csv(graph)
-    (out / "nodes.csv").write_bytes(nodes)
-    (out / "relationships.csv").write_bytes(relationships)
+    _write_import_csv(graph, out)
     (out / "graph.dot").write_text(export_dot(graph), encoding="utf-8")
     print(f"wrote nodes.csv, relationships.csv, graph.dot -> {out}", file=stdout)
     return 0
@@ -179,20 +179,10 @@ def run_cli(argv, stdin=None, stdout=None, stderr=None) -> int:
         print(str(exc), file=stderr)
         return 2
     try:
-        if args.subcommand == "ingest":
-            return _cmd_ingest(args, stdout)
-        if args.subcommand == "extract":
-            return _cmd_extract(args, stdout)
-        if args.subcommand == "scan":
-            return _cmd_scan(args, stdout)
-        if args.subcommand == "query":
-            return _cmd_query(args, stdin, stdout)
-        if args.subcommand == "export":
-            return _cmd_export(args, stdout)
-    except (ParseError, CsvError, QuerySyntaxError, EvalError, ExportError) as exc:
-        print(f"pkgraph: error: {exc}", file=stderr)
-        return 3
-    except OSError as exc:
+        return args.run(args, stdin, stdout)
+    except (
+        ParseError, CsvError, QuerySyntaxError, EvalError, ExportError, OSError, UnicodeDecodeError
+    ) as exc:
         print(f"pkgraph: error: {exc}", file=stderr)
         return 3
     except RecursionError as exc:
@@ -200,7 +190,6 @@ def run_cli(argv, stdin=None, stdout=None, stderr=None) -> int:
         # expression; the C extractor does not recurse.
         print(f"pkgraph: error: input nested too deeply ({exc})", file=stderr)
         return 3
-    return 2
 
 
 def main() -> None:

@@ -14,20 +14,13 @@ from __future__ import annotations
 import logging
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .cparse import TranslationUnit
 from .graph import PropertyGraph
 from .vulndata import CweRecord
 
 log = logging.getLogger(__name__)
-
-BANNED_CALL_CWES = {"CWE-242", "CWE-477"}
-DOUBLE_RELEASE_CWES = {"CWE-415", "CWE-1341"}
-
-_MISSING_RELEASE_REASON = (
-    "call graph lacks data-flow; malloc's Argument1 is a size, not the released handle"
-)
 
 
 @dataclass
@@ -142,22 +135,26 @@ def _witness_paths(graph: PropertyGraph, starts: list, terminals: list) -> list:
     return paths
 
 
-def _site_findings(graph: PropertyGraph, cwe: CweRecord, messages: dict) -> list:
-    """One finding per call site in messages (site id -> message), in
-    that order, with the witness paths from every entry to the site. One
-    search per entry covers all the sites."""
-    if not messages:
+def _findings(graph: PropertyGraph, cwe: CweRecord, groups: dict) -> list:
+    """One finding per group in groups (a tuple of ascending terminal ids
+    -> message), in that order. A finding's witness paths run from every
+    entry to its terminals: per entry, then per terminal. One search per
+    entry covers the terminals of all the groups."""
+    if not groups:
         return []
-    searches = list(_paths_by_end(graph, entry_nodes(graph), list(messages)))
+    terminals = [node_id for group in groups for node_id in group]
+    searches = list(_paths_by_end(graph, entry_nodes(graph), terminals))
     return [
         Finding(
             cwe_id=cwe.cwe_id,
             cwe_name=cwe.name,
-            witness_paths=[path for by_end in searches for path in by_end.get(node_id, ())],
-            terminal_nodes=[node_id],
+            witness_paths=[
+                path for by_end in searches for node_id in group for path in by_end.get(node_id, ())
+            ],
+            terminal_nodes=list(group),
             message=message,
         )
-        for node_id, message in messages.items()
+        for group, message in groups.items()
     ]
 
 
@@ -168,39 +165,28 @@ def _site_findings(graph: PropertyGraph, cwe: CweRecord, messages: dict) -> list
 def detect_banned_calls(graph: PropertyGraph, cwe: CweRecord) -> list:
     """One finding per call of a procedure in the weakness's function
     events (dangerous or obsolete APIs)."""
-    messages = {
-        node_id: f"call to {graph.node(node_id).properties['Name']}"
+    groups = {
+        (node_id,): f"call to {graph.node(node_id).properties['Name']}"
         for node_id in _call_sites_matching(graph, cwe.function_events)
     }
-    return _site_findings(graph, cwe, messages)
+    return _findings(graph, cwe, groups)
 
 
 def detect_double_release(graph: PropertyGraph, cwe: CweRecord) -> list:
     """Group release-style calls by their first argument; any argument
     released more than once is one finding covering the whole group.
     Calls without a first argument cannot be correlated and are skipped."""
-    groups = {}
+    by_argument = {}
     for node_id in _call_sites_matching(graph, cwe.function_events):
         argument = graph.node(node_id).properties.get("Argument1")
-        if argument is None:
-            continue
-        groups.setdefault(argument, []).append(node_id)
-    findings = []
-    entries = entry_nodes(graph)
-    for argument in sorted(groups):
-        members = sorted(groups[argument])
-        if len(members) < 2:
-            continue
-        findings.append(
-            Finding(
-                cwe_id=cwe.cwe_id,
-                cwe_name=cwe.name,
-                witness_paths=_witness_paths(graph, entries, members),
-                terminal_nodes=members,
-                message=f"released {argument!r} {len(members)} times",
-            )
-        )
-    return findings
+        if argument is not None:
+            by_argument.setdefault(argument, []).append(node_id)
+    groups = {
+        tuple(members): f"released {argument!r} {len(members)} times"
+        for argument, members in sorted(by_argument.items())
+        if len(members) > 1
+    }
+    return _findings(graph, cwe, groups)
 
 
 def detect_sizeof_on_pointer(
@@ -209,7 +195,7 @@ def detect_sizeof_on_pointer(
     """sizeof applied to a pointer-typed local. The pointer-local sets
     come from the translation unit; without one we fall back to flagging
     sizeof over any bare identifier (weaker, documented heuristic)."""
-    messages = {}
+    groups = {}
     for node_id in _call_sites_matching(graph, ["sizeof"]):
         node = graph.node(node_id)
         argument = node.properties.get("Argument1")
@@ -219,8 +205,8 @@ def detect_sizeof_on_pointer(
             fn = tu.enclosing_function(node.properties["ExecOrder"])
             if fn is None or argument not in fn.pointer_locals:
                 continue
-        messages[node_id] = f"sizeof applied to pointer {argument!r}"
-    return _site_findings(graph, cwe, messages)
+        groups[(node_id,)] = f"sizeof applied to pointer {argument!r}"
+    return _findings(graph, cwe, groups)
 
 
 def detect_signal_nonreentrant(graph: PropertyGraph, cwe: CweRecord) -> list:
@@ -262,17 +248,11 @@ def detect_getlogin_multithreaded(graph: PropertyGraph, cwe: CweRecord) -> list:
     getlogin call when any pthread_create call exists."""
     if not _call_sites_matching(graph, ["pthread_create"]):
         return []
-    messages = dict.fromkeys(
-        _call_sites_matching(graph, cwe.function_events),
-        "getlogin used in a multithreaded program",
-    )
-    return _site_findings(graph, cwe, messages)
-
-
-def detect_missing_release(graph: PropertyGraph, cwe: CweRecord) -> DetectorCapability:
-    """Memory-leak detection needs data flow the call graph does not
-    carry; always reported as a capability miss, never a finding."""
-    return DetectorCapability(cwe.cwe_id, supported=False, reason=_MISSING_RELEASE_REASON)
+    groups = {
+        (node_id,): "getlogin used in a multithreaded program"
+        for node_id in _call_sites_matching(graph, cwe.function_events)
+    }
+    return _findings(graph, cwe, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -305,28 +285,43 @@ def generate_detection_query(cwe: CweRecord, entry_name: str) -> str:
     co-occurrence) or data flow."""
     if not cwe.function_events:
         raise UnsupportedTemplate(f"{cwe.cwe_id} has no function events")
-    if cwe.cwe_id in DOUBLE_RELEASE_CWES:
-        template = _DOUBLE_RELEASE_TEMPLATE
-    elif cwe.cwe_id in BANNED_CALL_CWES or cwe.cwe_id not in _DISPATCH:
-        template = _BANNED_CALL_TEMPLATE
-    else:
+    template = _FAMILIES.get(cwe.cwe_id, _BANNED_CALL).template
+    if template is None:
         raise UnsupportedTemplate(f"no pure-query formulation for {cwe.cwe_id}")
     return template.format(cwe_id=cwe.cwe_id, entry=entry_name)
 
 
 # ---------------------------------------------------------------------------
-# Dispatch
+# Weakness families
 # ---------------------------------------------------------------------------
 
-_DISPATCH = {
-    "CWE-242": "banned",
-    "CWE-477": "banned",
-    "CWE-415": "double",
-    "CWE-1341": "double",
-    "CWE-467": "sizeof",
-    "CWE-479": "signal",
-    "CWE-558": "getlogin",
-    "CWE-401": "missing-release",
+@dataclass(frozen=True)
+class _Family:
+    detect: Optional[Callable] = None  # (graph, tu, cwe) -> findings; None: a capability miss
+    template: Optional[str] = None  # detection query template; None: no pure-query formulation
+    unsupported: str = ""  # why the family is a capability miss
+
+
+# Each rule looks its detector up by module-global name when it runs:
+# perfbench/tracer.py wraps module attributes, so a stored function
+# object would hide every detectors.detect_* span.
+_BANNED_CALL = _Family(lambda g, tu, cwe: detect_banned_calls(g, cwe), _BANNED_CALL_TEMPLATE)
+_DOUBLE_RELEASE = _Family(
+    lambda g, tu, cwe: detect_double_release(g, cwe), _DOUBLE_RELEASE_TEMPLATE
+)
+
+#: Family per weakness id; an id not listed is a banned-call weakness.
+_FAMILIES = {
+    "CWE-242": _BANNED_CALL,
+    "CWE-477": _BANNED_CALL,
+    "CWE-415": _DOUBLE_RELEASE,
+    "CWE-1341": _DOUBLE_RELEASE,
+    "CWE-467": _Family(lambda g, tu, cwe: detect_sizeof_on_pointer(g, tu, cwe)),
+    "CWE-479": _Family(lambda g, tu, cwe: detect_signal_nonreentrant(g, cwe)),
+    "CWE-558": _Family(lambda g, tu, cwe: detect_getlogin_multithreaded(g, cwe)),
+    "CWE-401": _Family(
+        unsupported="call graph lacks data-flow; malloc's Argument1 is a size, not the released handle"
+    ),
 }
 
 
@@ -340,19 +335,13 @@ def run_all(graph: PropertyGraph, tu: Optional[TranslationUnit], catalog: list):
     findings = []
     capabilities = []
     for cwe in catalog:
-        family = _DISPATCH.get(cwe.cwe_id, "banned")
-        if family == "banned":
-            findings.extend(detect_banned_calls(graph, cwe))
-        elif family == "double":
-            findings.extend(detect_double_release(graph, cwe))
-        elif family == "sizeof":
-            findings.extend(detect_sizeof_on_pointer(graph, tu, cwe))
-        elif family == "signal":
-            findings.extend(detect_signal_nonreentrant(graph, cwe))
-        elif family == "getlogin":
-            findings.extend(detect_getlogin_multithreaded(graph, cwe))
+        family = _FAMILIES.get(cwe.cwe_id, _BANNED_CALL)
+        if family.detect is None:
+            capabilities.append(
+                DetectorCapability(cwe.cwe_id, supported=False, reason=family.unsupported)
+            )
         else:
-            capabilities.append(detect_missing_release(graph, cwe))
+            findings.extend(family.detect(graph, tu, cwe))
 
     def order(f: Finding):
         min_exec = min(

@@ -66,8 +66,13 @@ def _split_list(cell: str) -> list:
 
 
 def _read_rows(text: bytes, expected_header: list) -> list:
-    reader = csv.reader(io.StringIO(text.decode("utf-8")))
-    rows = list(reader)
+    try:
+        reader = csv.reader(io.StringIO(text.decode("utf-8")))
+        rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise CsvError(text.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason}") from None
+    except csv.Error as exc:
+        raise CsvError(reader.line_num, str(exc)) from None
     if not rows:
         raise CsvError(1, "missing header row")
     if rows[0] != expected_header:

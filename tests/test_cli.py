@@ -1,13 +1,19 @@
 import io
 import json
+import tempfile
 from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import catalog_entry
+from test_cparse import c_texts
 from pkgraph.cli import run_cli
+from pkgraph.detectors import generate_detection_query
 
-CORPUS = resources.files("pkgraph") / "data" / "corpus"
+DATA = resources.files("pkgraph") / "data"
+CORPUS = DATA / "corpus"
 
 TABLE3_PATH1 = (
     '(:CallGraph {ExecOrder: 1, Name: "foo"})'
@@ -123,9 +129,6 @@ class TestExtract:
 
 class TestQuery:
     def test_query_file_matches_scan_paths(self, tmp_path, double_free_file):
-        from pkgraph.detectors import generate_detection_query
-        from conftest import catalog_entry
-
         query_file = tmp_path / "q.cql"
         query_file.write_text(generate_detection_query(catalog_entry("CWE-415"), "foo"))
         code, out, _ = cli("query", double_free_file, "--query-file", str(query_file))
@@ -204,3 +207,103 @@ class TestUsage:
     def test_missing_input_file(self):
         code, _, err = cli("scan", "no-such-file.c")
         assert code == 3
+
+    def test_catalog_read_before_source(self):
+        code, _, err = cli("scan", "no-such-file.c", "--catalog", "no-such-catalog.csv")
+        assert code == 3
+        assert "no-such-catalog.csv" in err
+
+
+CWE_HEADER = b"cwe_id,name,description,function_events\n"
+GETS_SRC = b"void main() { char b[8]; gets(b); }\n"
+
+
+class TestUnreadableInput:
+    """A file that is not UTF-8, or a catalog the csv module cannot
+    read, exits 3 with one error line and writes nothing to stdout."""
+
+    @pytest.mark.parametrize(
+        "files",
+        [
+            pytest.param({"source": b"void f() { /* \xe9 */ }"}, id="source-latin-1"),
+            pytest.param({"catalog": CWE_HEADER + b"CWE-242,n\xe9,d,gets\n"}, id="catalog-latin-1"),
+            pytest.param(
+                {"catalog": CWE_HEADER + b"CWE-242,n," + b"x" * 140_000 + b",gets\n"},
+                id="catalog-oversized-cell",
+            ),
+            pytest.param({"catalog": CWE_HEADER + b"CWE-242\0,n,d,gets\n"}, id="catalog-nul"),
+            pytest.param({"query": b"MATCH (n:CallGraph) RETURN n.Name \xff"}, id="query-latin-1"),
+        ],
+    )
+    def test_exits_three(self, tmp_path, files):
+        files = {"source": GETS_SRC, **files}
+        for kind, data in files.items():
+            (tmp_path / kind).write_bytes(data)
+        argv = ["query" if "query" in files else "scan", str(tmp_path / "source")]
+        for kind, flag in (("catalog", "--catalog"), ("query", "--query-file")):
+            if kind in files:
+                argv += [flag, str(tmp_path / kind)]
+        code, out, err = cli(*argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("pkgraph: error: ")
+        assert len(err.splitlines()) == 1
+
+
+# Catalogs are the bundled header over bundled rows, or a mix of the
+# bundled cells and CSV punctuation; queries are template lines, or a mix
+# of the templates' words.
+CATALOG_LINES = (DATA / "cwe-catalog.csv").read_text().splitlines(keepends=True)
+CATALOG_FRAGMENTS = sorted(
+    {cell for line in CATALOG_LINES for cell in line.split(",")}
+    | {",", '"', "\n", ";", "CWE-9999", "CWE-x"}
+)
+catalog_texts = st.one_of(
+    st.lists(st.sampled_from(CATALOG_LINES[1:]), max_size=10).map(
+        lambda rows: CATALOG_LINES[0] + "".join(rows)
+    ),
+    st.lists(st.sampled_from(CATALOG_FRAGMENTS), max_size=20).map("".join),
+)
+
+TEMPLATE_LINES = [
+    line + "\n"
+    for cwe_id in ("CWE-242", "CWE-415")
+    for line in generate_detection_query(catalog_entry(cwe_id), "main").splitlines()
+]
+QUERY_FRAGMENTS = sorted({word for line in TEMPLATE_LINES for word in line.split()})
+query_texts = st.one_of(
+    st.lists(st.sampled_from(TEMPLATE_LINES), max_size=10).map("".join),
+    st.lists(st.sampled_from(QUERY_FRAGMENTS), max_size=30).map(" ".join),
+)
+
+
+def file_bytes(texts):
+    return st.one_of(texts.map(str.encode), st.binary(max_size=64))
+
+
+class TestNeverCrash:
+    @given(
+        command=st.sampled_from([["scan"], ["scan", "--format", "json"], ["query"]]),
+        source=file_bytes(c_texts),
+        catalog=st.none() | file_bytes(catalog_texts),
+        query=file_bytes(query_texts),
+    )
+    @settings(deadline=None)
+    def test_exit_code_and_one_error_line(self, command, source, catalog, query):
+        """Any source, catalog and query bytes end in a documented exit
+        code; exit 3 prints exactly one error line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            (root / "source.c").write_bytes(source)
+            argv = command + [str(root / "source.c")]
+            if catalog is not None:
+                (root / "catalog.csv").write_bytes(catalog)
+                argv += ["--catalog", str(root / "catalog.csv")]
+            if command == ["query"]:
+                (root / "query.cql").write_bytes(query)
+                argv += ["--query-file", str(root / "query.cql")]
+            code, _, err = cli(*argv)
+        assert code in (0, 1, 2, 3)
+        if code == 3:
+            assert err.startswith("pkgraph: error: ")
+            assert len(err.splitlines()) == 1

@@ -18,7 +18,6 @@ from pkgraph.detectors import (
     detect_banned_calls,
     detect_double_release,
     detect_getlogin_multithreaded,
-    detect_missing_release,
     detect_signal_nonreentrant,
     detect_sizeof_on_pointer,
     _call_sites_matching,
@@ -192,10 +191,15 @@ class TestGetloginMultithreaded:
 class TestMissingRelease:
     def test_always_a_capability_miss(self):
         for src in ("void main() { malloc(8); }", "", "void main() { malloc(8); free(p); }"):
-            graph, _ = call_graph_of(src)
-            capability = detect_missing_release(graph, catalog_entry("CWE-401"))
+            graph, tu = call_graph_of(src)
+            findings, (capability,) = run_all(graph, tu, [catalog_entry("CWE-401")])
+            assert findings == []
+            assert capability.cwe_id == "CWE-401"
             assert not capability.supported
             assert "data-flow" in capability.reason
+
+
+NO_TEMPLATE = ("CWE-401", "CWE-467", "CWE-479", "CWE-558")
 
 
 class TestGenerateDetectionQuery:
@@ -205,7 +209,7 @@ class TestGenerateDetectionQuery:
         assert len(query.clauses) == 8
 
     def test_unsupported_families(self):
-        for cwe_id in ("CWE-401", "CWE-467", "CWE-479", "CWE-558"):
+        for cwe_id in NO_TEMPLATE:
             with pytest.raises(UnsupportedTemplate):
                 generate_detection_query(catalog_entry(cwe_id), "main")
 
@@ -227,45 +231,62 @@ def query_terminals(graph, cwe, entry_name):
     return terminals
 
 
-def detector_terminals(graph, cwe):
-    detect = detect_double_release if cwe.cwe_id in ("CWE-415", "CWE-1341") else detect_banned_calls
-    return {
-        render_node(graph.node(t)) for f in detect(graph, cwe) for t in f.terminal_nodes
-    }
+def detector_terminals(graph, tu, cwe):
+    findings, _ = run_all(graph, tu, [cwe])
+    return {render_node(graph.node(t)) for f in findings for t in f.terminal_nodes}
+
+
+def assert_query_matches_rule(graph, tu, cwe, entry_name):
+    """The row has no query template, or its query finds the terminals
+    its detector rule finds."""
+    if cwe.cwe_id in NO_TEMPLATE:
+        with pytest.raises(UnsupportedTemplate):
+            generate_detection_query(cwe, entry_name)
+    else:
+        assert query_terminals(graph, cwe, entry_name) == detector_terminals(graph, tu, cwe)
 
 
 EVENT_POOL = ["free", "gets", "atoi", "fclose", "work", "log_it", "step"]
 ARG_POOL = ["p", "q", "buf", "fp"]
 
+# Every bundled row, plus an id no family lists, which falls back to the
+# banned-call rule.
+CATALOG_ROWS = load_catalog() + [CweRecord("CWE-9999", "Custom", "", ["dangerous", "free"])]
 
-def random_merged_graph(rng):
+
+def catalog_with(cwe):
+    catalog = load_catalog()
+    return catalog if cwe in catalog else catalog + [cwe]
+
+
+def random_merged_graph(rng, catalog, pool=EVENT_POOL):
     calls = "\n    ".join(
-        f"{rng.choice(EVENT_POOL)}({rng.choice(ARG_POOL)});"
+        f"{rng.choice(pool)}({rng.choice(ARG_POOL)});"
         for _ in range(rng.randint(1, 12))
     )
     source = "void main() {\n    " + calls + "\n}\n"
-    graph, tu, _ = merged_graph_of(source)
-    return graph
+    graph, tu, _ = merged_graph_of(source, catalog)
+    return graph, tu
 
 
 class TestQueryRuleEquivalence:
-    @pytest.mark.parametrize("cwe_id", ["CWE-242", "CWE-415", "CWE-1341"])
-    def test_fixture_graphs(self, cwe_id):
-        cwe = catalog_entry(cwe_id)
+    @pytest.mark.parametrize("cwe", CATALOG_ROWS, ids=lambda cwe: cwe.cwe_id)
+    def test_fixture_graphs(self, cwe):
         for source, entry in (
             (DOUBLE_FREE_SRC, "foo"),
             (DOUBLE_FREE_INTERPROC_SRC, "main"),
         ):
-            graph, _, _ = merged_graph_of(source)
-            assert query_terminals(graph, cwe, entry) == detector_terminals(graph, cwe)
+            graph, tu, _ = merged_graph_of(source, catalog_with(cwe))
+            assert_query_matches_rule(graph, tu, cwe, entry)
 
-    @pytest.mark.parametrize("cwe_id", ["CWE-242", "CWE-415", "CWE-1341"])
-    def test_random_graphs(self, cwe_id):
-        cwe = catalog_entry(cwe_id)
-        rng = random.Random(4100 + len(cwe_id))
+    @pytest.mark.parametrize("cwe", CATALOG_ROWS, ids=lambda cwe: cwe.cwe_id)
+    def test_random_graphs(self, cwe):
+        """Programs draw from EVENT_POOL plus the row's other events."""
+        rng = random.Random(4100 + len(cwe.cwe_id))
+        pool = EVENT_POOL + [e for e in cwe.function_events if e not in EVENT_POOL]
         for _ in range(25):
-            graph = random_merged_graph(rng)
-            assert query_terminals(graph, cwe, "main") == detector_terminals(graph, cwe)
+            graph, tu = random_merged_graph(rng, catalog_with(cwe), pool)
+            assert_query_matches_rule(graph, tu, cwe, "main")
 
 
 class TestRunAll:
@@ -401,3 +422,5 @@ def test_site_findings_match_per_site_search(seed):
         for finding in findings:
             (site,) = finding.terminal_nodes
             assert finding.witness_paths == _witness_paths(graph, entries, [site])
+    for finding in detect_double_release(graph, catalog_entry("CWE-1341")):
+        assert finding.witness_paths == _witness_paths(graph, entries, finding.terminal_nodes)

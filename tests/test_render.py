@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import DOUBLE_FREE_SRC, call_graph_of, catalog_entry, merged_graph_of
-from pkgraph.detectors import detect_double_release, detect_missing_release
+from pkgraph.detectors import detect_double_release, run_all
 from pkgraph.graph import Path, PropertyGraph
 from pkgraph.render import (
     ExportError,
@@ -78,8 +78,8 @@ class TestFindingsToJson:
     def test_double_free_report(self):
         graph, tu, _ = merged_graph_of(DOUBLE_FREE_SRC)
         findings = detect_double_release(graph, catalog_entry("CWE-415"))
-        capability = detect_missing_release(graph, catalog_entry("CWE-401"))
-        blob = findings_to_json(findings, [capability], graph)
+        _, capabilities = run_all(graph, tu, [catalog_entry("CWE-401")])
+        blob = findings_to_json(findings, capabilities, graph)
         doc = json.loads(blob)
         assert doc["version"] == 1
         assert len(doc["findings"][0]["paths"]) == 2

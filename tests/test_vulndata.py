@@ -70,6 +70,59 @@ class TestParseCveCsv:
             parse_cve_csv(CVE_HEADER + b"CVE-20-1,desc,CWE-415,7.5,P,\n")
 
 
+OVERSIZED_CELL = b"x" * 140_000
+
+
+class TestUnreadableCsv:
+    """Bytes the csv module cannot read are a CsvError on the line where
+    reading stopped, not a decoding or csv exception."""
+
+    @pytest.mark.parametrize(
+        "data, line, reason",
+        [
+            pytest.param(
+                CWE_HEADER + b"CWE-415,Double free,d\xe9,free\n", 2, "not UTF-8", id="latin-1"
+            ),
+            pytest.param(
+                CWE_HEADER + b"CWE-415,n,d,free\nCWE-416,n,\"a\nb\xff\",free\n",
+                4,
+                "not UTF-8",
+                id="latin-1-in-multiline-cell",
+            ),
+            pytest.param(b"\xef\xbb", 1, "not UTF-8", id="truncated-bom"),
+            pytest.param(
+                CWE_HEADER + b"CWE-415,n," + OVERSIZED_CELL + b",free\n",
+                2,
+                "field larger",
+                id="oversized-cell",
+            ),
+            pytest.param(
+                CWE_HEADER + b"CWE-415,n,d,free\nCWE-416,n,\"a\nb" + OVERSIZED_CELL + b"\",f\n",
+                4,
+                "field larger",
+                id="oversized-multiline-cell",
+            ),
+        ],
+    )
+    def test_cwe_catalog(self, data, line, reason):
+        with pytest.raises(CsvError) as exc:
+            parse_cwe_csv(data)
+        assert exc.value.line == line
+        assert reason in exc.value.reason
+
+    def test_cve_catalog(self):
+        with pytest.raises(CsvError) as exc:
+            parse_cve_csv(CVE_HEADER + b"CVE-2020-0001,d\xe9sc,CWE-415,7.5,P,1.0\n")
+        assert exc.value.line == 2
+
+    def test_nul_byte(self):
+        """Python 3.10's csv module rejects a NUL; later versions read it
+        and the id check rejects the row. Either way it is line 2."""
+        with pytest.raises(CsvError) as exc:
+            parse_cwe_csv(CWE_HEADER + b"CWE-415\0,n,d,free\n")
+        assert exc.value.line == 2
+
+
 def cwe(cwe_id="CWE-415", events=("free",)):
     return CweRecord(cwe_id, "Double free", "desc", list(events))
 
