@@ -33,6 +33,10 @@ class _UsageError(Exception):
     pass
 
 
+class _UnreadableFile(Exception):
+    pass
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
@@ -82,9 +86,21 @@ def _load_catalog(path) -> list:
     return parse_cwe_csv(Path(path).read_bytes())
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 file's text with universal newlines, as open() reads it;
+    a decode error names the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise _UnreadableFile(f"{path}: line {line}: not UTF-8: {exc.reason}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _merged_graph(source_path: str, catalog=()):
     """Knowledge graph of the catalog plus the file's call graph, sealed."""
-    source = Path(source_path).read_text(encoding="utf-8")
+    source = _read_text(source_path)
     graph = PropertyGraph()
     build_knowledge_graph(catalog, [], graph)
     tu = extract_translation_unit(source)
@@ -151,7 +167,7 @@ def _cmd_scan(args, stdin, stdout) -> int:
 
 def _cmd_query(args, stdin, stdout) -> int:
     if args.query_file:
-        text = Path(args.query_file).read_text(encoding="utf-8")
+        text = _read_text(args.query_file)
     else:
         text = stdin.read()
     query = parse_query(text)
@@ -181,7 +197,8 @@ def run_cli(argv, stdin=None, stdout=None, stderr=None) -> int:
     try:
         return args.run(args, stdin, stdout)
     except (
-        ParseError, CsvError, QuerySyntaxError, EvalError, ExportError, OSError, UnicodeDecodeError
+        ParseError, CsvError, QuerySyntaxError, EvalError, ExportError, OSError,
+        UnicodeDecodeError, _UnreadableFile,
     ) as exc:
         print(f"pkgraph: error: {exc}", file=stderr)
         return 3

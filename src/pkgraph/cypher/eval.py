@@ -11,7 +11,7 @@ nulls, property access on null is null.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
 
 from ..graph import Node, Path, PropertyGraph, values_equal
 from ..render import render_value
@@ -47,10 +47,19 @@ def _group_key(value):
     return (type(value).__name__, value)
 
 
+def _size(value, expr: Func) -> int:
+    """SIZE(value): null counts as an empty list."""
+    if value is None:
+        return 0
+    if not isinstance(value, list):
+        raise TypeMismatch(f"SIZE of non-list: {ast.expr_text(expr)}")
+    return len(value)
+
+
 class _Evaluator:
     def __init__(self, graph: PropertyGraph):
         self.graph = graph
-        self._candidates = {}  # literal-only NodePattern -> the nodes it matches
+        self._scans = {}  # literal-only NodePattern -> the nodes it matches
 
     # -- scalar expressions ------------------------------------------------
 
@@ -74,12 +83,7 @@ class _Evaluator:
             if expr.name in ast.AGGREGATES:
                 raise TypeMismatch(f"{expr.name} is only allowed in WITH/RETURN projections")
             if expr.name == "SIZE":
-                arg = self.scalar(expr.arg, row)
-                if arg is None:
-                    return 0
-                if not isinstance(arg, list):
-                    raise TypeMismatch(f"SIZE of non-list: {ast.expr_text(expr)}")
-                return len(arg)
+                return _size(self.scalar(expr.arg, row), expr)
             raise TypeMismatch(f"unknown function {expr.name}")
         if isinstance(expr, Binary):
             return self._binary(expr, row)
@@ -129,101 +133,95 @@ class _Evaluator:
 
     def match_pattern(self, pattern, row: dict) -> list:
         """All binding extensions of row produced by the pattern. Each
-        result is a dict of newly bound variables (plus the path var)."""
+        result is a dict of newly bound variables (plus the path var).
+
+        The search is depth-first over an explicit stack of lazy
+        iterators, one per matched node, so a long pattern does not
+        recurse. bound is the row plus fresh, the pattern's bindings so
+        far."""
         results = []
-        first = pattern.nodes[0]
-
-        def node_candidates(np, env):
-            merged = {**row, **env}
-            if np.var and np.var in merged:
-                node = merged[np.var]
-                if node is None:
-                    return []
-                if not isinstance(node, Node):
-                    raise TypeMismatch(f"pattern variable {np.var!r} is not bound to a node")
-                return [node] if self._node_matches(np, node, merged) else []
-            return self._unbound_candidates(np, merged)
-
-        def extend(index, node, env, node_seq, edge_seq, used):
-            if index == len(pattern.rels):
-                bindings = dict(env)
-                if pattern.path_var:
-                    bindings[pattern.path_var] = Path(tuple(node_seq), tuple(edge_seq))
-                results.append(bindings)
-                return
-            rel = pattern.rels[index]
-            next_np = pattern.nodes[index + 1]
-            if rel.var_length is None:
-                for edge in self.graph.out_edges(node.id):
-                    if edge.id in used:
-                        continue
-                    if rel.type is not None and edge.type != rel.type:
-                        continue
-                    target = self.graph.node(edge.target)
-                    next_env = self._bind_target(next_np, target, env, row)
-                    if next_env is None:
-                        continue
-                    extend(
-                        index + 1,
-                        target,
-                        next_env,
-                        node_seq + [target.id],
-                        edge_seq + [edge.id],
-                        used | {edge.id},
-                    )
+        bound, fresh = dict(row), {}
+        used = set()  # edges matched so far
+        trail = []  # (newly bound var, added node ids, added edge ids) per node before the last
+        stack = [((n, (n.id,), ()) for n in self._candidates(pattern.nodes[0], bound))]
+        while stack:
+            for node, node_ids, edge_ids in stack[-1]:
+                var = pattern.nodes[len(trail)].var
+                var = var if var and var not in bound else None
+                if len(trail) == len(pattern.rels):
+                    bindings = dict(fresh)
+                    if var:
+                        bindings[var] = node
+                    if pattern.path_var:
+                        steps = trail + [(var, node_ids, edge_ids)]
+                        bindings[pattern.path_var] = Path(
+                            tuple(chain.from_iterable(t[1] for t in steps)),
+                            tuple(chain.from_iterable(t[2] for t in steps)),
+                        )
+                    results.append(bindings)
+                    continue
+                if var:
+                    bound[var] = fresh[var] = node
+                used.update(edge_ids)
+                trail.append((var, node_ids, edge_ids))
+                rel, np = pattern.rels[len(trail) - 1], pattern.nodes[len(trail)]
+                stack.append(self._extend(rel, np, node, bound, used))
+                break
             else:
-                lo, hi = rel.var_length
-                targets = node_candidates(next_np, env)
-                target_ids = {t.id for t in targets}
-                for path in self.graph.enumerate_paths(
-                    node.id, target_ids, rel.type, lo, hi
-                ):
-                    if used.intersection(path.edges):
-                        continue
-                    target = self.graph.node(path.end)
-                    next_env = self._bind_target(next_np, target, env, row)
-                    if next_env is None:
-                        continue
-                    extend(
-                        index + 1,
-                        target,
-                        next_env,
-                        node_seq + list(path.nodes[1:]),
-                        edge_seq + list(path.edges),
-                        used | set(path.edges),
-                    )
-
-        for start in node_candidates(first, {}):
-            env = {}
-            if first.var and first.var not in row:
-                env[first.var] = start
-            extend(0, start, env, [start.id], [], set())
+                stack.pop()
+                if trail:
+                    var, _, edge_ids = trail.pop()
+                    used.difference_update(edge_ids)
+                    if var:
+                        del bound[var], fresh[var]
         return results
 
-    def _unbound_candidates(self, np, row: dict) -> list:
-        """The nodes an unbound node pattern matches under row. A pattern
-        whose property filters are all literals matches the same nodes on
-        every row, so its scan runs once per query."""
-        cacheable = all(isinstance(expr, Literal) for _, expr in np.props)
-        if cacheable and np in self._candidates:
-            return self._candidates[np]
-        pool = self.graph.find_nodes(np.label) if np.label is not None else self.graph.nodes()
-        found = [n for n in pool if self._node_matches(np, n, row)]
-        if cacheable:
-            self._candidates[np] = found
-        return found
+    def _extend(self, rel, np, node: Node, bound: dict, used: set):
+        """Each (end, added node ids, added edge ids) by which a match at
+        node goes on over rel to a node matching np: one out-edge for a
+        single hop, one enumerated path for a `*` hop. No edge is used
+        twice in the pattern."""
+        if rel.var_length is None:
+            steps = (
+                (edge.target, (edge.target,), (edge.id,))
+                for edge in self.graph.out_edges(node.id)
+                if rel.type is None or edge.type == rel.type
+            )
+        else:
+            ends = {n.id for n in self._candidates(np, bound)}
+            steps = (
+                (path.end, path.nodes[1:], path.edges)
+                for path in self.graph.enumerate_paths(node.id, ends, rel.type, *rel.var_length)
+            )
+        for end_id, node_ids, edge_ids in steps:
+            if not used.isdisjoint(edge_ids):
+                continue
+            end = self.graph.node(end_id)
+            if np.var in bound and bound[np.var] is not end:
+                continue
+            if self._node_matches(np, end, bound):
+                yield end, node_ids, edge_ids
 
-    def _bind_target(self, np, node: Node, env: dict, row: dict) -> Optional[dict]:
-        merged = {**row, **env}
-        if np.var and np.var in merged and merged[np.var] is not node:
-            return None
-        if not self._node_matches(np, node, merged):
-            return None
-        if np.var and np.var not in merged:
-            out = dict(env)
-            out[np.var] = node
-            return out
-        return env
+    def _candidates(self, np, bound: dict) -> list:
+        """The nodes np matches under bound: its variable's node if bound,
+        else a scan. A pattern whose property filters are all literals
+        matches the same nodes on every row, so its scan runs once per
+        query."""
+        if np.var in bound:
+            node = bound[np.var]
+            if node is None:
+                return []
+            if not isinstance(node, Node):
+                raise TypeMismatch(f"pattern variable {np.var!r} is not bound to a node")
+            return [node] if self._node_matches(np, node, bound) else []
+        cacheable = all(isinstance(expr, Literal) for _, expr in np.props)
+        if cacheable and np in self._scans:
+            return self._scans[np]
+        pool = self.graph.find_nodes(np.label) if np.label is not None else self.graph.nodes()
+        found = [n for n in pool if self._node_matches(np, n, bound)]
+        if cacheable:
+            self._scans[np] = found
+        return found
 
     def _node_matches(self, np, node: Node, row: dict) -> bool:
         if np.label is not None and node.label != np.label:
@@ -256,7 +254,6 @@ class _Evaluator:
                 merged = dict(row)
                 for var in new_vars:
                     merged[var] = bindings.get(var)
-                # re-check bindings for vars that were already bound
                 out.append(merged)
         return columns + new_vars, out
 
@@ -294,12 +291,7 @@ class _Evaluator:
         if isinstance(expr, Func) and expr.name == "COUNT":
             return sum(1 for row in rows if self.scalar(expr.arg, row) is not None)
         if isinstance(expr, Func) and expr.name == "SIZE":
-            value = self._aggregate(expr.arg, rows)
-            if value is None:
-                return 0
-            if not isinstance(value, list):
-                raise TypeMismatch(f"SIZE of non-list: {ast.expr_text(expr)}")
-            return len(value)
+            return _size(self._aggregate(expr.arg, rows), expr)
         raise TypeMismatch(f"unsupported aggregate expression: {ast.expr_text(expr)}")
 
     # -- pipeline ----------------------------------------------------------

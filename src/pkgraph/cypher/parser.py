@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
 
+from ..cparse import _position
 from .ast import (
     Binary,
     Func,
@@ -47,6 +47,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"\\": "\\", '"': '"', "'": "'", "n": "\n", "t": "\t", "r": "\r"}
 
 
@@ -62,47 +63,30 @@ class QuerySyntaxError(Exception):
 class _Tok:
     kind: str  # num | str | backtick | id | punct | eof
     text: str
-    line: int
-    column: int
+    offset: int
 
 
 def _unescape(body: str) -> str:
-    out = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\" and i + 1 < len(body):
-            out.append(_ESCAPES.get(body[i + 1], "\\" + body[i + 1]))
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m.group(1), m.group()), body)
 
 
 def _lex(text: str) -> list:
     tokens = []
     pos = 0
-    line, line_start = 1, 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise QuerySyntaxError(line, pos - line_start + 1, f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup
-        if kind in ("ws", "comment"):
-            for i in range(m.start(), m.end()):
-                if text[i] == "\n":
-                    line += 1
-                    line_start = i + 1
-        else:
-            tokens.append(_Tok(kind, m.group(), line, m.start() - line_start + 1))
+            raise QuerySyntaxError(*_position(text, pos), f"unexpected character {text[pos]!r}")
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append(_Tok(m.lastgroup, m.group(), pos))
         pos = m.end()
-    tokens.append(_Tok("eof", "", line, pos - line_start + 1))
+    tokens.append(_Tok("eof", "", pos))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
 
@@ -112,10 +96,13 @@ class _Parser:
     def cur(self) -> _Tok:
         return self.tokens[self.pos]
 
+    def fail(self, message: str) -> QuerySyntaxError:
+        """A syntax error at the current token."""
+        return QuerySyntaxError(*_position(self.text, self.cur.offset), message)
+
     def error(self, expected: str) -> QuerySyntaxError:
-        tok = self.cur
-        found = tok.text or "end of input"
-        return QuerySyntaxError(tok.line, tok.column, f"expected {expected}, found {found!r}")
+        found = self.cur.text or "end of input"
+        return self.fail(f"expected {expected}, found {found!r}")
 
     def at_keyword(self, *words: str) -> bool:
         return self.cur.kind == "id" and self.cur.text.upper() in words
@@ -151,7 +138,8 @@ class _Parser:
             if self.at_keyword("MATCH", "OPTIONAL"):
                 clauses.append(self.match_clause())
             elif self.at_keyword("WITH"):
-                clauses.append(self.with_clause())
+                self.pos += 1
+                clauses.append(WithClause(self.items(alias_required=True)))
             elif self.at_keyword("WHERE"):
                 self.pos += 1
                 clauses.append(WhereClause(self.expression()))
@@ -161,15 +149,14 @@ class _Parser:
                 self.take_keyword("AS")
                 clauses.append(UnwindClause(expr, self.take_name()))
             elif self.at_keyword("RETURN"):
-                clauses.append(self.return_clause())
+                self.pos += 1
+                clauses.append(ReturnClause(self.items(alias_required=False)))
             else:
                 raise self.error("a clause keyword")
         if not clauses or not isinstance(clauses[-1], ReturnClause):
-            tok = self.cur
-            raise QuerySyntaxError(tok.line, tok.column, "query must end with RETURN")
+            raise self.fail("query must end with RETURN")
         if sum(isinstance(c, ReturnClause) for c in clauses) > 1:
-            tok = self.cur
-            raise QuerySyntaxError(tok.line, tok.column, "only one RETURN clause is allowed")
+            raise self.fail("only one RETURN clause is allowed")
         return Query(tuple(clauses))
 
     # -- clauses -----------------------------------------------------------
@@ -182,26 +169,9 @@ class _Parser:
         self.take_keyword("MATCH")
         return MatchClause(self.pattern(), optional)
 
-    def with_clause(self) -> WithClause:
-        self.take_keyword("WITH")
-        items = []
-        while True:
-            expr = self.expression()
-            if self.at_keyword("AS"):
-                self.pos += 1
-                alias = self.take_name()
-            elif isinstance(expr, Var):
-                alias = expr.name  # bare variable carries its own name
-            else:
-                raise self.error("AS")
-            items.append((expr, alias))
-            if not self.at_punct(","):
-                break
-            self.pos += 1
-        return WithClause(tuple(items))
-
-    def return_clause(self) -> ReturnClause:
-        self.take_keyword("RETURN")
+    def items(self, alias_required: bool) -> tuple:
+        """A WITH or RETURN list of `expr [AS name]`. Where an alias is
+        required, a bare variable carries its own name."""
         items = []
         while True:
             expr = self.expression()
@@ -209,11 +179,14 @@ class _Parser:
             if self.at_keyword("AS"):
                 self.pos += 1
                 alias = self.take_name()
+            elif alias_required:
+                if not isinstance(expr, Var):
+                    raise self.error("AS")
+                alias = expr.name
             items.append((expr, alias))
             if not self.at_punct(","):
-                break
+                return tuple(items)
             self.pos += 1
-        return ReturnClause(tuple(items))
 
     # -- patterns ----------------------------------------------------------
 
@@ -354,10 +327,7 @@ class _Parser:
             self.pos += 1
             key = self.take_name("property name")
             if not isinstance(expr, Var):
-                tok = self.cur
-                raise QuerySyntaxError(
-                    tok.line, tok.column, "property access is only supported on variables"
-                )
+                raise self.fail("property access is only supported on variables")
             expr = Prop(expr.name, key)
         return expr
 

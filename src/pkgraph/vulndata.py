@@ -16,6 +16,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .graph import PropertyGraph
 
@@ -80,21 +81,31 @@ def _read_rows(text: bytes, expected_header: list) -> list:
     return rows[1:]
 
 
+def _invalid(text: bytes, index: int, reason: str) -> CsvError:
+    """A validation error for data row index, on the physical line where
+    its record starts. The rows are read again to count their lines, so
+    only an invalid catalog pays for the count."""
+    reader = csv.reader(io.StringIO(text.decode("utf-8")))
+    for _ in islice(reader, index + 1):  # the header and the rows before this one
+        pass
+    return CsvError(reader.line_num + 1, reason)
+
+
 def parse_cwe_csv(text: bytes) -> list:
     """Parse a weakness catalog; one CweRecord per data row."""
     records = []
-    for i, row in enumerate(_read_rows(text, CWE_COLUMNS), start=2):
+    for i, row in enumerate(_read_rows(text, CWE_COLUMNS)):
         if len(row) != len(CWE_COLUMNS):
-            raise CsvError(i, f"expected {len(CWE_COLUMNS)} columns, got {len(row)}")
+            raise _invalid(text, i, f"expected {len(CWE_COLUMNS)} columns, got {len(row)}")
         cwe_id, name, description, events_cell = row
         if not _CWE_ID_RE.match(cwe_id):
-            raise CsvError(i, f"malformed cwe_id {cwe_id!r}")
+            raise _invalid(text, i, f"malformed cwe_id {cwe_id!r}")
         if not name:
-            raise CsvError(i, "empty name")
+            raise _invalid(text, i, "empty name")
         events = _split_list(events_cell)
         for event in events:
             if not _IDENT_RE.match(event):
-                raise CsvError(i, f"function event {event!r} is not a valid identifier")
+                raise _invalid(text, i, f"function event {event!r} is not a valid identifier")
         records.append(CweRecord(cwe_id, name, description, events))
     return records
 
@@ -102,18 +113,18 @@ def parse_cwe_csv(text: bytes) -> list:
 def parse_cve_csv(text: bytes) -> list:
     """Parse a vulnerability catalog; one CveRecord per data row."""
     records = []
-    for i, row in enumerate(_read_rows(text, CVE_COLUMNS), start=2):
+    for i, row in enumerate(_read_rows(text, CVE_COLUMNS)):
         if len(row) != len(CVE_COLUMNS):
-            raise CsvError(i, f"expected {len(CVE_COLUMNS)} columns, got {len(row)}")
+            raise _invalid(text, i, f"expected {len(CVE_COLUMNS)} columns, got {len(row)}")
         cve_id, description, cwe_id, score_cell, product, versions_cell = row
         if not _CVE_ID_RE.match(cve_id):
-            raise CsvError(i, f"malformed cve_id {cve_id!r}")
+            raise _invalid(text, i, f"malformed cve_id {cve_id!r}")
         try:
             score = float(score_cell)
         except ValueError:
-            raise CsvError(i, f"non-numeric cvss2_score {score_cell!r}") from None
+            raise _invalid(text, i, f"non-numeric cvss2_score {score_cell!r}") from None
         if not 0.0 <= score <= 10.0:
-            raise CsvError(i, f"cvss2_score {score} outside [0.0, 10.0]")
+            raise _invalid(text, i, f"cvss2_score {score} outside [0.0, 10.0]")
         records.append(
             CveRecord(cve_id, description, cwe_id, score, product, _split_list(versions_cell))
         )

@@ -223,19 +223,30 @@ class TestUnreadableInput:
     read, exits 3 with one error line and writes nothing to stdout."""
 
     @pytest.mark.parametrize(
-        "files",
+        "files, message",
         [
-            pytest.param({"source": b"void f() { /* \xe9 */ }"}, id="source-latin-1"),
-            pytest.param({"catalog": CWE_HEADER + b"CWE-242,n\xe9,d,gets\n"}, id="catalog-latin-1"),
+            pytest.param(
+                {"source": b"void f() {\n  /* \xe9 */ }"},
+                "{source}: line 2: not UTF-8: invalid continuation byte",
+                id="source-latin-1",
+            ),
+            pytest.param(
+                {"catalog": CWE_HEADER + b"CWE-242,n\xe9,d,gets\n"}, None, id="catalog-latin-1"
+            ),
             pytest.param(
                 {"catalog": CWE_HEADER + b"CWE-242,n," + b"x" * 140_000 + b",gets\n"},
+                None,
                 id="catalog-oversized-cell",
             ),
-            pytest.param({"catalog": CWE_HEADER + b"CWE-242\0,n,d,gets\n"}, id="catalog-nul"),
-            pytest.param({"query": b"MATCH (n:CallGraph) RETURN n.Name \xff"}, id="query-latin-1"),
+            pytest.param({"catalog": CWE_HEADER + b"CWE-242\0,n,d,gets\n"}, None, id="catalog-nul"),
+            pytest.param(
+                {"query": b"MATCH (n:CallGraph)\nRETURN n.Name \xff"},
+                "{query}: line 2: not UTF-8: invalid start byte",
+                id="query-latin-1",
+            ),
         ],
     )
-    def test_exits_three(self, tmp_path, files):
+    def test_exits_three(self, tmp_path, files, message):
         files = {"source": GETS_SRC, **files}
         for kind, data in files.items():
             (tmp_path / kind).write_bytes(data)
@@ -248,6 +259,9 @@ class TestUnreadableInput:
         assert out == ""
         assert err.startswith("pkgraph: error: ")
         assert len(err.splitlines()) == 1
+        if message:
+            paths = {kind: tmp_path / kind for kind in files}
+            assert err == "pkgraph: error: " + message.format(**paths) + "\n"
 
 
 # Catalogs are the bundled header over bundled rows, or a mix of the

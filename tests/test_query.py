@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import DOUBLE_FREE_SRC, call_graph_of, catalog_entry, merged_graph_of
@@ -10,8 +12,8 @@ from pkgraph.cypher.eval import (
 )
 from pkgraph.cypher.parser import QuerySyntaxError, parse_query
 from pkgraph.detectors import generate_detection_query
-from pkgraph.graph import values_equal
-from pkgraph.render import render_node
+from pkgraph.graph import Path, PropertyGraph, values_equal
+from pkgraph.render import render_node, render_value
 from pkgraph.vulndata import CweRecord
 
 DETECTION_QUERY = generate_detection_query(catalog_entry("CWE-415"), "foo")
@@ -79,6 +81,19 @@ class TestParseQuery:
         with pytest.raises(QuerySyntaxError) as exc:
             parse_query("MATCH (n)\nRETURN ,")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ('RETURN "a\nb" x', (2, 4)),
+            ("MATCH (`a\nb c`) WITH n.x RETURN n", (2, 16)),
+            ("MATCH (n)\n  // note\n RETURN $", (3, 9)),
+        ],
+    )
+    def test_error_position_counts_lines_in_tokens(self, text, position):
+        with pytest.raises(QuerySyntaxError) as exc:
+            parse_query(text)
+        assert (exc.value.line, exc.value.column) == position
 
     @pytest.mark.parametrize(
         "text",
@@ -198,6 +213,24 @@ class TestExecuteQuery:
                 graph,
             )
 
+    @pytest.mark.parametrize(
+        "item, want",
+        [
+            ("SIZE(n.Missing)", "0"),
+            ("SIZE(COLLECT(n.Name))", "1"),
+            ("SIZE(COLLECT(n.Missing))", "0"),
+        ],
+    )
+    def test_size_in_scalar_and_aggregate_items(self, item, want):
+        graph, _ = call_graph_of(DOUBLE_FREE_SRC)
+        query = parse_query(f'MATCH (n:CallGraph {{Name: "foo"}}) RETURN {item} AS s')
+        assert execute_query(query, graph).rows == [(want,)]
+
+    def test_size_of_aggregate_non_list(self):
+        graph, _ = call_graph_of(DOUBLE_FREE_SRC)
+        with pytest.raises(TypeMismatch, match=r"^SIZE of non-list: SIZE\(COUNT\(n\)\)$"):
+            execute_query(parse_query("MATCH (n:CallGraph) RETURN SIZE(COUNT(n))"), graph)
+
     def test_grouping_row_count_equals_distinct_keys(self):
         graph, _ = call_graph_of(DOUBLE_FREE_SRC)
         table = execute_query(
@@ -264,6 +297,160 @@ class TestRowDependentPattern:
         # `free` once for the query, the last pattern once for each of the
         # 4 x 2 rows it is matched against.
         assert scanned == ["CWE"] + ["CallGraph"] * 9
+
+
+def random_graph(rng):
+    """6-10 nodes labelled X or Y and edges of types A and B, with at
+    least one self-loop and one parallel edge."""
+    graph = PropertyGraph()
+    nodes = [graph.add_node(rng.choice("XY"), {"k": i}) for i in range(rng.randint(6, 10))]
+    for _ in range(rng.randint(6, 14)):
+        graph.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice("AB"))
+    loop = rng.choice(nodes)
+    graph.add_edge(loop, loop, rng.choice("AB"))
+    twin = rng.choice(list(graph.edges()))
+    graph.add_edge(twin.source, twin.target, twin.type)
+    graph.seal()
+    return graph
+
+
+def random_pattern(rng):
+    """(rels, nodes): 1-3 relationships of kinds `-[]->`, `-[:T]->` and
+    `-[:T*lo..hi]->`, as (type, (lo, hi) or None), and node patterns as
+    (variable, label) whose variables often repeat."""
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["any", "typed", "star"])
+        if kind == "any":
+            rels.append((None, None))
+        elif kind == "typed":
+            rels.append((rng.choice("AB"), None))
+        else:
+            lo = rng.randint(0, 2)
+            rels.append((rng.choice("AB"), (lo, rng.choice([lo, lo + 1, lo + 2, None]))))
+    names = "abcd"[: rng.randint(1, len(rels) + 1)]
+    nodes = [
+        (rng.choice(names + " ").strip() or None, rng.choice([None, None, "X", "Y"]))
+        for _ in range(len(rels) + 1)
+    ]
+    return rels, nodes
+
+
+def pattern_query(rels, nodes, star_single_hops=False):
+    """`MATCH p=<pattern> RETURN p, <each variable>`."""
+
+    def node_text(var, label):
+        return f"({var or ''}{':' + label if label else ''})"
+
+    def rel_text(rel_type, length):
+        inner = f":{rel_type}" if rel_type else ""
+        if length is None and star_single_hops:
+            length = (1, 1)
+        if length is not None:
+            lo, hi = length
+            inner += f"*{lo}..{'' if hi is None else hi}"
+        return f"-[{inner}]->"
+
+    text = node_text(*nodes[0])
+    for rel, node in zip(rels, nodes[1:]):
+        text += rel_text(*rel) + node_text(*node)
+    variables = sorted({var for var, _ in nodes if var})
+    return f"MATCH p={text} RETURN " + ", ".join(["p"] + variables), variables
+
+
+def brute_force_rows(graph, rels, nodes, variables):
+    """Every walk split into one segment per relationship, a single hop
+    being one edge, with no edge used twice anywhere in the pattern; a
+    repeated variable is the same node. Rows rendered and sorted."""
+    edges = list(graph.edges())
+    rows = []
+
+    def bind(spec, node, bindings):
+        var, label = spec
+        if label is not None and node.label != label:
+            return None
+        if var is None:
+            return bindings
+        if bindings.get(var, node) is not node:
+            return None
+        return {**bindings, var: node}
+
+    def match(i, node_ids, edge_ids, bindings):
+        if i == len(rels):
+            path = Path(tuple(node_ids), tuple(edge_ids))
+            rows.append(
+                (render_value(path, graph),)
+                + tuple(render_node(bindings[v]) for v in variables)
+            )
+            return
+        rel_type, length = rels[i]
+        lo, hi = length or (1, 1)
+
+        def segment(at, taken):
+            if len(taken) >= lo:
+                bound = bind(nodes[i + 1], graph.node(at), bindings)
+                if bound is not None:
+                    match(
+                        i + 1,
+                        node_ids + [e.target for e in taken],
+                        edge_ids + [e.id for e in taken],
+                        bound,
+                    )
+            if hi is not None and len(taken) == hi:
+                return
+            for edge in edges:
+                if (
+                    edge.source == at
+                    and edge.id not in edge_ids
+                    and edge not in taken
+                    and rel_type in (None, edge.type)
+                ):
+                    segment(edge.target, taken + [edge])
+
+        segment(node_ids[-1], [])
+
+    for node in graph.nodes():
+        bound = bind(nodes[0], node, {})
+        if bound is not None:
+            match(0, [node.id], [], bound)
+    return sorted(rows)
+
+
+class TestPatternMatching:
+    """The matcher against a brute-force enumeration of edge sequences."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_brute_force_oracle(self, seed):
+        rng = random.Random(seed)
+        graph = random_graph(rng)
+        for _ in range(5):
+            rels, nodes = random_pattern(rng)
+            text, variables = pattern_query(rels, nodes)
+            table = execute_query(parse_query(text), graph)
+            assert table.rows == brute_force_rows(graph, rels, nodes, variables), text
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_single_hop_matches_like_star_one_one(self, seed):
+        rng = random.Random(seed)
+        graph = random_graph(rng)
+        for _ in range(5):
+            rels, nodes = random_pattern(rng)
+            plain, _ = pattern_query(rels, nodes)
+            starred, _ = pattern_query(rels, nodes, star_single_hops=True)
+            assert (
+                execute_query(parse_query(plain), graph).rows
+                == execute_query(parse_query(starred), graph).rows
+            ), plain
+
+    def test_long_pattern_does_not_recurse(self):
+        graph = PropertyGraph()
+        chain = [graph.add_node("N", {"k": i}) for i in range(3001)]
+        for source, target in zip(chain, chain[1:]):
+            graph.add_edge(source, target, "CALLS")
+        graph.seal()
+        text = "MATCH (s {k: 0})" + "-[:CALLS]->()" * 2999 + "-[:CALLS]->(t) RETURN t.k"
+        table = execute_query(parse_query(text), graph)
+        assert table.rows == [("3000",)]
 
 
 class TestFormatResultTable:

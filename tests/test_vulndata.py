@@ -42,6 +42,11 @@ class TestParseCweCsv:
         with pytest.raises(CsvError):
             parse_cwe_csv(CWE_HEADER + b"CWE-415,name,desc\n")
 
+    def test_error_line_is_where_the_record_starts(self):
+        with pytest.raises(CsvError) as exc:
+            parse_cwe_csv(CWE_HEADER + b'CWE-415,n,"two\nlines",free\nBAD,n,d,free\n')
+        assert (exc.value.line, exc.value.reason) == (4, "malformed cwe_id 'BAD'")
+
 
 class TestParseCveCsv:
     def test_basic_row(self):
@@ -68,6 +73,15 @@ class TestParseCveCsv:
     def test_malformed_cve_id(self):
         with pytest.raises(CsvError):
             parse_cve_csv(CVE_HEADER + b"CVE-20-1,desc,CWE-415,7.5,P,\n")
+
+    def test_error_line_is_where_the_record_starts(self):
+        with pytest.raises(CsvError) as exc:
+            parse_cve_csv(
+                CVE_HEADER
+                + b'CVE-2020-0001,"two\nlines",CWE-415,7.5,P,1.0\n'
+                + b"CVE-2020-0002,d,CWE-415,high,P,1.0\n"
+            )
+        assert (exc.value.line, exc.value.reason) == (4, "non-numeric cvss2_score 'high'")
 
 
 OVERSIZED_CELL = b"x" * 140_000
