@@ -31,6 +31,10 @@ class TypeMismatch(EvalError):
     pass
 
 
+class AlreadyBound(EvalError):
+    """A path variable names a variable that is already bound."""
+
+
 @dataclass
 class ResultTable:
     columns: list
@@ -45,6 +49,15 @@ def _group_key(value):
     if isinstance(value, list):
         return ("list", tuple(_group_key(v) for v in value))
     return (type(value).__name__, value)
+
+
+def _bound_node(np, bound: dict):
+    """The node np's variable is bound to, or None when it is bound to
+    null. Any other value is an error."""
+    node = bound[np.var]
+    if node is not None and not isinstance(node, Node):
+        raise TypeMismatch(f"pattern variable {np.var!r} is not bound to a node")
+    return node
 
 
 def _size(value, expr: Func) -> int:
@@ -180,7 +193,11 @@ class _Evaluator:
         """Each (end, added node ids, added edge ids) by which a match at
         node goes on over rel to a node matching np: one out-edge for a
         single hop, one enumerated path for a `*` hop. No edge is used
-        twice in the pattern."""
+        twice in the pattern. An end variable bound to null matches
+        nothing."""
+        pinned = np.var in bound
+        if pinned and _bound_node(np, bound) is None:
+            return
         if rel.var_length is None:
             steps = (
                 (edge.target, (edge.target,), (edge.id,))
@@ -197,7 +214,7 @@ class _Evaluator:
             if not used.isdisjoint(edge_ids):
                 continue
             end = self.graph.node(end_id)
-            if np.var in bound and bound[np.var] is not end:
+            if pinned and bound[np.var] is not end:
                 continue
             if self._node_matches(np, end, bound):
                 yield end, node_ids, edge_ids
@@ -208,12 +225,8 @@ class _Evaluator:
         matches the same nodes on every row, so its scan runs once per
         query."""
         if np.var in bound:
-            node = bound[np.var]
-            if node is None:
-                return []
-            if not isinstance(node, Node):
-                raise TypeMismatch(f"pattern variable {np.var!r} is not bound to a node")
-            return [node] if self._node_matches(np, node, bound) else []
+            node = _bound_node(np, bound)
+            return [node] if node is not None and self._node_matches(np, node, bound) else []
         cacheable = all(isinstance(expr, Literal) for _, expr in np.props)
         if cacheable and np in self._scans:
             return self._scans[np]
@@ -238,12 +251,15 @@ class _Evaluator:
 
     def apply_match(self, clause, columns: list, rows: list):
         pattern = clause.pattern
+        path_var = pattern.path_var
+        if path_var and (path_var in columns or path_var in {np.var for np in pattern.nodes}):
+            raise AlreadyBound(f"path variable {path_var!r} is already bound")
         new_vars = []
         for np in pattern.nodes:
             if np.var and np.var not in columns and np.var not in new_vars:
                 new_vars.append(np.var)
-        if pattern.path_var and pattern.path_var not in columns:
-            new_vars.append(pattern.path_var)
+        if path_var:
+            new_vars.append(path_var)
         out = []
         for row in rows:
             matches = self.match_pattern(pattern, row)

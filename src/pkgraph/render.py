@@ -5,6 +5,10 @@ results alike, so the two pipelines emit byte-identical text. Graph
 export follows the bulk-import CSV header convention (id:ID, :LABEL,
 :START_ID, :END_ID, :TYPE) plus a DOT emitter for visualization. All
 output is locale-independent and byte-stable.
+
+A sealed graph's node texts and call-step texts (`-[:TYPE]->` plus the
+target node's text) are rendered once and cached with the graph, so a
+path's text is one join of cached pieces however many paths share them.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import weakref
 
 from .graph import Node, Path, PropertyGraph
 
@@ -47,21 +52,53 @@ def render_node(node: Node) -> str:
     return f"(:{node.label} {{{body}}})"
 
 
+#: Sealed graph -> (node id -> node text, edge id -> step text). An entry
+#: goes away with its graph.
+_TEXTS = weakref.WeakKeyDictionary()
+
+
+def _texts(graph: PropertyGraph) -> tuple:
+    """The node and step text caches of graph. An unsealed graph can
+    still change, so its caches are fresh on each call and never kept."""
+    texts = _TEXTS.get(graph)
+    if texts is None:
+        texts = ({}, {})
+        if graph.sealed:
+            _TEXTS[graph] = texts
+    return texts
+
+
+def _node_text(graph: PropertyGraph, nodes: dict, node_id: int) -> str:
+    text = nodes.get(node_id)
+    if text is None:
+        text = nodes[node_id] = render_node(graph.node(node_id))
+    return text
+
+
 def render_path(graph: PropertyGraph, path: Path) -> str:
-    out = render_node(graph.node(path.nodes[0]))
-    for k, edge_id in enumerate(path.edges):
-        edge = graph.edge(edge_id)
-        out += f"-[:{edge.type}]->" + render_node(graph.node(path.nodes[k + 1]))
-    return out
+    """The head node's text followed by one `-[:TYPE]->(node)` step per
+    edge. A step is keyed by its edge id alone: path.nodes[k + 1] is the
+    target of path.edges[k] in every path that enumerate_paths or the
+    query matcher builds."""
+    nodes, steps = _texts(graph)
+    try:
+        tail = [steps[edge_id] for edge_id in path.edges]
+    except KeyError:
+        for edge_id in path.edges:
+            if edge_id not in steps:
+                edge = graph.edge(edge_id)
+                steps[edge_id] = f"-[:{edge.type}]->" + _node_text(graph, nodes, edge.target)
+        tail = [steps[edge_id] for edge_id in path.edges]
+    return "".join([_node_text(graph, nodes, path.nodes[0]), *tail])
 
 
 def render_value(value, graph: PropertyGraph) -> str:
     """A query result cell: `null`, a node, a path, a list of values, or
-    a scalar with text unquoted."""
+    a scalar with text unquoted. Nodes in value are graph's nodes."""
     if value is None:
         return "null"
     if isinstance(value, Node):
-        return render_node(value)
+        return _node_text(graph, _texts(graph)[0], value.id)
     if isinstance(value, Path):
         return render_path(graph, value)
     if isinstance(value, list):

@@ -154,6 +154,20 @@ class TestQuery:
         assert out == ""
         assert "unbound variable" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "MATCH (a:CallGraph) WITH a.Name AS x MATCH (b)-[]->(x) RETURN b",
+                "pattern variable 'x' is not bound to a node",
+            ),
+            ("MATCH p=(p)-[]->(b) RETURN p", "path variable 'p' is already bound"),
+        ],
+    )
+    def test_binding_errors_exit_three(self, double_free_file, text, message):
+        code, out, err = cli("query", double_free_file, stdin_text=text)
+        assert (code, out, err) == (3, "", f"pkgraph: error: {message}\n")
+
     def test_unknown_label_never_reads_the_filter(self, double_free_file):
         code, out, _ = cli("query", double_free_file, stdin_text="MATCH (n:Nope {Name: y.z}) RETURN n")
         assert code == 0

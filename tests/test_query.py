@@ -2,9 +2,16 @@ import random
 
 import pytest
 
-from conftest import DOUBLE_FREE_SRC, call_graph_of, catalog_entry, merged_graph_of
+from conftest import (
+    DOUBLE_FREE_INTERPROC_SRC,
+    DOUBLE_FREE_SRC,
+    call_graph_of,
+    catalog_entry,
+    merged_graph_of,
+)
 from pkgraph.cypher import ast
 from pkgraph.cypher.eval import (
+    AlreadyBound,
     TypeMismatch,
     UnboundVariable,
     execute_query,
@@ -204,6 +211,33 @@ class TestExecuteQuery:
         graph, _ = call_graph_of(DOUBLE_FREE_SRC)
         with pytest.raises(UnboundVariable):
             execute_query(parse_query("MATCH (n) RETURN missing"), graph)
+
+    @pytest.mark.parametrize("rel", ["-[]->", "-[*]->"])
+    def test_end_bound_to_non_node_is_an_error(self, rel):
+        graph, _ = call_graph_of(DOUBLE_FREE_INTERPROC_SRC)
+        query = parse_query(f"MATCH (a:CallGraph) WITH a.Name AS x MATCH (b){rel}(x) RETURN b")
+        with pytest.raises(TypeMismatch, match=r"^pattern variable 'x' is not bound to a node$"):
+            execute_query(query, graph)
+
+    @pytest.mark.parametrize("rel", ["-[]->", "-[*]->"])
+    def test_end_bound_to_null_matches_nothing(self, rel):
+        graph, _ = call_graph_of(DOUBLE_FREE_INTERPROC_SRC)
+        query = parse_query(f"OPTIONAL MATCH (x:Nope) MATCH (b){rel}(x) RETURN b")
+        assert execute_query(query, graph).rows == []
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "MATCH (a:CallGraph) MATCH p=(a)-[]->(b) MATCH p=(b)-[]->(c) RETURN p",
+            "MATCH (a:CallGraph) WITH a.Name AS p MATCH p=(b)-[*]->(c) RETURN p",
+            "MATCH p=(p)-[]->(b) RETURN p",
+            "MATCH p=(a)-[*]->(p) RETURN p",
+        ],
+    )
+    def test_path_variable_already_bound(self, text):
+        graph, _ = call_graph_of(DOUBLE_FREE_INTERPROC_SRC)
+        with pytest.raises(AlreadyBound, match=r"^path variable 'p' is already bound$"):
+            execute_query(parse_query(text), graph)
 
     def test_size_of_non_list(self):
         graph, _ = call_graph_of(DOUBLE_FREE_SRC)

@@ -1,10 +1,27 @@
+import gc
+import hashlib
+import io
 import json
+import random
+import weakref
 
 import pytest
 
-from conftest import DOUBLE_FREE_SRC, call_graph_of, catalog_entry, merged_graph_of
-from pkgraph.detectors import detect_double_release, run_all
-from pkgraph.graph import Path, PropertyGraph
+from conftest import (
+    DATA,
+    DOUBLE_FREE_SRC,
+    call_graph_of,
+    catalog_entry,
+    load_catalog,
+    merged_graph_of,
+)
+from pkgraph import render
+from pkgraph.cli import run_cli
+from pkgraph.cypher import eval as cypher_eval
+from pkgraph.cypher.eval import execute_query
+from pkgraph.cypher.parser import parse_query
+from pkgraph.detectors import detect_double_release, generate_detection_query, run_all
+from pkgraph.graph import Node, Path, PropertyGraph
 from pkgraph.render import (
     ExportError,
     export_dot,
@@ -13,6 +30,8 @@ from pkgraph.render import (
     import_csv,
     render_node,
     render_path,
+    render_scalar,
+    render_value,
 )
 from pkgraph.vulndata import CsvError
 
@@ -72,6 +91,164 @@ class TestRenderPath:
         rendered = render_path(graph, path)
         assert rendered.count("-[:CALLS]->") == 3
         assert rendered.count("(:CallGraph") == 4
+
+
+def reference_path(graph, path):
+    """A path's text with every node rendered afresh."""
+    text = render_node(graph.node(path.nodes[0]))
+    for edge_id, node_id in zip(path.edges, path.nodes[1:]):
+        text += f"-[:{graph.edge(edge_id).type}]->" + render_node(graph.node(node_id))
+    return text
+
+
+def reference_value(value, graph):
+    if value is None:
+        return "null"
+    if isinstance(value, Node):
+        return render_node(value)
+    if isinstance(value, Path):
+        return reference_path(graph, value)
+    if isinstance(value, list):
+        return "[" + ", ".join(reference_value(v, graph) for v in value) + "]"
+    return render_scalar(value, quote_text=False)
+
+
+BUNDLED = sorted(path for kind in ("corpus", "clean") for path in (DATA / kind).iterdir())
+
+EVENTS = ["gets(buf)", "atoi(s)", "free(p)", "free(q)", "fclose(fp)", "printf(x)"]
+
+# Cells of every kind: nodes, paths, nulls, scalars and lists of each.
+CELL_QUERIES = [
+    generate_detection_query(catalog_entry("CWE-242"), "main"),
+    generate_detection_query(catalog_entry("CWE-415"), "main"),
+    "MATCH (a:CallGraph) OPTIONAL MATCH p=(a)-[*]->(b:CallGraph {Name: \"gets\"}) RETURN a, p, b",
+    "MATCH p=(a:CallGraph)-[]->(b) WITH a, COLLECT(p) AS ps, COLLECT(b) AS bs RETURN a, ps, bs",
+    "MATCH (a:CallGraph) WITH a.Name AS name, COLLECT(a) AS calls RETURN name, calls, SIZE(calls)",
+    "MATCH (c:CWE) RETURN c, c.`Function Events`",
+]
+
+
+def random_source(rng):
+    """Up to six functions calling events and each other: mostly later
+    functions, so that paths share nodes, and now and then an earlier
+    one, so that some call graphs recurse."""
+    names = ["main"] + [f"f{i}" for i in range(1, rng.randint(1, 6))]
+    lines = []
+    for i, name in enumerate(names):
+        calls = []
+        for _ in range(rng.randint(0, 4)):
+            later = names[i + 1 :]
+            if later and rng.random() < 0.5:
+                calls.append(f"{rng.choice(later)}();")
+            elif rng.random() < 0.1:
+                calls.append(f"{rng.choice(names[: i + 1])}();")
+            else:
+                calls.append(rng.choice(EVENTS) + ";")
+        lines.append(f"void {name}() {{ {' '.join(calls)} }}")
+    return "\n".join(lines) + "\n"
+
+
+class TestRenderCache:
+    """Witness paths and query cells against the reference renderer, each
+    rendered twice so that a cached text is checked as well as a fresh one."""
+
+    @staticmethod
+    def check(graph, tu, monkeypatch):
+        findings, _ = run_all(graph, tu, load_catalog())
+        for finding in findings:
+            for path in finding.witness_paths:
+                want = reference_path(graph, path)
+                assert render_path(graph, path) == want
+                assert render_path(graph, path) == want
+        cells = []
+
+        def recording(value, graph):
+            cells.append((value, render_value(value, graph)))
+            return cells[-1][1]
+
+        monkeypatch.setattr(cypher_eval, "render_value", recording)
+        for text in CELL_QUERIES:
+            query = parse_query(text)
+            assert execute_query(query, graph) == execute_query(query, graph)
+        assert cells
+        for value, text in cells:
+            assert text == reference_value(value, graph)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_call_graphs(self, seed, monkeypatch):
+        graph, tu, _ = merged_graph_of(random_source(random.Random(seed)))
+        self.check(graph, tu, monkeypatch)
+
+    @pytest.mark.parametrize("sample", BUNDLED, ids=lambda path: path.name)
+    def test_bundled_samples(self, sample, monkeypatch):
+        graph, tu, _ = merged_graph_of(sample.read_text())
+        self.check(graph, tu, monkeypatch)
+
+    def test_bundled_sample_count(self):
+        assert len(BUNDLED) == 23
+
+    def test_unsealed_graph_renders_current_properties(self):
+        graph = PropertyGraph()
+        main = graph.add_node("CallGraph", {"Name": "main"})
+        call = graph.add_node("CallGraph", {"Name": "gets"})
+        path = Path((main, call), (graph.add_edge(main, call, "CALLS"),))
+        assert render_path(graph, path) == (
+            '(:CallGraph {Name: "main"})-[:CALLS]->(:CallGraph {Name: "gets"})'
+        )
+        graph.node(call).properties["Name"] = "fgets"
+        assert render_path(graph, path) == (
+            '(:CallGraph {Name: "main"})-[:CALLS]->(:CallGraph {Name: "fgets"})'
+        )
+        assert render_value(graph.node(call), graph) == '(:CallGraph {Name: "fgets"})'
+
+    def test_cache_entry_goes_with_its_graph(self):
+        def rendered_graph():
+            graph, _ = call_graph_of(DOUBLE_FREE_SRC)
+            foo = node_named(graph, "foo")
+            for path in graph.enumerate_paths(foo.id, {n.id for n in graph.nodes()}):
+                render_path(graph, path)
+            assert graph in render._TEXTS
+            return weakref.ref(graph)
+
+        gc.collect()
+        before = len(render._TEXTS)
+        graph = rendered_graph()
+        gc.collect()
+        assert graph() is None
+        assert len(render._TEXTS) == before
+
+
+# Each of d1..d10 calls the next twice, so gets has 2**10 witness paths.
+DIAMOND10 = """\
+void main() { d1(); d1(); }
+void d1() { d2(); d2(); }
+void d2() { d3(); d3(); }
+void d3() { d4(); d4(); }
+void d4() { d5(); d5(); }
+void d5() { d6(); d6(); }
+void d6() { d7(); d7(); }
+void d7() { d8(); d8(); }
+void d8() { d9(); d9(); }
+void d9() { d10(); d10(); }
+void d10() { gets(buf); }
+"""
+
+
+def test_diamond_report_bytes(tmp_path):
+    """The JSON report of a 1,024-path diamond, byte for byte as the
+    renderer wrote it before node and step texts were cached."""
+    source = tmp_path / "diamond10.c"
+    source.write_text(DIAMOND10)
+    out = io.StringIO()
+    code = run_cli(
+        ["scan", str(source), "--format", "json"],
+        stdin=io.StringIO(""), stdout=out, stderr=io.StringIO(),
+    )
+    assert code == 1
+    (finding,) = json.loads(out.getvalue())["findings"]
+    assert len(finding["paths"]) == 2**10
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "a9542f9364b9ecd6af2290f041269dc276d287bd5d6d2095ec87567c83231f5a"
 
 
 class TestFindingsToJson:
