@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .graph import PropertyGraph
@@ -31,22 +32,28 @@ _TYPE_WORDS = {
     "union", "const", "static", "auto", "register", "bool",
 }
 
-# One alternative per token kind, tried in order at each offset: a run of
-# whitespace (unnamed, so its lastgroup is None), a token, or any other
-# single character, which is an error. Without re.DOTALL `.` never matches
-# a newline, so `\\.` in a literal cannot escape one; `\s+` takes it.
+# One match per token: leading whitespace, then one alternative per token
+# kind, or any other non-whitespace character, which is an error. Without
+# re.DOTALL `.` never matches a newline, so `\\.` in a literal cannot
+# escape one. Trailing whitespace is cut off with endpos, where `\s*`
+# would otherwise be retried at every offset of it.
 _TOKEN_RE = re.compile(
     r"""
-    \s+
-  | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+    \s*(?:
+    (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<num>(?:0[xX][0-9a-fA-F]+|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)[uUlLfF]*)
   | (?P<str>"(?:[^"\\\n]|\\.)*")
   | (?P<char>'(?:[^'\\\n]|\\.)*')
   | (?P<punct>::|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[-+*/%&|^~!<>=?:;,.(){}\[\]\\\#])
-  | (?P<bad>.)
+  | (?P<bad>\S)
+    )
     """,
     re.VERBOSE,
 )
+# Argument text collapses every whitespace run to one space; only runs
+# of two or more characters shift the offsets after them.
+_RUN_RE = re.compile(r"\s+")
+_LONG_RUN_RE = re.compile(r"\s\s+")
 
 # What _blank_comments recognizes. A literal may span lines and runs to
 # the end of the text when unterminated; it is kept. A `/*` comment runs
@@ -80,16 +87,6 @@ def _position(text: str, offset: int) -> tuple:
 
 def _error(blanked: str, offset: int, message: str) -> ParseError:
     return ParseError(*_position(blanked, offset), message)
-
-
-class Token:
-    __slots__ = ("kind", "text", "start", "end")
-
-    def __init__(self, kind: str, text: str, start: int, end: int):
-        self.kind = kind
-        self.text = text
-        self.start = start  # offset into the (comment-blanked) source
-        self.end = end
 
 
 @dataclass
@@ -141,121 +138,169 @@ def _blank_comments(source: str) -> str:
     return _BLANK_RE.sub(_blank, source)
 
 
-def _tokenize(blanked: str) -> list:
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(blanked):
+def _tokenize(blanked: str) -> tuple:
+    """The tokens of blanked as four parallel lists: kinds, texts, and
+    start and end offsets into blanked."""
+    kinds, texts, starts, ends = [], [], [], []
+    for m in _TOKEN_RE.finditer(blanked, 0, len(blanked.rstrip())):
         kind = m.lastgroup
-        if kind is None:
-            continue
+        start, end = m.span(kind)
         if kind == "bad":
-            c = m.group()
+            c = blanked[start]
             message = "unterminated literal" if c in "\"'" else f"unexpected character {c!r}"
-            raise _error(blanked, m.start(), message)
-        start, end = m.span()
-        append(Token(kind, m.group(), start, end))
-    return tokens
+            raise _error(blanked, start, message)
+        kinds.append(kind)
+        texts.append(blanked[start:end])
+        starts.append(start)
+        ends.append(end)
+    return kinds, texts, starts, ends
 
 
 # ---------------------------------------------------------------------------
 # Extraction
 # ---------------------------------------------------------------------------
 
-def _bracket_table(tokens: list) -> dict:
-    """Index of the closing token per '(' and '{' token index, matched
-    with one stack per kind; an opener without a match is absent. Each
-    match is the one a forward scan counting only that kind finds."""
+def _bracket_index(texts: list) -> tuple:
+    """One pass over the token texts, returning three indexes:
+
+    - the bracket table: the index of the closing token per '(' and '{'
+      token index, matched with one stack per kind; an opener without a
+      match is absent. Each match is the one a forward scan counting
+      only that kind finds;
+    - the depth before each token: every '(', '[' and '{' before it
+      minus every ')', ']' and '}', matched or not, so it may go below 0;
+    - per depth, the ascending indexes of the commas at that depth.
+    """
     table = {}
     parens, braces = [], []
-    for j, tok in enumerate(tokens):
-        text = tok.text
-        if text == "(":
+    depths = []
+    commas = {}
+    depth = 0
+    for j, text in enumerate(texts):
+        depths.append(depth)
+        if text == ",":
+            commas.setdefault(depth, []).append(j)
+        elif text == "(":
             parens.append(j)
+            depth += 1
         elif text == ")":
             if parens:
                 table[parens.pop()] = j
+            depth -= 1
         elif text == "{":
             braces.append(j)
+            depth += 1
         elif text == "}":
             if braces:
                 table[braces.pop()] = j
-    return table
+            depth -= 1
+        elif text == "[":
+            depth += 1
+        elif text == "]":
+            depth -= 1
+    return table, depths, commas
 
 
-def _closing(table: dict, tokens: list, i: int, blanked: str) -> int:
-    """Index of the token closing the bracket at tokens[i]."""
-    close = table.get(i)
-    if close is None:
-        tok = tokens[i]
-        raise _error(blanked, tok.start, f"unbalanced {tok.text!r}")
-    return close
+class _Tokens:
+    """The tokens of a blanked text as parallel lists, with the indexes
+    of _bracket_index over their texts."""
+
+    __slots__ = ("blanked", "kinds", "texts", "starts", "ends", "table", "depths", "commas", "_runs")
+
+    def __init__(self, blanked: str):
+        self.blanked = blanked
+        self.kinds, self.texts, self.starts, self.ends = _tokenize(blanked)
+        self.table, self.depths, self.commas = _bracket_index(self.texts)
+        self._runs = None
+
+    def error(self, i: int, message: str) -> ParseError:
+        return _error(self.blanked, self.starts[i], message)
+
+    def closing(self, i: int) -> int:
+        """Index of the token closing the bracket at token i."""
+        close = self.table.get(i)
+        if close is None:
+            raise self.error(i, f"unbalanced {self.texts[i]!r}")
+        return close
+
+    def collapsed(self, start: int, end: int) -> str:
+        """blanked[start:end] with each whitespace run collapsed to one
+        space, where no run straddles start or end (true of token starts
+        and ends). Slices one collapsed copy of the whole text, made on
+        first use: an offset moves back by the characters that the runs
+        ending at or before it lost."""
+        if self._runs is None:
+            run_ends, removed = [], [0]
+            for m in _LONG_RUN_RE.finditer(self.blanked):
+                run_ends.append(m.end())
+                removed.append(removed[-1] + m.end() - m.start() - 1)
+            self._runs = _RUN_RE.sub(" ", self.blanked), run_ends, removed
+        text, run_ends, removed = self._runs
+        return text[
+            start - removed[bisect_right(run_ends, start)] : end - removed[bisect_right(run_ends, end)]
+        ]
 
 
-def _skip_template_args(tokens: list, i: int) -> int:
-    """If tokens[i] opens a template-argument list made only of simple
+def _skip_template_args(kinds: list, texts: list, i: int) -> int:
+    """If token i opens a template-argument list made only of simple
     tokens (ids, '*', ',', '::', numbers, nested <>), return the index
     after the closing '>'. Otherwise return i. Lets C++ spellings like
     auto_ptr<char>(p) register a call named auto_ptr."""
-    if i >= len(tokens) or tokens[i].text != "<":
+    if i >= len(texts) or texts[i] != "<":
         return i
     depth = 0
     j = i
-    while j < len(tokens):
-        text = tokens[j].text
+    while j < len(texts):
+        text = texts[j]
         if text == "<":
             depth += 1
         elif text == ">":
             depth -= 1
             if depth == 0:
                 return j + 1
-        elif tokens[j].kind not in ("id", "num") and text not in ("*", ",", "::"):
+        elif kinds[j] not in ("id", "num") and text not in ("*", ",", "::"):
             return i
         j += 1
     return i
 
 
-def _render_argument(tokens: list, lo: int, hi: int, blanked: str) -> str:
-    span = tokens[lo:hi]
-    if len(span) == 1:
-        tok = span[0]
-        if tok.kind == "str":
-            return tok.text[1:-1]  # inner text, escapes kept as written
-        if tok.kind in ("num", "id", "char"):
-            return tok.text
-    slice_ = blanked[span[0].start : span[-1].end]
-    return re.sub(r"\s+", " ", slice_).strip()
+def _render_argument(toks: _Tokens, lo: int, hi: int) -> str:
+    if hi - lo == 1:
+        kind = toks.kinds[lo]
+        if kind == "str":
+            return toks.texts[lo][1:-1]  # inner text, escapes kept as written
+        if kind in ("num", "id", "char"):
+            return toks.texts[lo]
+    return toks.collapsed(toks.starts[lo], toks.ends[hi - 1])
 
 
-def _split_arguments(tokens: list, lo: int, hi: int, blanked: str) -> list:
-    """Render the comma-separated arguments in tokens[lo:hi]. An empty
-    argument raises ParseError at the comma after it, or at the comma
-    before it when it is the last."""
+def _split_arguments(toks: _Tokens, lo: int, hi: int) -> list:
+    """Render the comma-separated arguments in tokens lo..hi-1. They
+    split at the commas at the depth before token lo. An empty argument
+    raises ParseError at the comma after it, or at the comma before it
+    when it is the last."""
     if lo >= hi:
         return []
+    commas = toks.commas.get(toks.depths[lo], ())
+    first = bisect_left(commas, lo)
     args = []
-    depth = 0
     start = lo
-    for j in range(lo, hi):
-        text = tokens[j].text
-        if text in "([{":
-            depth += 1
-        elif text in ")]}":
-            depth -= 1
-        elif text == "," and depth == 0:
-            if start == j:
-                raise _error(blanked, tokens[j].start, "empty argument")
-            args.append(_render_argument(tokens, start, j, blanked))
-            start = j + 1
+    for j in commas[first : bisect_left(commas, hi, first)]:
+        if start == j:
+            raise toks.error(j, "empty argument")
+        args.append(_render_argument(toks, start, j))
+        start = j + 1
     if start == hi:
-        raise _error(blanked, tokens[hi - 1].start, "empty argument")
-    args.append(_render_argument(tokens, start, hi, blanked))
+        raise toks.error(hi - 1, "empty argument")
+    args.append(_render_argument(toks, start, hi))
     return args
 
 
-def _scan_calls(tokens: list, lo: int, hi: int, table: dict, blanked: str) -> list:
-    """(name, arguments) of each call in tokens[lo:hi], in evaluation
+def _scan_calls(toks: _Tokens, lo: int, hi: int) -> list:
+    """(name, arguments) of each call in tokens lo..hi-1, in evaluation
     order: a call is appended after the calls in its arguments. Nesting
     is kept on an explicit stack of pending calls, not in recursion."""
+    kinds, texts = toks.kinds, toks.texts
     out = []
     pending = []  # (name, '(' index, ')' index, hi of the enclosing range)
     i = lo
@@ -264,42 +309,40 @@ def _scan_calls(tokens: list, lo: int, hi: int, table: dict, blanked: str) -> li
             if not pending:
                 return out
             name, open_, close, hi = pending.pop()
-            out.append((name, _split_arguments(tokens, open_ + 1, close, blanked)))
+            out.append((name, _split_arguments(toks, open_ + 1, close)))
             i = close + 1
             continue
-        tok = tokens[i]
-        if tok.kind == "id" and tok.text not in _CONTROL_KEYWORDS:
-            after = _skip_template_args(tokens, i + 1)
-            if after < hi and tokens[after].text == "(":
-                close = _closing(table, tokens, after, blanked)
-                pending.append((tok.text, after, close, hi))
+        if kinds[i] == "id" and texts[i] not in _CONTROL_KEYWORDS:
+            after = _skip_template_args(kinds, texts, i + 1)
+            if after < hi and texts[after] == "(":
+                close = toks.closing(after)
+                pending.append((texts[i], after, close, hi))
                 i, hi = after + 1, close
                 continue
         i += 1
 
 
-def _pointer_decls(tokens: list, lo: int, hi: int) -> set:
-    """Identifiers declared with pointer type in tokens[lo:hi]. A
+def _pointer_decls(kinds: list, texts: list, lo: int, hi: int) -> set:
+    """Identifiers declared with pointer type in tokens lo..hi-1. A
     declarator is recognized as <type word(s)> '*'+ <name> followed by a
     declarator terminator; multiplication never matches because the
     left operand is preceded by an operator, not a statement boundary."""
     names = set()
     i = lo
     while i + 2 < hi:
-        tok = tokens[i]
-        if tok.kind == "id" and tokens[i + 1].text == "*":
+        if kinds[i] == "id" and texts[i + 1] == "*":
             j = i + 1
-            while j < hi and tokens[j].text == "*":
+            while j < hi and texts[j] == "*":
                 j += 1
             if (
                 j < hi
-                and tokens[j].kind == "id"
+                and kinds[j] == "id"
                 and j + 1 <= hi
-                and (j + 1 == hi or tokens[j + 1].text in ("=", ";", ",", ")", "["))
+                and (j + 1 == hi or texts[j + 1] in ("=", ";", ",", ")", "["))
             ):
-                prev = tokens[i - 1].text if i > lo else ";"
-                if tok.text in _TYPE_WORDS or prev in (";", "{", "}", "(", ","):
-                    names.add(tokens[j].text)
+                prev = texts[i - 1] if i > lo else ";"
+                if texts[i] in _TYPE_WORDS or prev in (";", "{", "}", "(", ","):
+                    names.add(texts[j])
             i = j
         else:
             i += 1
@@ -314,60 +357,59 @@ def extract_translation_unit(source: str) -> TranslationUnit:
     skipped with a warning; unbalanced brackets raise ParseError.
     """
     blanked = _blank_comments(source)
-    tokens = _tokenize(blanked)
-    table = _bracket_table(tokens)
+    toks = _Tokens(blanked)
+    kinds, texts = toks.kinds, toks.texts
     tu = TranslationUnit()
     counter = 0
     i = 0
-    n = len(tokens)
+    n = len(texts)
     while i < n:
-        tok = tokens[i]
-        if tok.kind == "id" and i + 1 < n and tokens[i + 1].text == "(":
-            close = _closing(table, tokens, i + 1, blanked)
-            if close + 1 < n and tokens[close + 1].text == "{":
-                body_close = _closing(table, tokens, close + 1, blanked)
-                name = tok.text
-                if name in tu.defined_names:
-                    raise _error(blanked, tok.start, f"duplicate definition of {name!r}")
+        text = texts[i]
+        if kinds[i] == "id" and i + 1 < n and texts[i + 1] == "(":
+            close = toks.closing(i + 1)
+            if close + 1 < n and texts[close + 1] == "{":
+                body_close = toks.closing(close + 1)
+                if text in tu.defined_names:
+                    raise toks.error(i, f"duplicate definition of {text!r}")
                 counter += 1
-                fn = FunctionDef(name=name, exec_order=counter)
-                fn.pointer_locals = _pointer_decls(tokens, i + 2, close) | _pointer_decls(
-                    tokens, close + 2, body_close
+                fn = FunctionDef(name=text, exec_order=counter)
+                fn.pointer_locals = _pointer_decls(kinds, texts, i + 2, close) | _pointer_decls(
+                    kinds, texts, close + 2, body_close
                 )
-                for callee, args in _scan_calls(tokens, close + 2, body_close, table, blanked):
+                for callee, args in _scan_calls(toks, close + 2, body_close):
                     counter += 1
                     fn.call_sites.append(CallSite(counter, callee, args))
                 tu.functions.append(fn)
-                tu.defined_names.add(name)
+                tu.defined_names.add(text)
                 i = body_close + 1
                 continue
             # declaration/prototype: skip past the terminating ';'
             j = close + 1
-            while j < n and tokens[j].text != ";":
+            while j < n and texts[j] != ";":
                 j += 1
             i = j + 1
             continue
-        if tok.text == "{":
+        if text == "{":
             # stray top-level block (e.g. struct body we don't model)
-            i = _closing(table, tokens, i, blanked) + 1
+            i = toks.closing(i) + 1
             continue
-        if tok.text == ";":
+        if text == ";":
             i += 1
             continue
         # anything else: advance; warn once per skipped run of tokens.
         # A run ending at `name (` is the return type of a definition we
         # are about to recognize, not an unparseable item.
         run_start = i
-        while i < n and tokens[i].text not in (";", "{") and not (
-            tokens[i].kind == "id" and i + 1 < n and tokens[i + 1].text == "("
+        while i < n and texts[i] not in (";", "{") and not (
+            kinds[i] == "id" and i + 1 < n and texts[i + 1] == "("
         ):
             i += 1
         if i == run_start:
             i += 1
-        elif not (i < n and tokens[i].kind == "id"):
+        elif not (i < n and kinds[i] == "id"):
             log.warning(
                 "skipping unparseable top-level item at %d:%d",
-                *_position(blanked, tokens[run_start].start),
+                *_position(blanked, toks.starts[run_start]),
             )
     return tu
 

@@ -1,11 +1,16 @@
+import re
+import time
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DOUBLE_FREE_INTERPROC_SRC, DOUBLE_FREE_SRC, call_graph_of
 from pkgraph.cparse import (
     ParseError,
+    _Tokens,
     _blank_comments,
-    _bracket_table,
+    _bracket_index,
+    _split_arguments,
     _tokenize,
     build_call_graph,
     extract_translation_unit,
@@ -89,6 +94,23 @@ class TestExtractTranslationUnit:
     def test_whitespace_collapsed_in_complex_argument(self):
         tu = extract_translation_unit("void f() { g(a +\n    b); }")
         assert tu.functions[0].call_sites[0].arguments == ["a + b"]
+
+    def test_long_trailing_comment_tokenized_in_linear_time(self):
+        """A comment at the end blanks to a long run of whitespace after
+        the last token. Retrying the token pattern at each offset of that
+        run is quadratic: about 30 s for this input (2 vCPU VM, Python 3.11)."""
+        source = "void f() { g(); }\n/*" + "x" * 20000 + "*/\n"
+        start = time.perf_counter()
+        tu = extract_translation_unit(source)
+        assert time.perf_counter() - start < 1.0
+        assert [c.name for c in tu.functions[0].call_sites] == ["g"]
+
+    def test_mismatched_brackets_split_by_mixed_depth(self):
+        """A comma splits where the count of '(' '[' '{' minus ')' ']' '}'
+        since the call's '(' is zero, whichever kinds they are."""
+        tu = extract_translation_unit("void f() { g((a], b)); h(x[0), y); }")
+        got = [(c.name, c.arguments) for c in tu.functions[0].call_sites]
+        assert got == [("g", ["(a]", "b)"]), ("h", ["x[0"])]
 
     def test_preprocessor_and_comments_ignored(self):
         tu = extract_translation_unit(
@@ -218,28 +240,99 @@ class TestNeverCrash:
     def test_token_text_is_its_span(self, source):
         blanked = _blank_comments(source)
         try:
-            tokens = _tokenize(blanked)
+            kinds, texts, starts, ends = _tokenize(blanked)
         except ParseError:
             return
-        assert all(tok.text == blanked[tok.start : tok.end] for tok in tokens)
+        assert len(kinds) == len(texts) == len(starts) == len(ends)
+        assert all(text == blanked[s:e] for text, s, e in zip(texts, starts, ends))
 
     @given(st.text("(){}[]x", max_size=40))
     def test_bracket_table_matches_forward_scan(self, text):
         """Each '(' and '{' is matched to the first later token at which
         a scan counting only its own kind returns to depth zero."""
-        tokens = _tokenize(text)
+        texts = _tokenize(text)[1]
         want = {}
-        for i, tok in enumerate(tokens):
-            if tok.text not in ("(", "{"):
+        for i, opener in enumerate(texts):
+            if opener not in ("(", "{"):
                 continue
-            close = ")" if tok.text == "(" else "}"
+            close = ")" if opener == "(" else "}"
             depth = 0
-            for j in range(i, len(tokens)):
-                depth += (tokens[j].text == tok.text) - (tokens[j].text == close)
+            for j in range(i, len(texts)):
+                depth += (texts[j] == opener) - (texts[j] == close)
                 if depth == 0:
                     want[i] = j
                     break
-        assert _bracket_table(tokens) == want
+        assert _bracket_index(texts)[0] == want
+
+
+def reference_render_argument(toks, lo, hi):
+    """Argument text as rendered before the collapsed-text slice: the
+    argument's own source slice with whitespace runs collapsed."""
+    if hi - lo == 1:
+        kind, text = toks.kinds[lo], toks.texts[lo]
+        if kind == "str":
+            return text[1:-1]
+        if kind in ("num", "id", "char"):
+            return text
+    return re.sub(r"\s+", " ", toks.blanked[toks.starts[lo] : toks.ends[hi - 1]]).strip()
+
+
+def reference_split_arguments(toks, lo, hi):
+    """The token walk that _split_arguments replaced: a comma splits
+    where the running count of '([{' minus ')]}' since lo is zero."""
+    if lo >= hi:
+        return []
+    args = []
+    depth = 0
+    start = lo
+    for j in range(lo, hi):
+        text = toks.texts[j]
+        if text in ("(", "[", "{"):
+            depth += 1
+        elif text in (")", "]", "}"):
+            depth -= 1
+        elif text == "," and depth == 0:
+            if start == j:
+                raise toks.error(j, "empty argument")
+            args.append(reference_render_argument(toks, start, j))
+            start = j + 1
+    if start == hi:
+        raise toks.error(hi - 1, "empty argument")
+    args.append(reference_render_argument(toks, start, hi))
+    return args
+
+
+def split_outcome(split, toks, lo, hi):
+    try:
+        return split(toks, lo, hi)
+    except ParseError as exc:
+        return (exc.line, exc.column, exc.message)
+
+
+# Call texts with every bracket kind in any order, so that mixed and
+# mismatched brackets, empty arguments and multi-line arguments occur.
+ARGUMENT_FRAGMENTS = [
+    "(", ")", "[", "]", "{", "}", ",", ", ", "a", "1", "g(", '"s  t"', "'c'", "+", " ", "\n  ",
+]
+call_texts = st.lists(st.sampled_from(ARGUMENT_FRAGMENTS), max_size=30).map(
+    lambda body: "f(" + "".join(body) + ")"
+)
+
+
+@given(call_texts)
+@example("f((a], b))")
+@example("f([x, y}, z)")
+@example("f(a,,b)")
+@example("f(,)")
+@settings(deadline=None)
+def test_split_arguments_matches_token_walk(text):
+    """At every '(' the bracket table matches, the comma-index splitter
+    gives the token walk's arguments, or its ParseError."""
+    toks = _Tokens(text)
+    for open_, close in toks.table.items():
+        if toks.texts[open_] == "(":
+            want = split_outcome(reference_split_arguments, toks, open_ + 1, close)
+            assert split_outcome(_split_arguments, toks, open_ + 1, close) == want
 
 
 class TestBuildCallGraph:
