@@ -134,10 +134,8 @@ def _cmd_ingest(args, stdin, stdout) -> int:
 
 def _node_table(graph) -> str:
     lines = ["ExecOrder | Name | Argument1"]
-    rows = sorted(
-        (n.properties.get("ExecOrder", 0), n) for n in graph.find_nodes("CallGraph")
-    )
-    for exec_order, node in rows:
+    for node in graph.find_nodes("CallGraph"):
+        exec_order = node.properties.get("ExecOrder", 0)
         argument = node.properties.get("Argument1", "")
         lines.append(f"{exec_order} | {node.properties.get('Name', '')} | {argument}".rstrip())
     return "\n".join(lines) + "\n"
@@ -201,11 +199,6 @@ def run_cli(argv, stdin=None, stdout=None, stderr=None) -> int:
         UnicodeDecodeError, _UnreadableFile,
     ) as exc:
         print(f"pkgraph: error: {exc}", file=stderr)
-        return 3
-    except RecursionError as exc:
-        # The query parser recurses once per nesting level of an
-        # expression; the C extractor does not recurse.
-        print(f"pkgraph: error: input nested too deeply ({exc})", file=stderr)
         return 3
 
 

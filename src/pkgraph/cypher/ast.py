@@ -52,14 +52,28 @@ Expr = object
 AGGREGATES = {"COLLECT", "COUNT"}
 
 
+def walk(expr: Expr):
+    """Depth-first events over expr, children left to right, without
+    recursion: (True, node) on entering a node, (False, node) on leaving
+    it. A node that is not a Func, Binary or Not is a leaf."""
+    stack = [(True, expr)]
+    while stack:
+        entering, node = event = stack.pop()
+        yield event
+        if entering:
+            stack.append((False, node))
+            if isinstance(node, Binary):
+                stack += (True, node.right), (True, node.left)
+            elif isinstance(node, Func):
+                stack.append((True, node.arg))
+            elif isinstance(node, Not):
+                stack.append((True, node.operand))
+
+
 def has_aggregate(expr: Expr) -> bool:
-    if isinstance(expr, Func):
-        return expr.name in AGGREGATES or has_aggregate(expr.arg)
-    if isinstance(expr, Binary):
-        return has_aggregate(expr.left) or has_aggregate(expr.right)
-    if isinstance(expr, Not):
-        return has_aggregate(expr.operand)
-    return False
+    if not isinstance(expr, (Func, Binary, Not)):
+        return False  # a leaf, as most projection items are: no walk needed
+    return any(isinstance(node, Func) and node.name in AGGREGATES for _, node in walk(expr))
 
 
 # -- patterns ----------------------------------------------------------------
@@ -127,22 +141,30 @@ def _quote_ident(name: str) -> str:
 
 
 def expr_text(expr: Expr) -> str:
-    if isinstance(expr, Literal):
-        if isinstance(expr.value, str):
-            escaped = expr.value.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return _quote_ident(expr.name)
-    if isinstance(expr, Prop):
-        return f"{_quote_ident(expr.var)}.{_quote_ident(expr.key)}"
-    if isinstance(expr, Func):
-        return f"{expr.name}({expr_text(expr.arg)})"
-    if isinstance(expr, Binary):
-        return f"({expr_text(expr.left)} {expr.op} {expr_text(expr.right)})"
-    if isinstance(expr, Not):
-        return f"(NOT {expr_text(expr.operand)})"
-    raise TypeError(f"not an expression: {expr!r}")
+    texts = []  # a stack: the text of each finished subexpression
+    for entering, node in walk(expr):
+        if entering:
+            continue
+        if isinstance(node, Literal):
+            if isinstance(node.value, str):
+                escaped = node.value.replace("\\", "\\\\").replace('"', '\\"')
+                texts.append(f'"{escaped}"')
+            else:
+                texts.append(repr(node.value))
+        elif isinstance(node, Var):
+            texts.append(_quote_ident(node.name))
+        elif isinstance(node, Prop):
+            texts.append(f"{_quote_ident(node.var)}.{_quote_ident(node.key)}")
+        elif isinstance(node, Func):
+            texts[-1] = f"{node.name}({texts[-1]})"
+        elif isinstance(node, Binary):
+            right = texts.pop()
+            texts[-1] = f"({texts[-1]} {node.op} {right})"
+        elif isinstance(node, Not):
+            texts[-1] = f"(NOT {texts[-1]})"
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return texts[0]
 
 
 def _node_pattern_text(np: NodePattern) -> str:

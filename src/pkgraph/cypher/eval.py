@@ -10,6 +10,7 @@ nulls, property access on null is null.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -17,6 +18,9 @@ from ..graph import Node, Path, PropertyGraph, values_equal
 from ..render import render_value
 from . import ast
 from .ast import Binary, Func, Literal, Not, Prop, Var
+
+
+_ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class EvalError(Exception):
@@ -60,6 +64,39 @@ def _bound_node(np, bound: dict):
     return node
 
 
+#: How deep COLLECT may nest lists. Rendering, grouping and comparing a
+#: list recurse once per level, so this keeps them far from the
+#: interpreter's recursion limit.
+MAX_LIST_DEPTH = 100
+
+
+def _list_depth(value: list) -> int:
+    """How deep lists nest in value, a list: 1 when no element is a list.
+    Each level is a set of distinct lists, so shared sublists are not
+    walked twice in it."""
+    depth, level = 0, [value]
+    while level:
+        depth += 1
+        level = list({id(v): v for x in level for v in x if isinstance(v, list)}.values())
+    return depth
+
+
+_ENTER = object()  # the kind of a step that enters a function other than SIZE
+
+
+def _steps(expr) -> list:
+    """The (kind, node) steps by which scalar folds expr: the exit event
+    of each node of ast.walk(expr), kind being the node's type, and the
+    entry of each function but SIZE, which raises. They are the same for
+    every row, so the evaluator keeps them per query. The last step holds
+    expr, so id(expr) is not reused while they are kept."""
+    return [
+        (_ENTER if entering else type(node), node)
+        for entering, node in ast.walk(expr)
+        if not entering or isinstance(node, Func) and node.name != "SIZE"
+    ]
+
+
 def _size(value, expr: Func) -> int:
     """SIZE(value): null counts as an empty list."""
     if value is None:
@@ -73,10 +110,14 @@ class _Evaluator:
     def __init__(self, graph: PropertyGraph):
         self.graph = graph
         self._scans = {}  # literal-only NodePattern -> the nodes it matches
+        self._step_lists = {}  # id(compound expression) -> _steps(expression)
 
     # -- scalar expressions ------------------------------------------------
 
     def scalar(self, expr, row: dict):
+        """expr's value under row. A leaf is read here directly; a compound
+        expression is folded over its walk with a stack of values, and an
+        aggregate raises on entry, before its argument is evaluated."""
         if isinstance(expr, Literal):
             return expr.value
         if isinstance(expr, Var):
@@ -92,32 +133,39 @@ class _Evaluator:
             if not isinstance(subject, Node):
                 raise TypeMismatch(f"{expr.var}.{expr.key}: {expr.var} is not a node")
             return subject.properties.get(expr.key)
-        if isinstance(expr, Func):
-            if expr.name in ast.AGGREGATES:
-                raise TypeMismatch(f"{expr.name} is only allowed in WITH/RETURN projections")
-            if expr.name == "SIZE":
-                return _size(self.scalar(expr.arg, row), expr)
-            raise TypeMismatch(f"unknown function {expr.name}")
-        if isinstance(expr, Binary):
-            return self._binary(expr, row)
-        if isinstance(expr, Not):
-            value = self.scalar(expr.operand, row)
-            return None if value is None else not value
-        raise TypeMismatch(f"cannot evaluate {expr!r}")
+        steps = self._step_lists.get(id(expr))
+        if steps is None:
+            steps = self._step_lists[id(expr)] = _steps(expr)
+        values = []
+        for kind, node in steps:
+            if kind is Binary:
+                right = values.pop()
+                values[-1] = self._binary(node, values[-1], right)
+            elif kind is Literal:
+                values.append(node.value)
+            elif kind is Var or kind is Prop:
+                values.append(self.scalar(node, row))
+            elif kind is Func:
+                values[-1] = _size(values[-1], node)
+            elif kind is Not:
+                values[-1] = None if values[-1] is None else not values[-1]
+            elif kind is _ENTER and node.name in ast.AGGREGATES:
+                raise TypeMismatch(f"{node.name} is only allowed in WITH/RETURN projections")
+            elif kind is _ENTER:
+                raise TypeMismatch(f"unknown function {node.name}")
+            else:
+                raise TypeMismatch(f"cannot evaluate {node!r}")
+        return values[0]
 
-    def _binary(self, expr: Binary, row: dict):
-        if expr.op in ("AND", "OR"):
-            left = self.scalar(expr.left, row)
-            right = self.scalar(expr.right, row)
-            if expr.op == "AND":
-                if left is False or right is False:
-                    return False
-                return None if left is None or right is None else bool(left and right)
+    def _binary(self, expr: Binary, left, right):
+        if expr.op == "AND":
+            if left is False or right is False:
+                return False
+            return None if left is None or right is None else bool(left and right)
+        if expr.op == "OR":
             if left is True or right is True:
                 return True
             return None if left is None or right is None else bool(left or right)
-        left = self.scalar(expr.left, row)
-        right = self.scalar(expr.right, row)
         if left is None or right is None:
             return None
         if expr.op == "=":
@@ -128,13 +176,7 @@ class _Evaluator:
             raise TypeMismatch(
                 f"ordering comparison on non-numeric operands: {ast.expr_text(expr)}"
             )
-        if expr.op == "<":
-            return left < right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">":
-            return left > right
-        return left >= right
+        return _ORDERINGS[expr.op](left, right)
 
     @staticmethod
     def _equal(left, right) -> bool:
@@ -275,13 +317,13 @@ class _Evaluator:
 
     def project(self, items, rows: list):
         """Shared WITH/RETURN projection with aggregate grouping."""
-        aggregated = any(ast.has_aggregate(expr) for expr, _ in items)
-        if not aggregated:
+        aggregated = [ast.has_aggregate(expr) for expr, _ in items]
+        if not any(aggregated):
             return [
                 {alias: self.scalar(expr, row) for expr, alias in items} for row in rows
             ]
-        key_items = [(expr, alias) for expr, alias in items if not ast.has_aggregate(expr)]
-        agg_items = [(expr, alias) for expr, alias in items if ast.has_aggregate(expr)]
+        key_items = [item for item, agg in zip(items, aggregated) if not agg]
+        agg_items = [item for item, agg in zip(items, aggregated) if agg]
         groups = {}
         order = []
         for row in rows:
@@ -301,14 +343,23 @@ class _Evaluator:
         return out
 
     def _aggregate(self, expr, rows: list):
-        if isinstance(expr, Func) and expr.name == "COLLECT":
-            values = [self.scalar(expr.arg, row) for row in rows]
-            return [v for v in values if v is not None]
-        if isinstance(expr, Func) and expr.name == "COUNT":
-            return sum(1 for row in rows if self.scalar(expr.arg, row) is not None)
-        if isinstance(expr, Func) and expr.name == "SIZE":
-            return _size(self._aggregate(expr.arg, rows), expr)
-        raise TypeMismatch(f"unsupported aggregate expression: {ast.expr_text(expr)}")
+        sizes = []  # the SIZE calls around the aggregate, outermost first
+        while isinstance(expr, Func) and expr.name == "SIZE":
+            sizes.append(expr)
+            expr = expr.arg
+        if not isinstance(expr, Func) or expr.name not in ast.AGGREGATES:
+            raise TypeMismatch(f"unsupported aggregate expression: {ast.expr_text(expr)}")
+        values = [self.scalar(expr.arg, row) for row in rows]
+        value = [v for v in values if v is not None]
+        if expr.name == "COUNT":
+            value = len(value)
+        elif _list_depth(value) > MAX_LIST_DEPTH:
+            raise TypeMismatch(
+                f"lists nested more than {MAX_LIST_DEPTH} deep: {ast.expr_text(expr)}"
+            )
+        for size in reversed(sizes):
+            value = _size(value, size)
+        return value
 
     # -- pipeline ----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the supported Cypher subset.
+"""Parser for the supported Cypher subset.
 
 Grammar (EBNF in docs/query-grammar.md): MATCH / OPTIONAL MATCH with
 directed patterns and variable-length relationships, WITH projections,
@@ -33,6 +33,12 @@ from .ast import (
 
 KEYWORDS = {"MATCH", "OPTIONAL", "WITH", "WHERE", "UNWIND", "RETURN", "AS", "AND", "OR", "NOT"}
 FUNCTIONS = {"COLLECT", "COUNT", "SIZE"}
+
+#: Binding strength of each binary operator; all are left-associative.
+#: Prefix NOT binds at 3: looser than a comparison, tighter than AND.
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+_BINARY = {"OR": 1, "AND": 2, **dict.fromkeys(_COMPARISONS, 4)}
+_STRENGTH = {**_BINARY, "NOT": 3}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -267,35 +273,49 @@ class _Parser:
     # -- expressions -------------------------------------------------------
 
     def expression(self):
-        return self.or_expr()
-
-    def or_expr(self):
-        left = self.and_expr()
-        while self.at_keyword("OR"):
+        """An expression, by operator precedence over an operand stack and
+        an operator stack that also holds each open "(" or function name."""
+        operands, ops = [], []
+        while True:
+            # Prefix NOTs and group openers, then an atom.
+            while True:
+                if self.at_keyword("NOT") and not (ops and ops[-1] in _COMPARISONS):
+                    ops.append("NOT")
+                elif self.at_punct("("):
+                    ops.append("(")
+                elif self.cur.kind == "id" and self.cur.text.upper() in FUNCTIONS:
+                    ops.append(self.cur.text.upper())
+                    self.pos += 1
+                    self.take_punct("(")
+                    continue
+                else:
+                    break
+                self.pos += 1
+            operands.append(self.atom())
+            # Apply the pending operators that bind at least as tightly as
+            # what follows: a group closer, a binary operator or the end.
+            while True:
+                op = self.cur.text.upper() if self.cur.kind in ("id", "punct") else ""
+                strength = _BINARY.get(op, 1)
+                while ops and _STRENGTH.get(ops[-1], 0) >= strength:
+                    pending = ops.pop()
+                    if pending == "NOT":
+                        operands[-1] = Not(operands[-1])
+                    else:
+                        right = operands.pop()
+                        operands[-1] = Binary(pending, operands[-1], right)
+                if op in _BINARY:
+                    break
+                if not ops:
+                    return operands.pop()
+                if not self.at_punct(")"):
+                    raise self.error("')'")
+                self.pos += 1
+                opener = ops.pop()
+                if opener != "(":
+                    operands[-1] = self.postfix(Func(opener, operands[-1]))
+            ops.append(op)
             self.pos += 1
-            left = Binary("OR", left, self.and_expr())
-        return left
-
-    def and_expr(self):
-        left = self.not_expr()
-        while self.at_keyword("AND"):
-            self.pos += 1
-            left = Binary("AND", left, self.not_expr())
-        return left
-
-    def not_expr(self):
-        if self.at_keyword("NOT"):
-            self.pos += 1
-            return Not(self.not_expr())
-        return self.comparison()
-
-    def comparison(self):
-        left = self.atom()
-        while self.cur.kind == "punct" and self.cur.text in ("=", "<>", "<", "<=", ">", ">="):
-            op = self.cur.text
-            self.pos += 1
-            left = Binary(op, left, self.atom())
-        return left
 
     def atom(self):
         tok = self.cur
@@ -306,18 +326,6 @@ class _Parser:
         if tok.kind == "str":
             self.pos += 1
             return Literal(_unescape(tok.text[1:-1]))
-        if self.at_punct("("):
-            self.pos += 1
-            expr = self.expression()
-            self.take_punct(")")
-            return expr
-        if tok.kind == "id" and tok.text.upper() in FUNCTIONS:
-            name = tok.text.upper()
-            self.pos += 1
-            self.take_punct("(")
-            arg = self.expression()
-            self.take_punct(")")
-            return self.postfix(Func(name, arg))
         if tok.kind in ("id", "backtick"):
             return self.postfix(Var(self.take_name()))
         raise self.error("an expression")

@@ -12,7 +12,6 @@ declared capability gap because a call graph carries no data flow.
 from __future__ import annotations
 
 import logging
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -54,28 +53,14 @@ class _CallGraphIndex:
     by_name: dict  # call-site Name -> call-site ids, ascending
 
 
-#: Index per sealed graph; an entry goes away with its graph.
-_INDEXES = weakref.WeakKeyDictionary()
-
-
 def _index(graph: PropertyGraph) -> _CallGraphIndex:
-    """The call-graph index of graph, built once per sealed graph. An
-    unsealed graph can still change, so its index is never kept."""
-    index = _INDEXES.get(graph)
-    if index is None:
-        index = _build_index(graph)
-        if graph.sealed:
-            _INDEXES[graph] = index
-    return index
-
-
-def _build_index(graph: PropertyGraph) -> _CallGraphIndex:
     """Partition CallGraph nodes into function entries and call sites.
 
     Roots (no incoming CALLS edge) are function entries; an entry's
     CALLS targets are call sites; a call site's CALLS target is the
     entry of the function it invokes. Alternating from the roots
-    classifies every node, including recursive cycles.
+    classifies every node, including recursive cycles. Callers read it
+    through graph.derived, which builds it once per sealed graph.
     """
     roots = [
         n.id
@@ -105,12 +90,12 @@ def _build_index(graph: PropertyGraph) -> _CallGraphIndex:
 def entry_nodes(graph: PropertyGraph) -> list:
     """CallGraph roots (no incoming CALLS edge), ascending id, with a
     node named `main` listed first when present."""
-    return list(_index(graph).roots)
+    return list(graph.derived(_index).roots)
 
 
 def _call_sites_matching(graph: PropertyGraph, names: list) -> list:
     """Call sites whose Name is one of names, ascending id."""
-    by_name = _index(graph).by_name
+    by_name = graph.derived(_index).by_name
     return sorted(set().union(*(by_name.get(name, ()) for name in names)))
 
 
@@ -213,7 +198,7 @@ def detect_signal_nonreentrant(graph: PropertyGraph, cwe: CweRecord) -> list:
     """A signal handler that reaches a non-reentrant procedure. The
     handler is resolved from the second argument of a signal() call;
     witness paths run from the handler's entry to the offending call."""
-    entries = _index(graph).entries
+    entries = graph.derived(_index).entries
     offending = _call_sites_matching(graph, cwe.function_events)
     findings = []
     for node_id in _call_sites_matching(graph, ["signal"]):

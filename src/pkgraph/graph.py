@@ -109,6 +109,7 @@ class PropertyGraph:
         self._next_node_id = 1
         self._next_edge_id = 1
         self._sealed = False
+        self._derived: dict = {}
 
     # -- mutation ----------------------------------------------------------
 
@@ -148,6 +149,17 @@ class PropertyGraph:
     @property
     def sealed(self) -> bool:
         return self._sealed
+
+    def derived(self, build):
+        """build(self), kept with the graph once it is sealed, so it is
+        built once and goes away with the graph. An unsealed graph can
+        still change, so there each call builds afresh."""
+        value = self._derived.get(build)
+        if value is None:
+            value = build(self)
+            if self._sealed:
+                self._derived[build] = value
+        return value
 
     # -- lookup ------------------------------------------------------------
 

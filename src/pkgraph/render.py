@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import weakref
 
 from .graph import Node, Path, PropertyGraph
 
@@ -52,20 +51,10 @@ def render_node(node: Node) -> str:
     return f"(:{node.label} {{{body}}})"
 
 
-#: Sealed graph -> (node id -> node text, edge id -> step text). An entry
-#: goes away with its graph.
-_TEXTS = weakref.WeakKeyDictionary()
-
-
 def _texts(graph: PropertyGraph) -> tuple:
-    """The node and step text caches of graph. An unsealed graph can
-    still change, so its caches are fresh on each call and never kept."""
-    texts = _TEXTS.get(graph)
-    if texts is None:
-        texts = ({}, {})
-        if graph.sealed:
-            _TEXTS[graph] = texts
-    return texts
+    """The caches (node id -> node text, edge id -> step text) of graph,
+    kept with it once it is sealed."""
+    return ({}, {})
 
 
 def _node_text(graph: PropertyGraph, nodes: dict, node_id: int) -> str:
@@ -80,7 +69,7 @@ def render_path(graph: PropertyGraph, path: Path) -> str:
     edge. A step is keyed by its edge id alone: path.nodes[k + 1] is the
     target of path.edges[k] in every path that enumerate_paths or the
     query matcher builds."""
-    nodes, steps = _texts(graph)
+    nodes, steps = graph.derived(_texts)
     try:
         tail = [steps[edge_id] for edge_id in path.edges]
     except KeyError:
@@ -98,7 +87,7 @@ def render_value(value, graph: PropertyGraph) -> str:
     if value is None:
         return "null"
     if isinstance(value, Node):
-        return _node_text(graph, _texts(graph)[0], value.id)
+        return _node_text(graph, graph.derived(_texts)[0], value.id)
     if isinstance(value, Path):
         return render_path(graph, value)
     if isinstance(value, list):

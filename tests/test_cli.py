@@ -280,7 +280,7 @@ class TestUnreadableInput:
 
 # Catalogs are the bundled header over bundled rows, or a mix of the
 # bundled cells and CSV punctuation; queries are template lines, or a mix
-# of the templates' words.
+# of the templates' words and the tokens that nest expressions.
 CATALOG_LINES = (DATA / "cwe-catalog.csv").read_text().splitlines(keepends=True)
 CATALOG_FRAGMENTS = sorted(
     {cell for line in CATALOG_LINES for cell in line.split(",")}
@@ -298,7 +298,10 @@ TEMPLATE_LINES = [
     for cwe_id in ("CWE-242", "CWE-415")
     for line in generate_detection_query(catalog_entry(cwe_id), "main").splitlines()
 ]
-QUERY_FRAGMENTS = sorted({word for line in TEMPLATE_LINES for word in line.split()})
+QUERY_FRAGMENTS = sorted(
+    {word for line in TEMPLATE_LINES for word in line.split()}
+    | {"(", ")", "NOT", "AND", "OR", "SIZE("}
+)
 query_texts = st.one_of(
     st.lists(st.sampled_from(TEMPLATE_LINES), max_size=10).map("".join),
     st.lists(st.sampled_from(QUERY_FRAGMENTS), max_size=30).map(" ".join),

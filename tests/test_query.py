@@ -1,25 +1,34 @@
+import io
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    DATA,
     DOUBLE_FREE_INTERPROC_SRC,
     DOUBLE_FREE_SRC,
     call_graph_of,
     catalog_entry,
     merged_graph_of,
 )
+from pkgraph.cli import run_cli
 from pkgraph.cypher import ast
+from pkgraph.cypher.ast import Binary, Func, Literal, Not, Prop, Var
 from pkgraph.cypher.eval import (
+    MAX_LIST_DEPTH,
     AlreadyBound,
     TypeMismatch,
     UnboundVariable,
+    _Evaluator,
+    _list_depth,
+    _size,
     execute_query,
     format_result_table,
 )
-from pkgraph.cypher.parser import QuerySyntaxError, parse_query
+from pkgraph.cypher.parser import FUNCTIONS, QuerySyntaxError, _Parser, parse_query
 from pkgraph.detectors import generate_detection_query
-from pkgraph.graph import Path, PropertyGraph, values_equal
+from pkgraph.graph import Node, Path, PropertyGraph, values_equal
 from pkgraph.render import render_node, render_value
 from pkgraph.vulndata import CweRecord
 
@@ -506,3 +515,425 @@ class TestFormatResultTable:
             execute_query(parse_query("MATCH (n) RETURN 7.5 AS score"), graph)
         )
         assert text == "score\n7.5\n"
+
+
+# -- reference expression layer ---------------------------------------------
+#
+# The recursive descent parser and the recursive evaluator, printer and
+# aggregate check that the precedence loop and ast.walk replaced. They
+# recurse once per operator, so they serve as oracles at small depth only.
+
+
+class ReferenceParser(_Parser):
+    def expression(self):
+        return self.or_expr()
+
+    def or_expr(self):
+        left = self.and_expr()
+        while self.at_keyword("OR"):
+            self.pos += 1
+            left = Binary("OR", left, self.and_expr())
+        return left
+
+    def and_expr(self):
+        left = self.not_expr()
+        while self.at_keyword("AND"):
+            self.pos += 1
+            left = Binary("AND", left, self.not_expr())
+        return left
+
+    def not_expr(self):
+        if self.at_keyword("NOT"):
+            self.pos += 1
+            return Not(self.not_expr())
+        return self.comparison()
+
+    def comparison(self):
+        left = self.atom()
+        while self.cur.kind == "punct" and self.cur.text in ("=", "<>", "<", "<=", ">", ">="):
+            op = self.cur.text
+            self.pos += 1
+            left = Binary(op, left, self.atom())
+        return left
+
+    def atom(self):
+        tok = self.cur
+        if self.at_punct("("):
+            self.pos += 1
+            expr = self.expression()
+            self.take_punct(")")
+            return expr
+        if tok.kind == "id" and tok.text.upper() in FUNCTIONS:
+            name = tok.text.upper()
+            self.pos += 1
+            self.take_punct("(")
+            arg = self.expression()
+            self.take_punct(")")
+            return self.postfix(Func(name, arg))
+        return super().atom()
+
+
+def reference_parse_query(text):
+    return ReferenceParser(text).parse()
+
+
+def reference_has_aggregate(expr):
+    if isinstance(expr, Func):
+        return expr.name in ast.AGGREGATES or reference_has_aggregate(expr.arg)
+    if isinstance(expr, Binary):
+        return reference_has_aggregate(expr.left) or reference_has_aggregate(expr.right)
+    if isinstance(expr, Not):
+        return reference_has_aggregate(expr.operand)
+    return False
+
+
+def reference_expr_text(expr):
+    if isinstance(expr, Literal):
+        if isinstance(expr.value, str):
+            escaped = expr.value.replace("\\", "\\\\").replace('"', '\\"')
+            return f'"{escaped}"'
+        return repr(expr.value)
+    if isinstance(expr, Var):
+        return ast._quote_ident(expr.name)
+    if isinstance(expr, Prop):
+        return f"{ast._quote_ident(expr.var)}.{ast._quote_ident(expr.key)}"
+    if isinstance(expr, Func):
+        return f"{expr.name}({reference_expr_text(expr.arg)})"
+    if isinstance(expr, Binary):
+        return f"({reference_expr_text(expr.left)} {expr.op} {reference_expr_text(expr.right)})"
+    if isinstance(expr, Not):
+        return f"(NOT {reference_expr_text(expr.operand)})"
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def reference_scalar(evaluator, expr, row):
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Var):
+        if expr.name not in row:
+            raise UnboundVariable(f"unbound variable {expr.name!r}")
+        return row[expr.name]
+    if isinstance(expr, Prop):
+        if expr.var not in row:
+            raise UnboundVariable(f"unbound variable {expr.var!r} in {expr.var}.{expr.key}")
+        subject = row[expr.var]
+        if subject is None:
+            return None
+        if not isinstance(subject, Node):
+            raise TypeMismatch(f"{expr.var}.{expr.key}: {expr.var} is not a node")
+        return subject.properties.get(expr.key)
+    if isinstance(expr, Func):
+        if expr.name in ast.AGGREGATES:
+            raise TypeMismatch(f"{expr.name} is only allowed in WITH/RETURN projections")
+        if expr.name == "SIZE":
+            return _size(reference_scalar(evaluator, expr.arg, row), expr)
+        raise TypeMismatch(f"unknown function {expr.name}")
+    if isinstance(expr, Binary):
+        return reference_binary(evaluator, expr, row)
+    if isinstance(expr, Not):
+        value = reference_scalar(evaluator, expr.operand, row)
+        return None if value is None else not value
+    raise TypeMismatch(f"cannot evaluate {expr!r}")
+
+
+def reference_binary(evaluator, expr, row):
+    if expr.op in ("AND", "OR"):
+        left = reference_scalar(evaluator, expr.left, row)
+        right = reference_scalar(evaluator, expr.right, row)
+        if expr.op == "AND":
+            if left is False or right is False:
+                return False
+            return None if left is None or right is None else bool(left and right)
+        if left is True or right is True:
+            return True
+        return None if left is None or right is None else bool(left or right)
+    left = reference_scalar(evaluator, expr.left, row)
+    right = reference_scalar(evaluator, expr.right, row)
+    if left is None or right is None:
+        return None
+    if expr.op == "=":
+        return evaluator._equal(left, right)
+    if expr.op == "<>":
+        return not evaluator._equal(left, right)
+    if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
+        raise TypeMismatch(f"ordering comparison on non-numeric operands: {ast.expr_text(expr)}")
+    if expr.op == "<":
+        return left < right
+    if expr.op == "<=":
+        return left <= right
+    if expr.op == ">":
+        return left > right
+    return left >= right
+
+
+def reference_aggregate(evaluator, expr, rows):
+    if isinstance(expr, Func) and expr.name == "COLLECT":
+        values = [evaluator.scalar(expr.arg, row) for row in rows]
+        return [v for v in values if v is not None]
+    if isinstance(expr, Func) and expr.name == "COUNT":
+        return sum(1 for row in rows if evaluator.scalar(expr.arg, row) is not None)
+    if isinstance(expr, Func) and expr.name == "SIZE":
+        return _size(reference_aggregate(evaluator, expr.arg, rows), expr)
+    raise TypeMismatch(f"unsupported aggregate expression: {ast.expr_text(expr)}")
+
+
+class ReferenceEvaluator(_Evaluator):
+    scalar = reference_scalar
+    _aggregate = reference_aggregate
+
+
+def outcome(function, *args):
+    """repr of what function returns, or the type and text of the error it
+    raises: repr tells 1 from 1.0 and True, which == does not."""
+    try:
+        return "value", repr(function(*args))
+    except (QuerySyntaxError, TypeMismatch, UnboundVariable) as exc:
+        return type(exc).__name__, str(exc)
+
+
+COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+STRENGTH = {"OR": 1, "AND": 2, **dict.fromkeys(COMPARISONS, 4)}
+NAMES = ("a", "b", "n", "missing")  # rows bind a, b and n
+KEYS = ("Name", "ExecOrder", "Argument1", "Missing")
+
+leaf_exprs = st.one_of(
+    st.integers(0, 3).map(Literal),
+    st.sampled_from([0.5, 2.0]).map(Literal),
+    st.sampled_from(["", "gets", 'q"\\']).map(Literal),
+    st.sampled_from(NAMES).map(Var),
+    st.builds(Prop, st.sampled_from(NAMES), st.sampled_from(KEYS)),
+)
+expr_trees = st.recursive(
+    leaf_exprs,
+    lambda kids: st.one_of(
+        st.builds(Binary, st.sampled_from(list(STRENGTH)), kids, kids),
+        st.builds(Not, kids),
+        st.builds(Func, st.sampled_from(["COLLECT", "COUNT", "SIZE", "SIZE"]), kids),
+    ),
+    max_leaves=8,
+)
+
+NODES = [
+    Node(1, "CallGraph", {"Name": "gets", "ExecOrder": 2, "Argument1": "buf"}),
+    Node(2, "CallGraph", {"Name": "main", "ExecOrder": 1}),
+    Node(3, "CWE", {"Name": ["gets", "atoi"]}),
+]
+row_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(0, 3),
+    st.sampled_from([0.5, 2.0, "", "gets", "buf"]),
+    st.lists(st.sampled_from(["gets", "atoi"]), max_size=2),
+    st.sampled_from(NODES),
+)
+rows = st.fixed_dictionaries({"a": row_values, "b": row_values, "n": row_values})
+
+
+@st.composite
+def printed_exprs(draw):
+    """(tree, text): text parses to tree. Parentheses appear where the
+    precedence needs them, and at random elsewhere; keywords and function
+    names in random case."""
+    tree = draw(expr_trees)
+
+    def text(node, need):
+        if isinstance(node, Binary):
+            strength = STRENGTH[node.op]
+            op = draw(st.sampled_from([node.op, node.op.lower()]))
+            out = f"{text(node.left, strength)} {op} {text(node.right, strength + 1)}"
+        elif isinstance(node, Not):
+            strength = 3
+            out = f"{draw(st.sampled_from(['NOT', 'not']))} {text(node.operand, 3)}"
+        elif isinstance(node, Func):
+            strength = 5
+            out = f"{draw(st.sampled_from([node.name, node.name.lower()]))}({text(node.arg, 0)})"
+        else:
+            strength = 5
+            out = ast.expr_text(node)
+        if strength < need or draw(st.integers(0, 5)) == 0:
+            out = f"({out})"
+        return out
+
+    return tree, text(tree, 0)
+
+
+EXPR_FRAGMENTS = [
+    "a", "n.Name", "n.", "1", "2.5", '"x"', "`b`", "NOT", "not", "AND", "OR", "=", "<>", "<",
+    "<=", ">", ">=", "(", ")", "COUNT(", "size", "SIZE(", "COLLECT(", ".", "AS", ",", "}", "-",
+]
+expr_soups = st.lists(st.sampled_from(EXPR_FRAGMENTS), min_size=1, max_size=16).map(" ".join)
+
+
+@st.composite
+def mutated_exprs(draw):
+    """A printed expression with one span deleted or one fragment inserted."""
+    _, text = draw(printed_exprs())
+    at = draw(st.integers(0, len(text)))
+    if draw(st.booleans()):
+        return text[:at] + text[at + draw(st.integers(1, 4)):]
+    return text[:at] + " " + draw(st.sampled_from(EXPR_FRAGMENTS)) + " " + text[at:]
+
+
+def query_contexts(text):
+    """Each clause position an expression can take."""
+    return [
+        f"RETURN {text}",
+        f"RETURN {text} AS v, 1",
+        f"WITH {text} AS v RETURN v",
+        f"MATCH (n {{Name: {text}}}) WHERE {text} RETURN n",
+        f"UNWIND {text} AS v RETURN v",
+    ]
+
+
+class TestExpressionOracle:
+    """The precedence loop and ast.walk against the recursive reference."""
+
+    @given(printed_exprs())
+    @settings(max_examples=300, deadline=None)
+    def test_printed_expression_parses_to_its_tree(self, printed):
+        tree, text = printed
+        for parse in (parse_query, reference_parse_query):
+            (item,) = parse(f"RETURN {text} AS v").clauses[0].items
+            assert repr(item[0]) == repr(tree)
+
+    @given(st.one_of(expr_soups, mutated_exprs()))
+    @settings(max_examples=500, deadline=None)
+    @example("a = NOT b")
+    @example("NOT a = b AND NOT NOT c OR d")
+    @example("COUNT(n).Name")
+    @example("(n).Name")
+    @example("((a) b")
+    @example("SIZE n")
+    @example("a.b.c")
+    def test_same_tree_or_first_error(self, text):
+        for query in query_contexts(text):
+            assert outcome(parse_query, query) == outcome(reference_parse_query, query), query
+
+    @given(expr_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_text_and_aggregate_check(self, tree):
+        assert ast.expr_text(tree) == reference_expr_text(tree)
+        assert ast.has_aggregate(tree) == reference_has_aggregate(tree)
+
+    @given(expr_trees, rows)
+    @settings(max_examples=500, deadline=None)
+    @example(Binary("=", Func("SIZE", Var("missing")), Func("COUNT", Var("missing"))), {})
+    @example(Binary("<", Literal("x"), Var("missing")), {})
+    @example(Func("NOPE", Var("missing")), {})
+    def test_same_value_or_first_error(self, tree, row):
+        graph = PropertyGraph()
+        graph.seal()
+        want = outcome(ReferenceEvaluator(graph).scalar, tree, row)
+        assert outcome(_Evaluator(graph).scalar, tree, row) == want
+
+    @given(st.lists(expr_trees, min_size=1, max_size=3), st.lists(rows, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_one_evaluator_over_many_rows(self, trees, many_rows):
+        """The steps an evaluator keeps per expression serve every row."""
+        graph = PropertyGraph()
+        graph.seal()
+        reference, evaluator = ReferenceEvaluator(graph), _Evaluator(graph)
+        for row in many_rows:
+            for tree in trees:
+                want = outcome(reference.scalar, tree, row)
+                assert outcome(evaluator.scalar, tree, row) == want
+
+    @given(expr_trees, expr_trees)
+    @settings(max_examples=200, deadline=None)
+    @example(Binary("=", Var("a"), Var("a")), Func("COUNT", Prop("n", "Argument1")))
+    @example(
+        Binary("=", Var("a"), Var("a")), Func("SIZE", Func("COLLECT", Prop("n", "Argument1")))
+    )
+    def test_same_table_or_first_error(self, where, item):
+        graph, _, _ = merged_graph_of(DOUBLE_FREE_SRC)
+        text = (
+            "MATCH (n:CallGraph) WITH n, n.Name AS a, n.ExecOrder AS b "
+            f"WHERE {ast.expr_text(where)} RETURN {ast.expr_text(item)}, a"
+        )
+        query = parse_query(text)
+        want = outcome(ReferenceEvaluator(graph).execute, query)
+        assert outcome(_Evaluator(graph).execute, query) == want
+
+
+GETS_SAMPLE = DATA / "corpus" / "cwe242_gets.c"
+
+
+def run_query(text):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = run_cli(
+        ["query", str(GETS_SAMPLE)], stdin=io.StringIO(text), stdout=stdout, stderr=stderr
+    )
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def left_deep(op, terms):
+    """The text expr_text gives a left-deep chain of op over terms."""
+    return "(" * (len(terms) - 1) + terms[0] + "".join(f" {op} {t})" for t in terms[1:])
+
+
+class TestDeepExpressions:
+    """Long and deeply nested expressions are answered; none recurses.
+    Nested lists, which rendering, grouping and comparing do recurse
+    over, stop at MAX_LIST_DEPTH with an error."""
+
+    @pytest.mark.parametrize("op", ["OR", "AND"])
+    def test_long_chain_in_where(self, op):
+        if op == "OR":
+            terms = [f'n.Name = "f{i}"' for i in range(4999)] + ['n.Name = "gets"']
+        else:
+            terms = [f"n.ExecOrder < {100 + i}" for i in range(4999)] + ['n.Name = "gets"']
+        text = f"MATCH (n:CallGraph) WHERE {f' {op} '.join(terms)} RETURN n.Name"
+        assert run_query(text) == (0, "n.Name\ngets\n", "")
+
+    @pytest.mark.parametrize("op", ["OR", "AND"])
+    def test_long_chain_in_unaliased_return(self, op):
+        terms = [f'n.Name = "f{i}"' for i in range(4999)] + ['n.Name = "gets"']
+        text = f'MATCH (n:CallGraph {{Name: "gets"}}) RETURN {f" {op} ".join(terms)}'
+        column = left_deep(op, [f'(n.Name = "f{i}")' for i in range(4999)] + ['(n.Name = "gets")'])
+        want = "true" if op == "OR" else "false"
+        assert run_query(text) == (0, f"{column}\n{want}\n", "")
+
+    def test_nested_parentheses(self):
+        text = "MATCH (n:CallGraph) WHERE " + "(" * 5000 + 'n.Name = "gets"' + ")" * 5000
+        assert run_query(text + " RETURN n.Name") == (0, "n.Name\ngets\n", "")
+
+    def test_nested_not(self):
+        text = "MATCH (n:CallGraph) WHERE " + "NOT " * 5000 + 'n.Name = "gets" RETURN n.Name'
+        assert run_query(text) == (0, "n.Name\ngets\n", "")
+
+    @pytest.mark.parametrize("inner", ["n.Missing", "COLLECT(n)"])
+    def test_nested_size_in_return(self, inner):
+        item = "SIZE(" * 3000 + inner + ")" * 3000
+        column = "SIZE(" * 3000 + inner + ")" * 3000
+        text = f'MATCH (n:CallGraph {{Name: "nothing"}}) RETURN {item}'
+        assert run_query(text) == (0, f"{column}\n", "")
+
+    def test_collect_chain_past_the_list_depth_limit(self):
+        text = "MATCH (n:CallGraph) WITH COLLECT(n) AS x" + " WITH COLLECT(x) AS x" * 1000
+        assert run_query(text + " RETURN x") == (
+            3, "", "pkgraph: error: lists nested more than 100 deep: COLLECT(x)\n"
+        )
+
+    def test_list_depth_is_that_of_the_deepest_element(self):
+        shared = [["a"]]
+        assert _list_depth([]) == 1
+        assert _list_depth(["a", ["b"], [["c"]], "d"]) == 3
+        assert _list_depth([[[["c"]]], "a", ["b"]]) == 4
+        assert _list_depth([shared, shared, [shared]]) == 4
+
+    def test_lists_at_the_depth_limit_are_compared_grouped_and_rendered(self):
+        text = (
+            'MATCH (n:CallGraph {Name: "gets"}) WITH COLLECT(n.Name) AS x'
+            + " WITH COLLECT(x) AS x" * (MAX_LIST_DEPTH - 2)
+            + " WITH COLLECT(x) AS x, COLLECT(x) AS y WHERE x = y"
+            + " WITH x, COUNT(y) AS c RETURN x, c"
+        )
+        cell = "[" * MAX_LIST_DEPTH + "gets" + "]" * MAX_LIST_DEPTH
+        assert run_query(text) == (0, f"x | c\n{cell} | 1\n", "")
+
+    @pytest.mark.parametrize("inner", ["n.Missing", "COLLECT(n)"])
+    def test_nested_size_of_a_number(self, inner):
+        item = "SIZE(" * 3000 + inner + ")" * 3000
+        text = f'MATCH (n:CallGraph {{Name: "gets"}}) RETURN {item} AS s'
+        failing = "SIZE(SIZE(" + inner + "))"
+        assert run_query(text) == (3, "", f"pkgraph: error: SIZE of non-list: {failing}\n")

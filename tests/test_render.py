@@ -202,20 +202,38 @@ class TestRenderCache:
         assert render_value(graph.node(call), graph) == '(:CallGraph {Name: "fgets"})'
 
     def test_cache_entry_goes_with_its_graph(self):
+        class Marker:
+            pass
+
         def rendered_graph():
             graph, _ = call_graph_of(DOUBLE_FREE_SRC)
             foo = node_named(graph, "foo")
             for path in graph.enumerate_paths(foo.id, {n.id for n in graph.nodes()}):
                 render_path(graph, path)
-            assert graph in render._TEXTS
-            return weakref.ref(graph)
+            nodes, _ = graph.derived(render._texts)
+            assert nodes
+            marker = nodes[0] = Marker()
+            return weakref.ref(graph), weakref.ref(marker)
 
         gc.collect()
-        before = len(render._TEXTS)
-        graph = rendered_graph()
+        graph, marker = rendered_graph()
         gc.collect()
         assert graph() is None
-        assert len(render._TEXTS) == before
+        assert marker() is None
+
+    @pytest.mark.parametrize("sealed", [True, False])
+    def test_only_a_sealed_graph_keeps_its_texts(self, sealed, monkeypatch):
+        graph = PropertyGraph()
+        main = graph.add_node("CallGraph", {"Name": "main"})
+        call = graph.add_node("CallGraph", {"Name": "gets"})
+        path = Path((main, call), (graph.add_edge(main, call, "CALLS"),))
+        if sealed:
+            graph.seal()
+        rendered = []
+        monkeypatch.setattr(render, "render_node", lambda node: rendered.append(node.id) or "")
+        render_path(graph, path)
+        render_path(graph, path)
+        assert sorted(rendered) == ([main, call] if sealed else [main, main, call, call])
 
 
 # Each of d1..d10 calls the next twice, so gets has 2**10 witness paths.
