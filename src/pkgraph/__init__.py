@@ -18,8 +18,11 @@ from .vulndata import (
     build_knowledge_graph,
 )
 from .detectors import Finding, DetectorCapability, run_all, generate_detection_query
-from .cypher.parser import parse_query, QuerySyntaxError
-from .cypher.eval import execute_query, format_result_table
+
+#: The query engine's names. A scan never runs a query, so pkgraph.cypher
+#: is imported on first access to one of them (PEP 562), not with the
+#: package.
+_QUERY_NAMES = {"parse_query", "QuerySyntaxError", "execute_query", "format_result_table"}
 
 __all__ = [
     "PropertyGraph",
@@ -47,3 +50,15 @@ __all__ = [
     "format_result_table",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _QUERY_NAMES:
+        from . import cypher
+
+        return getattr(cypher, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_QUERY_NAMES})

@@ -15,8 +15,6 @@ from pathlib import Path
 
 from . import __version__
 from .cparse import ParseError, extract_translation_unit, build_call_graph
-from .cypher.eval import EvalError, execute_query, format_result_table
-from .cypher.parser import QuerySyntaxError, parse_query
 from .detectors import run_all
 from .graph import PropertyGraph
 from .render import (
@@ -33,8 +31,8 @@ class _UsageError(Exception):
     pass
 
 
-class _UnreadableFile(Exception):
-    pass
+class _InputError(Exception):
+    """Bad input, described in full by the message."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -94,7 +92,7 @@ def _read_text(path: str) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise _UnreadableFile(f"{path}: line {line}: not UTF-8: {exc.reason}") from None
+        raise _InputError(f"{path}: line {line}: not UTF-8: {exc.reason}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -164,13 +162,20 @@ def _cmd_scan(args, stdin, stdout) -> int:
 
 
 def _cmd_query(args, stdin, stdout) -> int:
+    # Only this command loads the query engine.
+    from .cypher.eval import EvalError, execute_query, format_result_table
+    from .cypher.parser import QuerySyntaxError, parse_query
+
     if args.query_file:
         text = _read_text(args.query_file)
     else:
         text = stdin.read()
-    query = parse_query(text)
-    graph, _ = _merged_graph(args.source, _load_catalog(args.catalog))
-    stdout.write(format_result_table(execute_query(query, graph)))
+    try:
+        query = parse_query(text)
+        graph, _ = _merged_graph(args.source, _load_catalog(args.catalog))
+        stdout.write(format_result_table(execute_query(query, graph)))
+    except (QuerySyntaxError, EvalError) as exc:
+        raise _InputError(str(exc)) from exc
     return 0
 
 
@@ -195,8 +200,7 @@ def run_cli(argv, stdin=None, stdout=None, stderr=None) -> int:
     try:
         return args.run(args, stdin, stdout)
     except (
-        ParseError, CsvError, QuerySyntaxError, EvalError, ExportError, OSError,
-        UnicodeDecodeError, _UnreadableFile,
+        ParseError, CsvError, ExportError, OSError, UnicodeDecodeError, _InputError,
     ) as exc:
         print(f"pkgraph: error: {exc}", file=stderr)
         return 3

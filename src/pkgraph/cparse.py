@@ -12,14 +12,11 @@ textual order. See docs/c-subset.md for the recognized grammar.
 
 from __future__ import annotations
 
-import logging
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from typing import Optional
 
-from .graph import PropertyGraph
-
-log = logging.getLogger(__name__)
+from .graph import PropertyGraph, Record
 
 # Keywords that look like calls but are statements/operators we descend
 # into rather than record. sizeof is intentionally absent: it must be a
@@ -89,29 +86,41 @@ def _error(blanked: str, offset: int, message: str) -> ParseError:
     return ParseError(*_position(blanked, offset), message)
 
 
-@dataclass
-class CallSite:
-    exec_order: int
-    name: str
-    arguments: list
+class CallSite(Record):
+    __slots__ = ("exec_order", "name", "arguments")
+
+    def __init__(self, exec_order: int, name: str, arguments: list):
+        self.exec_order = exec_order
+        self.name = name
+        self.arguments = arguments
 
 
-@dataclass
-class FunctionDef:
-    name: str
-    exec_order: int
-    call_sites: list = field(default_factory=list)
-    pointer_locals: set = field(default_factory=set)
+class FunctionDef(Record):
+    __slots__ = ("name", "exec_order", "call_sites", "pointer_locals")
+
+    def __init__(
+        self,
+        name: str,
+        exec_order: int,
+        call_sites: Optional[list] = None,
+        pointer_locals: Optional[set] = None,
+    ):
+        self.name = name
+        self.exec_order = exec_order
+        self.call_sites = [] if call_sites is None else call_sites
+        self.pointer_locals = set() if pointer_locals is None else pointer_locals
 
     @property
     def max_exec_order(self) -> int:
         return self.call_sites[-1].exec_order if self.call_sites else self.exec_order
 
 
-@dataclass
-class TranslationUnit:
-    functions: list = field(default_factory=list)
-    defined_names: set = field(default_factory=set)
+class TranslationUnit(Record):
+    __slots__ = ("functions", "defined_names")
+
+    def __init__(self, functions: Optional[list] = None, defined_names: Optional[set] = None):
+        self.functions = [] if functions is None else functions
+        self.defined_names = set() if defined_names is None else defined_names
 
     def enclosing_function(self, exec_order: int):
         """The function whose entry/call-site range covers exec_order."""
@@ -407,7 +416,9 @@ def extract_translation_unit(source: str) -> TranslationUnit:
         if i == run_start:
             i += 1
         elif not (i < n and kinds[i] == "id"):
-            log.warning(
+            import logging  # here, so that a clean parse does not load it
+
+            logging.getLogger(__name__).warning(
                 "skipping unparseable top-level item at %d:%d",
                 *_position(blanked, toks.starts[run_start]),
             )

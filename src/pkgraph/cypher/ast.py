@@ -7,44 +7,66 @@ patterns, optionally bound to a path variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
+
+from ..graph import FrozenRecord
 
 
 # -- expressions -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Literal:
-    value: object
+class Literal(FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: object):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(FrozenRecord):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Prop:
-    var: str
-    key: str
+class Prop(FrozenRecord):
+    __slots__ = ("var", "key")
+
+    def __init__(self, var: str, key: str):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "key", key)
 
 
-@dataclass(frozen=True)
-class Func:
-    name: str  # COLLECT | COUNT | SIZE (upper-cased)
-    arg: "Expr"
+class Func(FrozenRecord):
+    __slots__ = ("name", "arg")
+
+    def __init__(
+        self,
+        name: str,  # COLLECT | COUNT | SIZE (upper-cased)
+        arg: "Expr",
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # AND OR > >= < <= = <>
-    left: "Expr"
-    right: "Expr"
+class Binary(FrozenRecord):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(
+        self,
+        op: str,  # AND OR > >= < <= = <>
+        left: "Expr",
+        right: "Expr",
+    ):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Expr"
+class Not(FrozenRecord):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Expr"):
+        object.__setattr__(self, "operand", operand)
 
 
 Expr = object
@@ -78,58 +100,90 @@ def has_aggregate(expr: Expr) -> bool:
 
 # -- patterns ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NodePattern:
-    var: Optional[str]
-    label: Optional[str]
-    props: Tuple  # of (key, Expr)
+class NodePattern(FrozenRecord):
+    __slots__ = ("var", "label", "props")
+
+    def __init__(
+        self,
+        var: Optional[str],
+        label: Optional[str],
+        props: Tuple,  # of (key, Expr)
+    ):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "props", props)
 
 
-@dataclass(frozen=True)
-class RelPattern:
-    type: Optional[str]
-    var_length: Optional[Tuple]  # None = single hop; else (min, max-or-None)
+class RelPattern(FrozenRecord):
+    __slots__ = ("type", "var_length")
+
+    def __init__(
+        self,
+        type: Optional[str],
+        var_length: Optional[Tuple],  # None = single hop; else (min, max-or-None)
+    ):
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "var_length", var_length)
 
 
-@dataclass(frozen=True)
-class Pattern:
-    path_var: Optional[str]
-    nodes: Tuple  # NodePattern, len == len(rels) + 1
-    rels: Tuple  # RelPattern
+class Pattern(FrozenRecord):
+    __slots__ = ("path_var", "nodes", "rels")
+
+    def __init__(
+        self,
+        path_var: Optional[str],
+        nodes: Tuple,  # NodePattern, len == len(rels) + 1
+        rels: Tuple,  # RelPattern
+    ):
+        object.__setattr__(self, "path_var", path_var)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "rels", rels)
 
 
 # -- clauses -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatchClause:
-    pattern: Pattern
-    optional: bool
+class MatchClause(FrozenRecord):
+    __slots__ = ("pattern", "optional")
+
+    def __init__(self, pattern: Pattern, optional: bool):
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "optional", optional)
 
 
-@dataclass(frozen=True)
-class WithClause:
-    items: Tuple  # of (Expr, alias)
+class WithClause(FrozenRecord):
+    __slots__ = ("items",)
+
+    def __init__(self, items: Tuple):  # of (Expr, alias)
+        object.__setattr__(self, "items", items)
 
 
-@dataclass(frozen=True)
-class WhereClause:
-    expr: Expr
+class WhereClause(FrozenRecord):
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr):
+        object.__setattr__(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class UnwindClause:
-    expr: Expr
-    alias: str
+class UnwindClause(FrozenRecord):
+    __slots__ = ("expr", "alias")
+
+    def __init__(self, expr: Expr, alias: str):
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "alias", alias)
 
 
-@dataclass(frozen=True)
-class ReturnClause:
-    items: Tuple  # of (Expr, alias-or-None)
+class ReturnClause(FrozenRecord):
+    __slots__ = ("items",)
+
+    def __init__(self, items: Tuple):  # of (Expr, alias-or-None)
+        object.__setattr__(self, "items", items)
 
 
-@dataclass(frozen=True)
-class Query:
-    clauses: Tuple
+class Query(FrozenRecord):
+    __slots__ = ("clauses",)
+
+    def __init__(self, clauses: Tuple):
+        object.__setattr__(self, "clauses", clauses)
 
 
 # -- pretty printing ---------------------------------------------------------
@@ -141,30 +195,37 @@ def _quote_ident(name: str) -> str:
 
 
 def expr_text(expr: Expr) -> str:
-    texts = []  # a stack: the text of each finished subexpression
-    for entering, node in walk(expr):
-        if entering:
-            continue
-        if isinstance(node, Literal):
+    """The canonical text of expr, each compound fully parenthesized.
+    Pieces go into one list, joined once: no level copies the text of
+    the levels below it."""
+    pieces = []
+    stack = [(False, expr)]  # (True, text) to print as it is, (False, node) to expand
+    while stack:
+        is_text, node = stack.pop()
+        if is_text:
+            pieces.append(node)
+        elif isinstance(node, Binary):
+            pieces.append("(")
+            stack += (True, ")"), (False, node.right), (True, f" {node.op} "), (False, node.left)
+        elif isinstance(node, Func):
+            pieces.append(f"{node.name}(")
+            stack += (True, ")"), (False, node.arg)
+        elif isinstance(node, Not):
+            pieces.append("(NOT ")
+            stack += (True, ")"), (False, node.operand)
+        elif isinstance(node, Literal):
             if isinstance(node.value, str):
                 escaped = node.value.replace("\\", "\\\\").replace('"', '\\"')
-                texts.append(f'"{escaped}"')
+                pieces.append(f'"{escaped}"')
             else:
-                texts.append(repr(node.value))
+                pieces.append(repr(node.value))
         elif isinstance(node, Var):
-            texts.append(_quote_ident(node.name))
+            pieces.append(_quote_ident(node.name))
         elif isinstance(node, Prop):
-            texts.append(f"{_quote_ident(node.var)}.{_quote_ident(node.key)}")
-        elif isinstance(node, Func):
-            texts[-1] = f"{node.name}({texts[-1]})"
-        elif isinstance(node, Binary):
-            right = texts.pop()
-            texts[-1] = f"({texts[-1]} {node.op} {right})"
-        elif isinstance(node, Not):
-            texts[-1] = f"(NOT {texts[-1]})"
+            pieces.append(f"{_quote_ident(node.var)}.{_quote_ident(node.key)}")
         else:
             raise TypeError(f"not an expression: {node!r}")
-    return texts[0]
+    return "".join(pieces)
 
 
 def _node_pattern_text(np: NodePattern) -> str:

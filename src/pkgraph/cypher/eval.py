@@ -11,10 +11,9 @@ nulls, property access on null is null.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import chain
 
-from ..graph import Node, Path, PropertyGraph, values_equal
+from ..graph import Node, Path, PropertyGraph, Record, values_equal
 from ..render import render_value
 from . import ast
 from .ast import Binary, Func, Literal, Not, Prop, Var
@@ -39,10 +38,12 @@ class AlreadyBound(EvalError):
     """A path variable names a variable that is already bound."""
 
 
-@dataclass
-class ResultTable:
-    columns: list
-    rows: list  # of tuples of rendered strings
+class ResultTable(Record):
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: list, rows: list):  # rows: tuples of rendered strings
+        self.columns = columns
+        self.rows = rows
 
 
 def _group_key(value):

@@ -10,9 +10,9 @@ appear. Only right-pointing relationship arrows are supported.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from ..cparse import _position
+from ..graph import FrozenRecord
 from .ast import (
     Binary,
     Func,
@@ -40,15 +40,21 @@ _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 _BINARY = {"OR": 1, "AND": 2, **dict.fromkeys(_COMPARISONS, 4)}
 _STRENGTH = {**_BINARY, "NOT": 3}
 
+# One match per token: leading whitespace and comments, then one
+# alternative per token kind, any other character, which is an error, or
+# the end of the text. Some alternative matches wherever the skip stops,
+# so the skip is never backtracked into.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>//[^\n]*)
-  | (?P<num>[0-9]+(?:\.[0-9]+)?)
+    (?:\s|//[^\n]*)*(?:
+    (?P<num>[0-9]+(?:\.[0-9]+)?)
   | (?P<str>"(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')
   | (?P<backtick>`[^`]*`)
   | (?P<id>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct><>|<=|>=|\.\.|->|[=<>(){}\[\]:,.*\-])
+  | (?P<bad>.)
+  | (?P<eof>\Z)
+    )
     """,
     re.VERBOSE,
 )
@@ -65,11 +71,15 @@ class QuerySyntaxError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # num | str | backtick | id | punct | eof
-    text: str
-    offset: int
+class _Tok(FrozenRecord):
+    """A token; kind is num, str, backtick, id, punct or eof."""
+
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "offset", offset)
 
 
 def _unescape(body: str) -> str:
@@ -78,16 +88,15 @@ def _unescape(body: str) -> str:
 
 def _lex(text: str) -> list:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise QuerySyntaxError(*_position(text, pos), f"unexpected character {text[pos]!r}")
-        if m.lastgroup not in ("ws", "comment"):
-            tokens.append(_Tok(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Tok("eof", "", pos))
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        offset = m.start(kind)
+        if kind == "bad":
+            message = f"unexpected character {text[offset]!r}"
+            raise QuerySyntaxError(*_position(text, offset), message)
+        tokens.append(_Tok(kind, m.group(kind), offset))
+        if kind == "eof":
+            return tokens
 
 
 class _Parser:

@@ -11,31 +11,38 @@ declared capability gap because a call graph carries no data flow.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .cparse import TranslationUnit
-from .graph import PropertyGraph
+from .graph import FrozenRecord, PropertyGraph, Record
 from .vulndata import CweRecord
 
-log = logging.getLogger(__name__)
+
+class Finding(Record):
+    __slots__ = ("cwe_id", "cwe_name", "witness_paths", "terminal_nodes", "message")
+
+    def __init__(
+        self,
+        cwe_id: str,
+        cwe_name: str,
+        witness_paths: list,  # of Path, each ending at a terminal node
+        terminal_nodes: list,  # node ids
+        message: str,
+    ):
+        self.cwe_id = cwe_id
+        self.cwe_name = cwe_name
+        self.witness_paths = witness_paths
+        self.terminal_nodes = terminal_nodes
+        self.message = message
 
 
-@dataclass
-class Finding:
-    cwe_id: str
-    cwe_name: str
-    witness_paths: list  # of Path, each ending at a terminal node
-    terminal_nodes: list  # node ids
-    message: str
+class DetectorCapability(Record):
+    __slots__ = ("cwe_id", "supported", "reason")
 
-
-@dataclass
-class DetectorCapability:
-    cwe_id: str
-    supported: bool
-    reason: str = ""
+    def __init__(self, cwe_id: str, supported: bool, reason: str = ""):
+        self.cwe_id = cwe_id
+        self.supported = supported
+        self.reason = reason
 
 
 class UnsupportedTemplate(Exception):
@@ -46,11 +53,18 @@ class UnsupportedTemplate(Exception):
 # Graph structure helpers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _CallGraphIndex:
-    entries: tuple  # function-entry node ids, ascending
-    roots: tuple  # entries without an incoming CALLS edge, `main` first
-    by_name: dict  # call-site Name -> call-site ids, ascending
+class _CallGraphIndex(FrozenRecord):
+    __slots__ = ("entries", "roots", "by_name")
+
+    def __init__(
+        self,
+        entries: tuple,  # function-entry node ids, ascending
+        roots: tuple,  # entries without an incoming CALLS edge, `main` first
+        by_name: dict,  # call-site Name -> call-site ids, ascending
+    ):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "by_name", by_name)
 
 
 def _index(graph: PropertyGraph) -> _CallGraphIndex:
@@ -210,7 +224,11 @@ def detect_signal_nonreentrant(graph: PropertyGraph, cwe: CweRecord) -> list:
             and graph.node(n).properties.get("Name") == handler_name
         ]
         if not handler_entries:
-            log.warning("signal handler %r cannot be resolved to a function", handler_name)
+            import logging  # here, so that a scan with nothing to warn of does not load it
+
+            logging.getLogger(__name__).warning(
+                "signal handler %r cannot be resolved to a function", handler_name
+            )
             continue
         paths = _witness_paths(graph, handler_entries, offending)
         if not paths:
@@ -280,11 +298,18 @@ def generate_detection_query(cwe: CweRecord, entry_name: str) -> str:
 # Weakness families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Family:
-    detect: Optional[Callable] = None  # (graph, tu, cwe) -> findings; None: a capability miss
-    template: Optional[str] = None  # detection query template; None: no pure-query formulation
-    unsupported: str = ""  # why the family is a capability miss
+class _Family(FrozenRecord):
+    __slots__ = ("detect", "template", "unsupported")
+
+    def __init__(
+        self,
+        detect: Optional[Callable] = None,  # (graph, tu, cwe) -> findings; None: a capability miss
+        template: Optional[str] = None,  # detection query; None: no pure-query formulation
+        unsupported: str = "",  # why the family is a capability miss
+    ):
+        object.__setattr__(self, "detect", detect)
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "unsupported", unsupported)
 
 
 # Each rule looks its detector up by module-global name when it runs:

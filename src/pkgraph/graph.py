@@ -9,7 +9,6 @@ and reads are safe from any thread.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 #: Property values are one of: text, 64-bit integer, 64-bit float, or an
@@ -54,28 +53,80 @@ def values_equal(a: PropertyValue, b: PropertyValue) -> bool:
     return a == b
 
 
-@dataclass(eq=False)
-class Node:
-    id: int
-    label: str
-    properties: dict
+class Record:
+    """A plain record. Its fields are the __slots__ of its class, which
+    sets them in its own __init__. Two records are equal when they are of
+    the same class and their fields are equal, and repr names each field."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(eq=False)
-class Edge:
-    id: int
-    source: int
-    target: int
-    type: str
-    properties: dict = field(default_factory=dict)
+class FrozenRecord(Record):
+    """A record whose fields are fixed once __init__ has set them (through
+    object.__setattr__), so it hashes by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Path:
+class Node(Record):
+    """A graph node; two nodes are equal only when they are the same node."""
+
+    __slots__ = ("id", "label", "properties")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, id: int, label: str, properties: dict):
+        self.id = id
+        self.label = label
+        self.properties = properties
+
+
+class Edge(Record):
+    """A graph edge; two edges are equal only when they are the same edge."""
+
+    __slots__ = ("id", "source", "target", "type", "properties")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, id: int, source: int, target: int, type: str, properties: Optional[dict] = None
+    ):
+        self.id = id
+        self.source = source
+        self.target = target
+        self.type = type
+        self.properties = {} if properties is None else properties
+
+
+class Path(FrozenRecord):
     """A directed walk: len(edges) == len(nodes) - 1, no edge repeated."""
 
-    nodes: tuple
-    edges: tuple
+    __slots__ = ("nodes", "edges")
+
+    def __init__(self, nodes: tuple, edges: tuple):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
 
     def __len__(self) -> int:
         return len(self.edges)

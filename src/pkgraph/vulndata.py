@@ -15,10 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
 from itertools import islice
 
-from .graph import PropertyGraph
+from .graph import PropertyGraph, Record
 
 CWE_COLUMNS = ["cwe_id", "name", "description", "function_events"]
 CVE_COLUMNS = ["cve_id", "description", "cwe_id", "cvss2_score", "product", "affected_versions"]
@@ -37,29 +36,43 @@ class CsvError(Exception):
         self.reason = reason
 
 
-@dataclass
-class CweRecord:
-    cwe_id: str
-    name: str
-    description: str
-    function_events: list
+class CweRecord(Record):
+    __slots__ = ("cwe_id", "name", "description", "function_events")
+
+    def __init__(self, cwe_id: str, name: str, description: str, function_events: list):
+        self.cwe_id = cwe_id
+        self.name = name
+        self.description = description
+        self.function_events = function_events
 
 
-@dataclass
-class CveRecord:
-    cve_id: str
-    description: str
-    cwe_id: str
-    cvss2_score: float
-    product: str
-    affected_versions: list
+class CveRecord(Record):
+    __slots__ = ("cve_id", "description", "cwe_id", "cvss2_score", "product", "affected_versions")
+
+    def __init__(
+        self,
+        cve_id: str,
+        description: str,
+        cwe_id: str,
+        cvss2_score: float,
+        product: str,
+        affected_versions: list,
+    ):
+        self.cve_id = cve_id
+        self.description = description
+        self.cwe_id = cwe_id
+        self.cvss2_score = cvss2_score
+        self.product = product
+        self.affected_versions = affected_versions
 
 
-@dataclass
-class IngestStats:
-    nodes_created: int = 0
-    edges_created: int = 0
-    orphan_cves: int = 0
+class IngestStats(Record):
+    __slots__ = ("nodes_created", "edges_created", "orphan_cves")
+
+    def __init__(self, nodes_created: int = 0, edges_created: int = 0, orphan_cves: int = 0):
+        self.nodes_created = nodes_created
+        self.edges_created = edges_created
+        self.orphan_cves = orphan_cves
 
 
 def _split_list(cell: str) -> list:

@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -9,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import catalog_entry
 from test_cparse import c_texts
+import pkgraph
+import pkgraph.cypher.parser
 from pkgraph.cli import run_cli
 from pkgraph.detectors import generate_detection_query
 
@@ -226,6 +230,132 @@ class TestUsage:
         code, _, err = cli("scan", "no-such-file.c", "--catalog", "no-such-catalog.csv")
         assert code == 3
         assert "no-such-catalog.csv" in err
+
+
+SRC = Path(pkgraph.__file__).parent.parent
+
+# Runs pkgraph commands in a fresh interpreter and prints, as JSON, each
+# command's exit code and the modules loaded since the baseline. The
+# baseline is taken after importing the standard-library modules pkgraph
+# imports, so that what they load by themselves on some Python version
+# is not counted against pkgraph.
+_FRESH_RUN = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+import argparse, bisect, csv, itertools, operator, re, typing
+from importlib import resources
+from pathlib import Path
+baseline = set(sys.modules)
+from pkgraph.cli import run_cli
+report = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    code = run_cli(argv, stdin=io.StringIO(), stdout=out, stderr=out)
+    report.append([code, sorted(set(sys.modules) - baseline)])
+print(json.dumps(report))
+"""
+
+
+def fresh_run(*commands):
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _FRESH_RUN, str(SRC), json.dumps(commands)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def not_needed_by_a_scan(modules):
+    return [
+        m for m in modules
+        if m in ("dataclasses", "logging") or m.startswith(("logging.", "pkgraph.cypher"))
+    ]
+
+
+class TestStartUp:
+    """A one-shot command imports only the code it runs."""
+
+    def test_one_shot_commands_load_no_query_engine(self, tmp_path):
+        cve = tmp_path / "cve.csv"
+        cve.write_text(
+            "cve_id,description,cwe_id,cvss2_score,product,affected_versions\n"
+            "CVE-2020-0001,d,CWE-415,7.5,Lib,1.0;1.1\n"
+        )
+        source = str(CORPUS / "cwe415_double_free.c")
+        report = fresh_run(
+            ["scan", source, "--format", "json"],
+            ["scan", source],
+            ["extract", source],
+            ["export", source, "--out", str(tmp_path / "export")],
+            ["ingest", "--cwe", str(DATA / "cwe-catalog.csv"), "--cve", str(cve),
+             "--out", str(tmp_path / "ingest")],
+        )
+        assert [code for code, _ in report] == [1, 1, 0, 0, 0]
+        modules = report[-1][1]
+        assert "pkgraph.cli" in modules
+        assert not_needed_by_a_scan(modules) == []
+
+    def test_query_loads_the_query_engine(self, tmp_path):
+        query = tmp_path / "q.cypher"
+        query.write_text('MATCH (n:CallGraph {Name: "free"}) RETURN n.Name')
+        source = str(CORPUS / "cwe415_double_free.c")
+        ((scan_code, before), (code, after)) = fresh_run(
+            ["scan", source], ["query", source, "--query-file", str(query)]
+        )
+        assert (scan_code, code) == (1, 0)
+        assert "pkgraph.cypher" not in before
+        assert {"pkgraph.cypher", "pkgraph.cypher.parser", "pkgraph.cypher.eval"} <= set(after)
+
+    def test_query_names_load_on_first_access(self):
+        code = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import pkgraph\n"
+            "before = 'pkgraph.cypher' in sys.modules\n"
+            "names = {n: getattr(pkgraph, n).__module__ for n in sorted(pkgraph._QUERY_NAMES)}\n"
+            "print(json.dumps([before, names]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code, str(SRC)], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, {
+            "QuerySyntaxError": "pkgraph.cypher.parser",
+            "execute_query": "pkgraph.cypher.eval",
+            "format_result_table": "pkgraph.cypher.eval",
+            "parse_query": "pkgraph.cypher.parser",
+        }]
+
+    def test_package_names(self):
+        from pkgraph.cypher import eval as query_eval
+
+        assert pkgraph.parse_query is pkgraph.cypher.parser.parse_query
+        assert pkgraph.QuerySyntaxError is pkgraph.cypher.parser.QuerySyntaxError
+        assert pkgraph.execute_query is query_eval.execute_query
+        assert pkgraph.format_result_table is query_eval.format_result_table
+        namespace = {}
+        exec("from pkgraph import *", namespace)
+        assert set(pkgraph.__all__) <= set(namespace)
+        assert all(namespace[name] is getattr(pkgraph, name) for name in pkgraph.__all__)
+        assert set(pkgraph.__all__) <= set(dir(pkgraph))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pkgraph.no_such_name
+        with pytest.raises(ImportError):
+            exec("from pkgraph import no_such_name", {})
+
+    def test_query_looks_the_engine_up_when_it_runs(self, monkeypatch, double_free_file):
+        """A wrapper put on the parser module after import is the one the
+        query command calls, as the benchmark's tracer relies on."""
+        calls = []
+        original = pkgraph.cypher.parser.parse_query
+
+        def counted(text):
+            calls.append(text)
+            return original(text)
+
+        monkeypatch.setattr(pkgraph.cypher.parser, "parse_query", counted)
+        code, out, _ = cli("query", double_free_file, stdin_text="MATCH (n) RETURN COUNT(n)")
+        assert code == 0 and len(calls) == 1
 
 
 CWE_HEADER = b"cwe_id,name,description,function_events\n"

@@ -1,15 +1,26 @@
+import dataclasses
 import random
 
 import pytest
 
+from pkgraph.cparse import CallSite, FunctionDef, TranslationUnit
+from pkgraph.cypher import ast
+from pkgraph.cypher.eval import ResultTable
+from pkgraph.cypher.parser import _Tok
+from pkgraph.detectors import DetectorCapability, Finding, _CallGraphIndex, _Family
 from pkgraph.graph import (
+    Edge,
+    FrozenRecord,
     GraphSealed,
     InvalidLabel,
+    Node,
     Path,
     PropertyGraph,
+    Record,
     UnknownNode,
     values_equal,
 )
+from pkgraph.vulndata import CveRecord, CweRecord, IngestStats
 
 
 def brute_force_paths(graph, start, targets, edge_type, min_len, max_len):
@@ -195,3 +206,164 @@ class TestSeal:
         before = [n.id for n in g.find_nodes("X", {"a": 1})]
         g.seal()
         assert [n.id for n in g.find_nodes("X", {"a": 1})] == before
+
+
+# One instance's fields for every record class but Node and Edge, which
+# compare by identity.
+_VAR = ast.Var("x")
+_NODE_PATTERN = ast.NodePattern("n", "CallGraph", (("Name", ast.Literal("gets")),))
+_PATTERN = ast.Pattern(
+    "p", (_NODE_PATTERN, ast.NodePattern(None, None, ())), (ast.RelPattern("CALLS", (1, None)),)
+)
+RECORDS = [
+    (Path, ((1, 2), (7,))),
+    (CallSite, (3, "free", ["ptr"])),
+    (FunctionDef, ("main", 1, [CallSite(2, "gets", ["b"])], {"p"})),
+    (TranslationUnit, ([FunctionDef("main", 1)], {"main"})),
+    (CweRecord, ("CWE-242", "Dangerous function", "d", ["gets"])),
+    (CveRecord, ("CVE-2020-0001", "d", "CWE-415", 7.5, "Lib", ["1.0", "1.1"])),
+    (IngestStats, (5, 4, 1)),
+    (Finding, ("CWE-242", "Dangerous function", [Path((1, 2), (7,))], [2], "gets is called")),
+    (DetectorCapability, ("CWE-401", False, "no data flow")),
+    (_CallGraphIndex, ((1, 3), (1,), {"gets": [2]})),
+    (_Family, (len, "MATCH (n) RETURN n", "")),
+    (ast.Literal, ("x",)),
+    (ast.Var, ("x",)),
+    (ast.Prop, ("n", "Name")),
+    (ast.Func, ("SIZE", _VAR)),
+    (ast.Binary, ("AND", _VAR, ast.Literal(1))),
+    (ast.Not, (_VAR,)),
+    (ast.NodePattern, _NODE_PATTERN._values()),
+    (ast.RelPattern, ("CALLS", (1, None))),
+    (ast.Pattern, _PATTERN._values()),
+    (ast.MatchClause, (_PATTERN, True)),
+    (ast.WithClause, (((_VAR, "y"),),)),
+    (ast.WhereClause, (_VAR,)),
+    (ast.UnwindClause, (_VAR, "y")),
+    (ast.ReturnClause, (((_VAR, None),),)),
+    (ast.Query, ((ast.WhereClause(_VAR),),)),
+    (_Tok, ("id", "MATCH", 0)),
+    (ResultTable, (["n"], [("gets",)])),
+]
+RECORD_IDS = [cls.__qualname__ for cls, _ in RECORDS]
+
+
+def twin(cls):
+    """The frozen or plain dataclass with cls's fields, as each record
+    class was written before it became a plain __slots__ class."""
+    return dataclasses.make_dataclass(
+        cls.__name__, cls.__slots__, frozen=issubclass(cls, FrozenRecord)
+    )
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, args", RECORDS, ids=RECORD_IDS)
+    def test_positional_and_keyword_construction(self, cls, args):
+        by_keyword = cls(**dict(zip(cls.__slots__, args)))
+        assert by_keyword == cls(*args)
+        assert by_keyword._values() == tuple(args)
+        assert not hasattr(by_keyword, "__dict__")
+
+    @pytest.mark.parametrize("cls, args", RECORDS, ids=RECORD_IDS)
+    def test_equal_within_a_class_only(self, cls, args):
+        record = cls(*args)
+        assert record == cls(*args) and not record != cls(*args)
+        for k in range(len(args)):
+            changed = list(args)
+            changed[k] = object()
+            assert record != cls(*changed)
+        impostor = type(cls.__name__, (cls.__base__,), {"__slots__": cls.__slots__})
+        impostor.__init__ = cls.__init__
+        assert record != impostor(*args)
+        assert record != tuple(args)
+
+    def test_records_of_different_classes_differ(self):
+        assert ast.Var("x") != ast.Literal("x")
+        assert ast.WhereClause(_VAR) != ast.Not(_VAR)
+        assert ast.WithClause(()) != ast.ReturnClause(())
+
+    @pytest.mark.parametrize("cls, args", RECORDS, ids=RECORD_IDS)
+    def test_repr_names_every_field(self, cls, args):
+        assert repr(cls(*args)) == repr(twin(cls)(*args))
+
+    @pytest.mark.parametrize(
+        "cls, args", [(c, a) for c, a in RECORDS if issubclass(c, FrozenRecord)],
+        ids=[c.__qualname__ for c, _ in RECORDS if issubclass(c, FrozenRecord)],
+    )
+    def test_frozen_records_refuse_assignment(self, cls, args):
+        record = cls(*args)
+        for name in cls.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        assert record._values() == tuple(args)
+
+    @pytest.mark.parametrize("cls, args", RECORDS, ids=RECORD_IDS)
+    def test_hash_as_before(self, cls, args):
+        """A frozen record hashes by its fields, as its dataclass twin
+        did; a plain record with field equality has no hash."""
+        record = cls(*args)
+        if not issubclass(cls, FrozenRecord):
+            with pytest.raises(TypeError):
+                hash(record)
+        elif cls is _CallGraphIndex:  # a dict field cannot be hashed
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == hash(cls(*args)) == hash(twin(cls)(*args))
+            assert len({record, cls(*args)}) == 1
+
+    def test_plain_records_take_assignment(self):
+        stats = IngestStats()
+        stats.nodes_created += 2
+        assert stats == IngestStats(2, 0, 0)
+        with pytest.raises(AttributeError):
+            stats.extra = 1
+
+    def test_defaults(self):
+        assert IngestStats() == IngestStats(0, 0, 0)
+        assert DetectorCapability("CWE-401", False).reason == ""
+        assert _Family() == _Family(None, None, "")
+        assert FunctionDef("f", 1) == FunctionDef("f", 1, [], set())
+        assert TranslationUnit() == TranslationUnit([], set())
+        assert Edge(1, 2, 3, "CALLS").properties == {}
+
+    def test_default_containers_are_not_shared(self):
+        first, second = FunctionDef("f", 1), FunctionDef("g", 2)
+        assert first.call_sites is not second.call_sites
+        assert first.pointer_locals is not second.pointer_locals
+        first.call_sites.append(CallSite(2, "gets", []))
+        assert second.call_sites == []
+        first_tu, second_tu = TranslationUnit(), TranslationUnit()
+        assert first_tu.functions is not second_tu.functions
+        assert first_tu.defined_names is not second_tu.defined_names
+        first_edge, second_edge = Edge(1, 1, 2, "CALLS"), Edge(2, 2, 1, "CALLS")
+        first_edge.properties["weight"] = 1
+        assert second_edge.properties == {}
+
+    def test_nodes_and_edges_compare_by_identity(self):
+        node = Node(1, "CallGraph", {"Name": "gets"})
+        edge = Edge(1, 1, 2, "CALLS", {})
+        assert node == node and edge == edge
+        assert node != Node(1, "CallGraph", {"Name": "gets"})
+        assert edge != Edge(1, 1, 2, "CALLS", {})
+        assert len({node, Node(1, "CallGraph", {"Name": "gets"})}) == 2
+        assert repr(node) == "Node(id=1, label='CallGraph', properties={'Name': 'gets'})"
+        assert repr(edge) == "Edge(id=1, source=1, target=2, type='CALLS', properties={})"
+        assert Node(id=1, label="L", properties={}).label == "L"
+        assert Edge(id=1, source=1, target=2, type="CALLS").type == "CALLS"
+
+    def test_every_record_class_is_covered(self):
+        import pkgraph.cli  # noqa: F401 - loads every module with records
+        import pkgraph.cypher  # noqa: F401
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        in_program = {c for c in subclasses(Record) if c.__module__.startswith("pkgraph.")}
+        assert in_program - {FrozenRecord, Node, Edge} == {cls for cls, _ in RECORDS}

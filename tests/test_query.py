@@ -893,6 +893,14 @@ class TestDeepExpressions:
         want = "true" if op == "OR" else "false"
         assert run_query(text) == (0, f"{column}\n{want}\n", "")
 
+    def test_very_long_chain_column(self):
+        """The column of an unaliased 40,000-term OR, whose text is built
+        here directly: the recursive reference printer cannot go that deep."""
+        terms = [f'n.Name = "f{i}"' for i in range(40_000)]
+        text = f'MATCH (n:CallGraph {{Name: "nothing"}}) RETURN {" OR ".join(terms)}'
+        column = left_deep("OR", [f"({t})" for t in terms])
+        assert run_query(text) == (0, f"{column}\n", "")
+
     def test_nested_parentheses(self):
         text = "MATCH (n:CallGraph) WHERE " + "(" * 5000 + 'n.Name = "gets"' + ")" * 5000
         assert run_query(text + " RETURN n.Name") == (0, "n.Name\ngets\n", "")
