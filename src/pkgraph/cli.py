@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -75,7 +74,7 @@ def _build_parser() -> _ArgumentParser:
 
 
 def default_catalog_bytes() -> bytes:
-    return resources.files("pkgraph").joinpath("data/cwe-catalog.csv").read_bytes()
+    return (Path(__file__).parent / "data" / "cwe-catalog.csv").read_bytes()
 
 
 def _load_catalog(path) -> list:

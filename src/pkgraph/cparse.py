@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from typing import Optional
 
 from .graph import PropertyGraph, Record
 
@@ -89,26 +88,9 @@ def _error(blanked: str, offset: int, message: str) -> ParseError:
 class CallSite(Record):
     __slots__ = ("exec_order", "name", "arguments")
 
-    def __init__(self, exec_order: int, name: str, arguments: list):
-        self.exec_order = exec_order
-        self.name = name
-        self.arguments = arguments
-
 
 class FunctionDef(Record):
     __slots__ = ("name", "exec_order", "call_sites", "pointer_locals")
-
-    def __init__(
-        self,
-        name: str,
-        exec_order: int,
-        call_sites: Optional[list] = None,
-        pointer_locals: Optional[set] = None,
-    ):
-        self.name = name
-        self.exec_order = exec_order
-        self.call_sites = [] if call_sites is None else call_sites
-        self.pointer_locals = set() if pointer_locals is None else pointer_locals
 
     @property
     def max_exec_order(self) -> int:
@@ -117,10 +99,6 @@ class FunctionDef(Record):
 
 class TranslationUnit(Record):
     __slots__ = ("functions", "defined_names")
-
-    def __init__(self, functions: Optional[list] = None, defined_names: Optional[set] = None):
-        self.functions = [] if functions is None else functions
-        self.defined_names = set() if defined_names is None else defined_names
 
     def enclosing_function(self, exec_order: int):
         """The function whose entry/call-site range covers exec_order."""
@@ -368,7 +346,7 @@ def extract_translation_unit(source: str) -> TranslationUnit:
     blanked = _blank_comments(source)
     toks = _Tokens(blanked)
     kinds, texts = toks.kinds, toks.texts
-    tu = TranslationUnit()
+    tu = TranslationUnit([], set())
     counter = 0
     i = 0
     n = len(texts)
@@ -381,10 +359,10 @@ def extract_translation_unit(source: str) -> TranslationUnit:
                 if text in tu.defined_names:
                     raise toks.error(i, f"duplicate definition of {text!r}")
                 counter += 1
-                fn = FunctionDef(name=text, exec_order=counter)
-                fn.pointer_locals = _pointer_decls(kinds, texts, i + 2, close) | _pointer_decls(
+                pointer_locals = _pointer_decls(kinds, texts, i + 2, close) | _pointer_decls(
                     kinds, texts, close + 2, body_close
                 )
+                fn = FunctionDef(text, counter, [], pointer_locals)
                 for callee, args in _scan_calls(toks, close + 2, body_close):
                     counter += 1
                     fn.call_sites.append(CallSite(counter, callee, args))

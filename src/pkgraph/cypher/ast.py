@@ -7,8 +7,6 @@ patterns, optionally bound to a path variable.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
 from ..graph import FrozenRecord
 
 
@@ -17,56 +15,32 @@ from ..graph import FrozenRecord
 class Literal(FrozenRecord):
     __slots__ = ("value",)
 
-    def __init__(self, value: object):
-        object.__setattr__(self, "value", value)
-
 
 class Var(FrozenRecord):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
 
 
 class Prop(FrozenRecord):
     __slots__ = ("var", "key")
 
-    def __init__(self, var: str, key: str):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "key", key)
-
 
 class Func(FrozenRecord):
-    __slots__ = ("name", "arg")
-
-    def __init__(
-        self,
-        name: str,  # COLLECT | COUNT | SIZE (upper-cased)
-        arg: "Expr",
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arg", arg)
+    __slots__ = (
+        "name",  # COLLECT | COUNT | SIZE (upper-cased)
+        "arg",
+    )
 
 
 class Binary(FrozenRecord):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(
-        self,
-        op: str,  # AND OR > >= < <= = <>
-        left: "Expr",
-        right: "Expr",
-    ):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+    __slots__ = (
+        "op",  # AND OR > >= < <= = <>
+        "left",
+        "right",
+    )
 
 
 class Not(FrozenRecord):
     __slots__ = ("operand",)
-
-    def __init__(self, operand: "Expr"):
-        object.__setattr__(self, "operand", operand)
 
 
 Expr = object
@@ -101,43 +75,26 @@ def has_aggregate(expr: Expr) -> bool:
 # -- patterns ----------------------------------------------------------------
 
 class NodePattern(FrozenRecord):
-    __slots__ = ("var", "label", "props")
-
-    def __init__(
-        self,
-        var: Optional[str],
-        label: Optional[str],
-        props: Tuple,  # of (key, Expr)
-    ):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "props", props)
+    __slots__ = (
+        "var",
+        "label",
+        "props",  # of (key, Expr)
+    )
 
 
 class RelPattern(FrozenRecord):
-    __slots__ = ("type", "var_length")
-
-    def __init__(
-        self,
-        type: Optional[str],
-        var_length: Optional[Tuple],  # None = single hop; else (min, max-or-None)
-    ):
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "var_length", var_length)
+    __slots__ = (
+        "type",
+        "var_length",  # None = single hop; else (min, max-or-None)
+    )
 
 
 class Pattern(FrozenRecord):
-    __slots__ = ("path_var", "nodes", "rels")
-
-    def __init__(
-        self,
-        path_var: Optional[str],
-        nodes: Tuple,  # NodePattern, len == len(rels) + 1
-        rels: Tuple,  # RelPattern
-    ):
-        object.__setattr__(self, "path_var", path_var)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "rels", rels)
+    __slots__ = (
+        "path_var",
+        "nodes",  # NodePattern, len == len(rels) + 1
+        "rels",  # RelPattern
+    )
 
 
 # -- clauses -----------------------------------------------------------------
@@ -145,45 +102,25 @@ class Pattern(FrozenRecord):
 class MatchClause(FrozenRecord):
     __slots__ = ("pattern", "optional")
 
-    def __init__(self, pattern: Pattern, optional: bool):
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "optional", optional)
-
 
 class WithClause(FrozenRecord):
-    __slots__ = ("items",)
-
-    def __init__(self, items: Tuple):  # of (Expr, alias)
-        object.__setattr__(self, "items", items)
+    __slots__ = ("items",)  # of (Expr, alias)
 
 
 class WhereClause(FrozenRecord):
     __slots__ = ("expr",)
 
-    def __init__(self, expr: Expr):
-        object.__setattr__(self, "expr", expr)
-
 
 class UnwindClause(FrozenRecord):
     __slots__ = ("expr", "alias")
 
-    def __init__(self, expr: Expr, alias: str):
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "alias", alias)
-
 
 class ReturnClause(FrozenRecord):
-    __slots__ = ("items",)
-
-    def __init__(self, items: Tuple):  # of (Expr, alias-or-None)
-        object.__setattr__(self, "items", items)
+    __slots__ = ("items",)  # of (Expr, alias-or-None)
 
 
 class Query(FrozenRecord):
     __slots__ = ("clauses",)
-
-    def __init__(self, clauses: Tuple):
-        object.__setattr__(self, "clauses", clauses)
 
 
 # -- pretty printing ---------------------------------------------------------

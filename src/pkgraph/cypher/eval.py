@@ -39,11 +39,10 @@ class AlreadyBound(EvalError):
 
 
 class ResultTable(Record):
-    __slots__ = ("columns", "rows")
-
-    def __init__(self, columns: list, rows: list):  # rows: tuples of rendered strings
-        self.columns = columns
-        self.rows = rows
+    __slots__ = (
+        "columns",
+        "rows",  # tuples of rendered strings
+    )
 
 
 def _group_key(value):

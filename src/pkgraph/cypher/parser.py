@@ -76,11 +76,6 @@ class _Tok(FrozenRecord):
 
     __slots__ = ("kind", "text", "offset")
 
-    def __init__(self, kind: str, text: str, offset: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "offset", offset)
-
 
 def _unescape(body: str) -> str:
     return _ESCAPE_RE.sub(lambda m: _ESCAPES.get(m.group(1), m.group()), body)

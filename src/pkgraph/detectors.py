@@ -11,38 +11,23 @@ declared capability gap because a call graph carries no data flow.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from .cparse import TranslationUnit
 from .graph import FrozenRecord, PropertyGraph, Record
 from .vulndata import CweRecord
 
 
 class Finding(Record):
-    __slots__ = ("cwe_id", "cwe_name", "witness_paths", "terminal_nodes", "message")
-
-    def __init__(
-        self,
-        cwe_id: str,
-        cwe_name: str,
-        witness_paths: list,  # of Path, each ending at a terminal node
-        terminal_nodes: list,  # node ids
-        message: str,
-    ):
-        self.cwe_id = cwe_id
-        self.cwe_name = cwe_name
-        self.witness_paths = witness_paths
-        self.terminal_nodes = terminal_nodes
-        self.message = message
+    __slots__ = (
+        "cwe_id",
+        "cwe_name",
+        "witness_paths",  # of Path, each ending at a terminal node
+        "terminal_nodes",  # node ids
+        "message",
+    )
 
 
 class DetectorCapability(Record):
     __slots__ = ("cwe_id", "supported", "reason")
-
-    def __init__(self, cwe_id: str, supported: bool, reason: str = ""):
-        self.cwe_id = cwe_id
-        self.supported = supported
-        self.reason = reason
 
 
 class UnsupportedTemplate(Exception):
@@ -53,18 +38,12 @@ class UnsupportedTemplate(Exception):
 # Graph structure helpers
 # ---------------------------------------------------------------------------
 
-class _CallGraphIndex(FrozenRecord):
-    __slots__ = ("entries", "roots", "by_name")
-
-    def __init__(
-        self,
-        entries: tuple,  # function-entry node ids, ascending
-        roots: tuple,  # entries without an incoming CALLS edge, `main` first
-        by_name: dict,  # call-site Name -> call-site ids, ascending
-    ):
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "by_name", by_name)
+class _CallGraphIndex(Record):
+    __slots__ = (
+        "entries",  # function-entry node ids, ascending
+        "roots",  # entries without an incoming CALLS edge, `main` first
+        "by_name",  # call-site Name -> call-site ids, ascending
+    )
 
 
 def _index(graph: PropertyGraph) -> _CallGraphIndex:
@@ -189,7 +168,7 @@ def detect_double_release(graph: PropertyGraph, cwe: CweRecord) -> list:
 
 
 def detect_sizeof_on_pointer(
-    graph: PropertyGraph, tu: Optional[TranslationUnit], cwe: CweRecord
+    graph: PropertyGraph, tu: TranslationUnit | None, cwe: CweRecord
 ) -> list:
     """sizeof applied to a pointer-typed local. The pointer-local sets
     come from the translation unit; without one we fall back to flagging
@@ -299,25 +278,21 @@ def generate_detection_query(cwe: CweRecord, entry_name: str) -> str:
 # ---------------------------------------------------------------------------
 
 class _Family(FrozenRecord):
-    __slots__ = ("detect", "template", "unsupported")
-
-    def __init__(
-        self,
-        detect: Optional[Callable] = None,  # (graph, tu, cwe) -> findings; None: a capability miss
-        template: Optional[str] = None,  # detection query; None: no pure-query formulation
-        unsupported: str = "",  # why the family is a capability miss
-    ):
-        object.__setattr__(self, "detect", detect)
-        object.__setattr__(self, "template", template)
-        object.__setattr__(self, "unsupported", unsupported)
+    __slots__ = (
+        "detect",  # (graph, tu, cwe) -> findings; None: a capability miss
+        "template",  # detection query; None: no pure-query formulation
+        "unsupported",  # why the family is a capability miss
+    )
 
 
 # Each rule looks its detector up by module-global name when it runs:
 # perfbench/tracer.py wraps module attributes, so a stored function
 # object would hide every detectors.detect_* span.
-_BANNED_CALL = _Family(lambda g, tu, cwe: detect_banned_calls(g, cwe), _BANNED_CALL_TEMPLATE)
+_BANNED_CALL = _Family(
+    lambda g, tu, cwe: detect_banned_calls(g, cwe), _BANNED_CALL_TEMPLATE, ""
+)
 _DOUBLE_RELEASE = _Family(
-    lambda g, tu, cwe: detect_double_release(g, cwe), _DOUBLE_RELEASE_TEMPLATE
+    lambda g, tu, cwe: detect_double_release(g, cwe), _DOUBLE_RELEASE_TEMPLATE, ""
 )
 
 #: Family per weakness id; an id not listed is a banned-call weakness.
@@ -326,16 +301,18 @@ _FAMILIES = {
     "CWE-477": _BANNED_CALL,
     "CWE-415": _DOUBLE_RELEASE,
     "CWE-1341": _DOUBLE_RELEASE,
-    "CWE-467": _Family(lambda g, tu, cwe: detect_sizeof_on_pointer(g, tu, cwe)),
-    "CWE-479": _Family(lambda g, tu, cwe: detect_signal_nonreentrant(g, cwe)),
-    "CWE-558": _Family(lambda g, tu, cwe: detect_getlogin_multithreaded(g, cwe)),
+    "CWE-467": _Family(lambda g, tu, cwe: detect_sizeof_on_pointer(g, tu, cwe), None, ""),
+    "CWE-479": _Family(lambda g, tu, cwe: detect_signal_nonreentrant(g, cwe), None, ""),
+    "CWE-558": _Family(lambda g, tu, cwe: detect_getlogin_multithreaded(g, cwe), None, ""),
     "CWE-401": _Family(
-        unsupported="call graph lacks data-flow; malloc's Argument1 is a size, not the released handle"
+        None,
+        None,
+        "call graph lacks data-flow; malloc's Argument1 is a size, not the released handle",
     ),
 }
 
 
-def run_all(graph: PropertyGraph, tu: Optional[TranslationUnit], catalog: list):
+def run_all(graph: PropertyGraph, tu: TranslationUnit | None, catalog: list):
     """Run every catalog entry through its detector family.
 
     Unknown weakness ids fall back to the banned-call rule over their

@@ -9,11 +9,7 @@ and reads are safe from any thread.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Union
-
-#: Property values are one of: text, 64-bit integer, 64-bit float, or an
-#: ordered list of non-empty strings.
-PropertyValue = Union[str, int, float, list]
+from collections.abc import Iterable, Iterator
 
 
 class GraphError(Exception):
@@ -32,13 +28,15 @@ class UnknownNode(GraphError):
     """An operation referenced a node id that does not exist."""
 
 
-def values_equal(a: PropertyValue, b: PropertyValue) -> bool:
+def values_equal(a: str | int | float | list, b: str | int | float | list) -> bool:
     """Property-value equality.
 
-    Values of different kinds compare unequal, with one exception:
-    comparing a scalar against a string list is membership. This keeps a
-    single filter usable against catalogs that store one event name or
-    many (e.g. a weakness with four trigger procedures).
+    A property value is one of: text, 64-bit integer, 64-bit float, or
+    an ordered list of non-empty strings. Values of different kinds
+    compare unequal, with one exception: comparing a scalar against a
+    string list is membership. This keeps a single filter usable against
+    catalogs that store one event name or many (e.g. a weakness with four
+    trigger procedures).
     """
     a_list = isinstance(a, list)
     b_list = isinstance(b, list)
@@ -54,11 +52,31 @@ def values_equal(a: PropertyValue, b: PropertyValue) -> bool:
 
 
 class Record:
-    """A plain record. Its fields are the __slots__ of its class, which
-    sets them in its own __init__. Two records are equal when they are of
-    the same class and their fields are equal, and repr names each field."""
+    """A plain record. Its fields are the __slots__ of its class, and a
+    subclass declares nothing else for them: its constructor is generated
+    from __slots__ when the class is created, taking every field, in
+    __slots__ order, by position or keyword. Records have no defaults, so
+    every construction passes every field. The generated __init__ runs one
+    assignment statement per field, as a hand-written one would; a generic
+    *args/**kwargs constructor looping over the fields costs several times
+    as much per record. Two records are equal when they are of the same
+    class and their fields are equal, and repr names each field."""
 
     __slots__ = ()
+    _assign = "self.{0} = {0}"  # one field's statement in the generated __init__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"record {cls.__qualname__} defines __init__; declare only __slots__")
+        fields = cls.__slots__
+        body = "".join(f"\n    {cls._assign.format(name)}" for name in fields) or "\n    pass"
+        namespace = {}
+        # exec of the text itself: a process's first compile() call also
+        # builds the ast module's node types, which adds about 1.5 ms to
+        # start-up.
+        exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+        cls.__init__ = namespace["__init__"]
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -78,6 +96,7 @@ class FrozenRecord(Record):
     object.__setattr__), so it hashes by its fields."""
 
     __slots__ = ()
+    _assign = 'object.__setattr__(self, "{0}", {0})'
 
     def __hash__(self) -> int:
         return hash(self._values())
@@ -96,37 +115,19 @@ class Node(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, id: int, label: str, properties: dict):
-        self.id = id
-        self.label = label
-        self.properties = properties
-
 
 class Edge(Record):
     """A graph edge; two edges are equal only when they are the same edge."""
 
-    __slots__ = ("id", "source", "target", "type", "properties")
+    __slots__ = ("id", "source", "target", "type")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self, id: int, source: int, target: int, type: str, properties: Optional[dict] = None
-    ):
-        self.id = id
-        self.source = source
-        self.target = target
-        self.type = type
-        self.properties = {} if properties is None else properties
 
 
 class Path(FrozenRecord):
     """A directed walk: len(edges) == len(nodes) - 1, no edge repeated."""
 
     __slots__ = ("nodes", "edges")
-
-    def __init__(self, nodes: tuple, edges: tuple):
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -164,7 +165,7 @@ class PropertyGraph:
 
     # -- mutation ----------------------------------------------------------
 
-    def add_node(self, label: str, properties: Optional[dict] = None) -> int:
+    def add_node(self, label: str, properties: dict | None = None) -> int:
         if self._sealed:
             raise GraphSealed("graph is sealed")
         if not label:
@@ -245,7 +246,7 @@ class PropertyGraph:
         self.node(node_id)
         return [self._edges[e] for e in self._in[node_id]]
 
-    def find_nodes(self, label: str, filters: Optional[dict] = None) -> list:
+    def find_nodes(self, label: str, filters: dict | None = None) -> list:
         """All nodes with the given label whose properties satisfy every
         filter entry under values_equal. Ascending node-id order; an
         unknown label yields an empty list."""
@@ -265,9 +266,9 @@ class PropertyGraph:
         self,
         start: int,
         targets: Iterable,
-        edge_type: Optional[str] = None,
+        edge_type: str | None = None,
         min_len: int = 1,
-        max_len: Optional[int] = None,
+        max_len: int | None = None,
     ) -> list:
         """All directed paths from start ending at any target.
 
@@ -325,7 +326,7 @@ class PropertyGraph:
                     used.discard(edge_seq.pop())
         return results
 
-    def _reaching(self, target_set: set, edge_type: Optional[str]) -> set:
+    def _reaching(self, target_set: set, edge_type: str | None) -> set:
         """Nodes with a walk over edge_type edges to a target, the targets
         included."""
         live = {t for t in target_set if t in self._nodes}
@@ -337,17 +338,3 @@ class PropertyGraph:
                     live.add(edge.source)
                     frontier.append(edge.source)
         return live
-
-    def is_valid_path(self, path: Path) -> bool:
-        """Check contiguity, direction, and edge uniqueness of a path."""
-        if len(path.nodes) != len(path.edges) + 1 or not path.nodes:
-            return False
-        if len(set(path.edges)) != len(path.edges):
-            return False
-        for k, edge_id in enumerate(path.edges):
-            edge = self._edges.get(edge_id)
-            if edge is None:
-                return False
-            if edge.source != path.nodes[k] or edge.target != path.nodes[k + 1]:
-                return False
-        return all(n in self._nodes for n in path.nodes)

@@ -19,8 +19,6 @@ import json
 
 from .graph import Node, Path, PropertyGraph
 
-from .vulndata import CsvError
-
 
 class ExportError(Exception):
     """Export requested on a graph that is not sealed."""
@@ -183,56 +181,6 @@ def export_import_csv(graph: PropertyGraph):
     for source, target, edge_type, _ in rows:
         writer.writerow([str(source), str(target), edge_type])
     return nodes_out.getvalue().encode("utf-8"), rels_out.getvalue().encode("utf-8")
-
-
-def _parse_cell(column: str, cell: str):
-    if column.endswith(":int"):
-        return int(cell)
-    if column.endswith(":float"):
-        return float(cell)
-    if column.endswith(":string[]"):
-        return [part for part in cell.split(";") if part]
-    return cell
-
-
-def import_csv(nodes: bytes, relationships: bytes) -> PropertyGraph:
-    """Rebuild a graph (unsealed) from exported CSV bytes; the result is
-    isomorphic to the exported graph with fresh ids."""
-    graph = PropertyGraph()
-    id_map = {}
-
-    node_rows = list(csv.reader(io.StringIO(nodes.decode("utf-8"))))
-    if not node_rows or node_rows[0][:2] != ["id:ID", ":LABEL"]:
-        raise CsvError(1, "nodes.csv must start with id:ID,:LABEL columns")
-    columns = node_rows[0][2:]
-    for i, row in enumerate(node_rows[1:], start=2):
-        if len(row) != len(columns) + 2:
-            raise CsvError(i, f"expected {len(columns) + 2} columns, got {len(row)}")
-        external_id, label = row[0], row[1]
-        if external_id in id_map:
-            raise CsvError(i, f"duplicate node id {external_id!r}")
-        properties = {}
-        for column, cell in zip(columns, row[2:]):
-            if cell == "":
-                continue
-            key = column.split(":", 1)[0]
-            try:
-                properties[key] = _parse_cell(column, cell)
-            except ValueError:
-                raise CsvError(i, f"bad {column} value {cell!r}") from None
-        id_map[external_id] = graph.add_node(label, properties)
-
-    rel_rows = list(csv.reader(io.StringIO(relationships.decode("utf-8"))))
-    if not rel_rows or rel_rows[0] != [":START_ID", ":END_ID", ":TYPE"]:
-        raise CsvError(1, "relationships.csv must have :START_ID,:END_ID,:TYPE columns")
-    for i, row in enumerate(rel_rows[1:], start=2):
-        if len(row) != 3:
-            raise CsvError(i, f"expected 3 columns, got {len(row)}")
-        source, target, edge_type = row
-        if source not in id_map or target not in id_map:
-            raise CsvError(i, f"edge references unknown node id {source!r}/{target!r}")
-        graph.add_edge(id_map[source], id_map[target], edge_type)
-    return graph
 
 
 # ---------------------------------------------------------------------------

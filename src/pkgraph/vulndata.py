@@ -22,9 +22,9 @@ from .graph import PropertyGraph, Record
 CWE_COLUMNS = ["cwe_id", "name", "description", "function_events"]
 CVE_COLUMNS = ["cve_id", "description", "cwe_id", "cvss2_score", "product", "affected_versions"]
 
-_CWE_ID_RE = re.compile(r"^CWE-[1-9][0-9]*$")
-_CVE_ID_RE = re.compile(r"^CVE-[0-9]{4}-[0-9]{4,}$")
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_CWE_ID_RE = re.compile(r"CWE-[1-9][0-9]*")
+_CVE_ID_RE = re.compile(r"CVE-[0-9]{4}-[0-9]{4,}")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class CsvError(Exception):
@@ -39,40 +39,13 @@ class CsvError(Exception):
 class CweRecord(Record):
     __slots__ = ("cwe_id", "name", "description", "function_events")
 
-    def __init__(self, cwe_id: str, name: str, description: str, function_events: list):
-        self.cwe_id = cwe_id
-        self.name = name
-        self.description = description
-        self.function_events = function_events
-
 
 class CveRecord(Record):
     __slots__ = ("cve_id", "description", "cwe_id", "cvss2_score", "product", "affected_versions")
 
-    def __init__(
-        self,
-        cve_id: str,
-        description: str,
-        cwe_id: str,
-        cvss2_score: float,
-        product: str,
-        affected_versions: list,
-    ):
-        self.cve_id = cve_id
-        self.description = description
-        self.cwe_id = cwe_id
-        self.cvss2_score = cvss2_score
-        self.product = product
-        self.affected_versions = affected_versions
-
 
 class IngestStats(Record):
     __slots__ = ("nodes_created", "edges_created", "orphan_cves")
-
-    def __init__(self, nodes_created: int = 0, edges_created: int = 0, orphan_cves: int = 0):
-        self.nodes_created = nodes_created
-        self.edges_created = edges_created
-        self.orphan_cves = orphan_cves
 
 
 def _split_list(cell: str) -> list:
@@ -111,13 +84,13 @@ def parse_cwe_csv(text: bytes) -> list:
         if len(row) != len(CWE_COLUMNS):
             raise _invalid(text, i, f"expected {len(CWE_COLUMNS)} columns, got {len(row)}")
         cwe_id, name, description, events_cell = row
-        if not _CWE_ID_RE.match(cwe_id):
+        if not _CWE_ID_RE.fullmatch(cwe_id):
             raise _invalid(text, i, f"malformed cwe_id {cwe_id!r}")
         if not name:
             raise _invalid(text, i, "empty name")
         events = _split_list(events_cell)
         for event in events:
-            if not _IDENT_RE.match(event):
+            if not _IDENT_RE.fullmatch(event):
                 raise _invalid(text, i, f"function event {event!r} is not a valid identifier")
         records.append(CweRecord(cwe_id, name, description, events))
     return records
@@ -130,7 +103,7 @@ def parse_cve_csv(text: bytes) -> list:
         if len(row) != len(CVE_COLUMNS):
             raise _invalid(text, i, f"expected {len(CVE_COLUMNS)} columns, got {len(row)}")
         cve_id, description, cwe_id, score_cell, product, versions_cell = row
-        if not _CVE_ID_RE.match(cve_id):
+        if not _CVE_ID_RE.fullmatch(cve_id):
             raise _invalid(text, i, f"malformed cve_id {cve_id!r}")
         try:
             score = float(score_cell)
@@ -151,7 +124,7 @@ def build_knowledge_graph(cwes: list, cves: list, graph: PropertyGraph) -> Inges
     CVEs; Score nodes are per-CVE. A CVE whose cwe_id is not in the CWE
     list is ingested without a HAS_CVE edge and counted as an orphan.
     """
-    stats = IngestStats()
+    stats = IngestStats(0, 0, 0)
     cwe_nodes = {}
     for cwe in cwes:
         node_id = graph.add_node(

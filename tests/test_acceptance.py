@@ -18,12 +18,13 @@ from conftest import (
     merged_graph_of,
 )
 from test_graph import brute_force_paths
+from test_render import import_csv
 from pkgraph.cparse import extract_translation_unit
 from pkgraph.cypher.eval import execute_query
 from pkgraph.cypher.parser import parse_query
 from pkgraph.detectors import generate_detection_query, run_all
 from pkgraph.graph import PropertyGraph
-from pkgraph.render import export_import_csv, import_csv, render_node, render_path
+from pkgraph.render import export_import_csv, render_node, render_path
 from pkgraph.vulndata import build_knowledge_graph, parse_cve_csv, parse_cwe_csv
 
 DATA = resources.files("pkgraph") / "data"

@@ -211,6 +211,28 @@ class TestIngestAndExport:
         code, _, err = cli("ingest", "--cwe", str(cwe), "--cve", str(cve))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "cwe_row, cve_row, message",
+        [
+            ('"CWE-415\n",n,d,free\n', "", "line 2: malformed cwe_id 'CWE-415\\n'"),
+            ("CWE-415,n,d,free\n", '"CVE-2020-0001\n",d,CWE-415,7.5,P,1.0\n',
+             "line 2: malformed cve_id 'CVE-2020-0001\\n'"),
+        ],
+        ids=["cwe", "cve"],
+    )
+    def test_id_with_a_trailing_newline_exits_three(self, tmp_path, cwe_row, cve_row, message):
+        cwe = tmp_path / "cwe.csv"
+        cwe.write_text("cwe_id,name,description,function_events\n" + cwe_row)
+        cve = tmp_path / "cve.csv"
+        cve.write_text("cve_id,description,cwe_id,cvss2_score,product,affected_versions\n" + cve_row)
+        out_dir = tmp_path / "out"
+        code, _, err = cli("ingest", "--cwe", str(cwe), "--cve", str(cve), "--out", str(out_dir))
+        assert (code, err) == (3, f"pkgraph: error: {message}\n")
+        assert not out_dir.exists()
+        if not cve_row:
+            code, _, err = cli("scan", str(CORPUS / "cwe242_gets.c"), "--catalog", str(cwe))
+            assert (code, err) == (3, f"pkgraph: error: {message}\n")
+
 
 class TestUsage:
     def test_unknown_subcommand(self):
@@ -234,16 +256,16 @@ class TestUsage:
 
 SRC = Path(pkgraph.__file__).parent.parent
 
-# Runs pkgraph commands in a fresh interpreter and prints, as JSON, each
-# command's exit code and the modules loaded since the baseline. The
-# baseline is taken after importing the standard-library modules pkgraph
-# imports, so that what they load by themselves on some Python version
-# is not counted against pkgraph.
+# Runs pkgraph commands in a fresh interpreter, started with the given
+# flags, and prints, as JSON, the modules loaded before pkgraph and, for
+# each command, its exit code and the modules loaded since. The baseline
+# is taken after importing the standard-library modules pkgraph imports,
+# so that what they load by themselves on some Python version is not
+# counted against pkgraph.
 _FRESH_RUN = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
-import argparse, bisect, csv, itertools, operator, re, typing
-from importlib import resources
+import argparse, bisect, csv, itertools, operator, re
 from pathlib import Path
 baseline = set(sys.modules)
 from pkgraph.cli import run_cli
@@ -252,17 +274,35 @@ for argv in json.loads(sys.argv[2]):
     out = io.StringIO()
     code = run_cli(argv, stdin=io.StringIO(), stdout=out, stderr=out)
     report.append([code, sorted(set(sys.modules) - baseline)])
-print(json.dumps(report))
+print(json.dumps([sorted(baseline), report]))
 """
 
 
-def fresh_run(*commands):
+def fresh_run(*commands, flags=("-I",)):
+    """(baseline modules, [exit code, new modules] per command)."""
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", _FRESH_RUN, str(SRC), json.dumps(commands)],
+        [sys.executable, *flags, "-c", _FRESH_RUN, str(SRC), json.dumps(commands)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def one_shot_commands(tmp_path):
+    cve = tmp_path / "cve.csv"
+    cve.write_text(
+        "cve_id,description,cwe_id,cvss2_score,product,affected_versions\n"
+        "CVE-2020-0001,d,CWE-415,7.5,Lib,1.0;1.1\n"
+    )
+    source = str(CORPUS / "cwe415_double_free.c")
+    return [
+        ["scan", source, "--format", "json"],
+        ["scan", source],
+        ["extract", source],
+        ["export", source, "--out", str(tmp_path / "export")],
+        ["ingest", "--cwe", str(DATA / "cwe-catalog.csv"), "--cve", str(cve),
+         "--out", str(tmp_path / "ingest")],
+    ]
 
 
 def not_needed_by_a_scan(modules):
@@ -276,30 +316,28 @@ class TestStartUp:
     """A one-shot command imports only the code it runs."""
 
     def test_one_shot_commands_load_no_query_engine(self, tmp_path):
-        cve = tmp_path / "cve.csv"
-        cve.write_text(
-            "cve_id,description,cwe_id,cvss2_score,product,affected_versions\n"
-            "CVE-2020-0001,d,CWE-415,7.5,Lib,1.0;1.1\n"
-        )
-        source = str(CORPUS / "cwe415_double_free.c")
-        report = fresh_run(
-            ["scan", source, "--format", "json"],
-            ["scan", source],
-            ["extract", source],
-            ["export", source, "--out", str(tmp_path / "export")],
-            ["ingest", "--cwe", str(DATA / "cwe-catalog.csv"), "--cve", str(cve),
-             "--out", str(tmp_path / "ingest")],
-        )
+        _, report = fresh_run(*one_shot_commands(tmp_path))
         assert [code for code, _ in report] == [1, 1, 0, 0, 0]
         modules = report[-1][1]
         assert "pkgraph.cli" in modules
         assert not_needed_by_a_scan(modules) == []
 
+    def test_one_shot_commands_load_no_typing_or_resources(self, tmp_path):
+        """Without site, which may load both first, the interpreter starts
+        with neither typing nor importlib.resources, and no one-shot
+        command loads either."""
+        baseline, report = fresh_run(*one_shot_commands(tmp_path), flags=("-I", "-S"))
+        assert "typing" not in baseline and "importlib.resources" not in baseline
+        assert [code for code, _ in report] == [1, 1, 0, 0, 0]
+        modules = report[-1][1]
+        assert "pkgraph.cli" in modules
+        assert [m for m in modules if m.startswith(("typing", "importlib.resources"))] == []
+
     def test_query_loads_the_query_engine(self, tmp_path):
         query = tmp_path / "q.cypher"
         query.write_text('MATCH (n:CallGraph {Name: "free"}) RETURN n.Name')
         source = str(CORPUS / "cwe415_double_free.c")
-        ((scan_code, before), (code, after)) = fresh_run(
+        _, ((scan_code, before), (code, after)) = fresh_run(
             ["scan", source], ["query", source, "--query-file", str(query)]
         )
         assert (scan_code, code) == (1, 0)

@@ -10,7 +10,7 @@ from conftest import (
     load_catalog,
     merged_graph_of,
 )
-from test_graph import brute_force_paths
+from test_graph import brute_force_paths, is_valid_path
 from pkgraph.cypher.eval import execute_query
 from pkgraph.cypher.parser import parse_query
 from pkgraph.detectors import (
@@ -310,7 +310,7 @@ class TestRunAll:
             cwe = next(c for c in catalog if c.cwe_id == finding.cwe_id)
             assert finding.witness_paths
             for path in finding.witness_paths:
-                assert graph.is_valid_path(path)
+                assert is_valid_path(graph, path)
                 name = graph.node(path.end).properties["Name"]
                 assert name in cwe.function_events or name == "sizeof"
             for terminal in finding.terminal_nodes:

@@ -47,6 +47,11 @@ class TestParseCweCsv:
             parse_cwe_csv(CWE_HEADER + b'CWE-415,n,"two\nlines",free\nBAD,n,d,free\n')
         assert (exc.value.line, exc.value.reason) == (4, "malformed cwe_id 'BAD'")
 
+    def test_id_with_a_trailing_newline(self):
+        with pytest.raises(CsvError) as exc:
+            parse_cwe_csv(CWE_HEADER + b'CWE-415,n,d,free\n"CWE-242\n",n,d,gets\n')
+        assert (exc.value.line, exc.value.reason) == (3, "malformed cwe_id 'CWE-242\\n'")
+
 
 class TestParseCveCsv:
     def test_basic_row(self):
@@ -82,6 +87,11 @@ class TestParseCveCsv:
                 + b"CVE-2020-0002,d,CWE-415,high,P,1.0\n"
             )
         assert (exc.value.line, exc.value.reason) == (4, "non-numeric cvss2_score 'high'")
+
+    def test_id_with_a_trailing_newline(self):
+        with pytest.raises(CsvError) as exc:
+            parse_cve_csv(CVE_HEADER + b'"CVE-2020-0001\n",d,CWE-415,7.5,P,1.0\n')
+        assert (exc.value.line, exc.value.reason) == (2, "malformed cve_id 'CVE-2020-0001\\n'")
 
 
 OVERSIZED_CELL = b"x" * 140_000
