@@ -9,8 +9,8 @@ honored by construction.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .cparse import ParseError, extract_translation_unit, build_call_graph
@@ -73,20 +73,32 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _fs_path(text: str) -> str:
+    """text without empty or `.` segments, as pathlib spells a path, so
+    files open and are named in messages as they were through Path."""
+    root = "//" if text[:2] == "//" and text[2:3] != "/" else "/" * text.startswith("/")
+    return root + "/".join(part for part in text.split("/") if part not in ("", ".")) or "."
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(_fs_path(path), "rb") as file:
+        return file.read()
+
+
 def default_catalog_bytes() -> bytes:
-    return (Path(__file__).parent / "data" / "cwe-catalog.csv").read_bytes()
+    return _read_bytes(os.path.join(os.path.dirname(__file__), "data", "cwe-catalog.csv"))
 
 
 def _load_catalog(path) -> list:
     if path is None:
         return parse_cwe_csv(default_catalog_bytes())
-    return parse_cwe_csv(Path(path).read_bytes())
+    return parse_cwe_csv(_read_bytes(path))
 
 
 def _read_text(path: str) -> str:
     """A UTF-8 file's text with universal newlines, as open() reads it;
     a decode error names the file and line."""
-    data = Path(path).read_bytes()
+    data = _read_bytes(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -106,20 +118,25 @@ def _merged_graph(source_path: str, catalog=()):
     return graph, tu
 
 
-def _write_import_csv(graph, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+def _write(path: str, data: bytes) -> None:
+    with open(path, "wb") as file:
+        file.write(data)
+
+
+def _write_import_csv(graph, out: str) -> None:
+    os.makedirs(out, exist_ok=True)
     nodes, relationships = export_import_csv(graph)
-    (out / "nodes.csv").write_bytes(nodes)
-    (out / "relationships.csv").write_bytes(relationships)
+    _write(os.path.join(out, "nodes.csv"), nodes)
+    _write(os.path.join(out, "relationships.csv"), relationships)
 
 
 def _cmd_ingest(args, stdin, stdout) -> int:
-    cwes = parse_cwe_csv(Path(args.cwe).read_bytes())
-    cves = parse_cve_csv(Path(args.cve).read_bytes())
+    cwes = parse_cwe_csv(_read_bytes(args.cwe))
+    cves = parse_cve_csv(_read_bytes(args.cve))
     graph = PropertyGraph()
     stats = build_knowledge_graph(cwes, cves, graph)
     graph.seal()
-    out = Path(args.out)
+    out = _fs_path(args.out)
     _write_import_csv(graph, out)
     print(
         f"ingested {stats.nodes_created} nodes, {stats.edges_created} edges"
@@ -149,7 +166,7 @@ def _cmd_scan(args, stdin, stdout) -> int:
     graph, tu = _merged_graph(args.source, catalog)
     findings, capabilities = run_all(graph, tu, catalog)
     if args.format == "json":
-        stdout.write(findings_to_json(findings, capabilities, graph).decode("utf-8"))
+        stdout.write(findings_to_json(findings, capabilities, graph))
     else:
         for finding in findings:
             print(f"{finding.cwe_id} ({finding.cwe_name}): {finding.message}", file=stdout)
@@ -180,9 +197,9 @@ def _cmd_query(args, stdin, stdout) -> int:
 
 def _cmd_export(args, stdin, stdout) -> int:
     graph, _ = _merged_graph(args.source)
-    out = Path(args.out)
+    out = _fs_path(args.out)
     _write_import_csv(graph, out)
-    (out / "graph.dot").write_text(export_dot(graph), encoding="utf-8")
+    _write(os.path.join(out, "graph.dot"), export_dot(graph).encode("utf-8"))
     print(f"wrote nodes.csv, relationships.csv, graph.dot -> {out}", file=stdout)
     return 0
 

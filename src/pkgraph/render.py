@@ -9,6 +9,8 @@ output is locale-independent and byte-stable.
 A sealed graph's node texts and call-step texts (`-[:TYPE]->` plus the
 target node's text) are rendered once and cached with the graph, so a
 path's text is one join of cached pieces however many paths share them.
+The JSON report keeps the same texts JSON-escaped in a second cache, so
+no witness path is escaped as a whole.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring  # the C escaper
 
 from .graph import Node, Path, PropertyGraph
 
@@ -55,10 +58,24 @@ def _texts(graph: PropertyGraph) -> tuple:
     return ({}, {})
 
 
+def _json_texts(graph: PropertyGraph) -> tuple:
+    """The same texts JSON-escaped, without their quotes; kept like
+    _texts."""
+    return ({}, {})
+
+
 def _node_text(graph: PropertyGraph, nodes: dict, node_id: int) -> str:
     text = nodes.get(node_id)
     if text is None:
         text = nodes[node_id] = render_node(graph.node(node_id))
+    return text
+
+
+def _step_text(graph: PropertyGraph, nodes: dict, steps: dict, edge_id: int) -> str:
+    text = steps.get(edge_id)
+    if text is None:
+        edge = graph.edge(edge_id)
+        text = steps[edge_id] = f"-[:{edge.type}]->" + _node_text(graph, nodes, edge.target)
     return text
 
 
@@ -71,11 +88,7 @@ def render_path(graph: PropertyGraph, path: Path) -> str:
     try:
         tail = [steps[edge_id] for edge_id in path.edges]
     except KeyError:
-        for edge_id in path.edges:
-            if edge_id not in steps:
-                edge = graph.edge(edge_id)
-                steps[edge_id] = f"-[:{edge.type}]->" + _node_text(graph, nodes, edge.target)
-        tail = [steps[edge_id] for edge_id in path.edges]
+        tail = [_step_text(graph, nodes, steps, edge_id) for edge_id in path.edges]
     return "".join([_node_text(graph, nodes, path.nodes[0]), *tail])
 
 
@@ -93,32 +106,93 @@ def render_value(value, graph: PropertyGraph) -> str:
     return render_scalar(value, quote_text=False)
 
 
-def findings_to_json(findings: list, capabilities: list, graph: PropertyGraph) -> bytes:
-    """Stable-key-order JSON report; byte-identical for identical inputs."""
-    doc = {
-        "version": 1,
-        "findings": [
-            {
-                "cwe_id": f.cwe_id,
-                "cwe_name": f.cwe_name,
-                "message": f.message,
-                "paths": [render_path(graph, p) for p in f.witness_paths],
-                "terminals": [
-                    {
-                        "label": graph.node(t).label,
-                        "properties": {
-                            k: graph.node(t).properties[k]
-                            for k in sorted(graph.node(t).properties)
-                        },
-                    }
-                    for t in f.terminal_nodes
-                ],
-            }
-            for f in findings
-        ],
-        "unsupported": [{"cwe_id": c.cwe_id, "reason": c.reason} for c in capabilities],
-    }
-    return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+def _json_value(value, indent: str) -> str:
+    """value as json.dumps(value, indent=2, ensure_ascii=False) writes it
+    on a line indented by indent: a string through the C escaper, a list
+    one item a line, any other scalar as json.dumps writes it."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, list) and value:
+        inner = indent + "  "
+        items = (",\n" + inner).join(_json_value(v, inner) for v in value)
+        return f"[\n{inner}{items}\n{indent}]"
+    return json.dumps(value)
+
+
+def _opening(index: int, indent: str) -> str:
+    """What goes before item index of an indented JSON array or object."""
+    return (",\n" if index else "\n") + indent
+
+
+def _closing(items, indent: str, bracket: str) -> str:
+    """The end of an indented JSON array or object; an empty one closes
+    on the line it opened on."""
+    return f"\n{indent}{bracket}" if items else bracket
+
+
+def findings_to_json(findings: list, capabilities: list, graph: PropertyGraph) -> str:
+    """The text json.dumps(report, indent=2, ensure_ascii=False) + "\\n"
+    gives for report = {"version": 1, "findings": [...], "unsupported":
+    [...]}, written piece by piece. Escaping works character by
+    character, so a witness path is the escaped text of its head node and
+    of its steps, each escaped once per sealed graph, between quotes."""
+    nodes, steps = graph.derived(_texts)
+    json_nodes, json_steps = graph.derived(_json_texts)
+
+    def json_node(node_id):
+        text = json_nodes.get(node_id)
+        if text is None:
+            text = encode_basestring(_node_text(graph, nodes, node_id))[1:-1]
+            json_nodes[node_id] = text
+        return text
+
+    def json_step(edge_id):
+        text = json_steps.get(edge_id)
+        if text is None:
+            text = encode_basestring(_step_text(graph, nodes, steps, edge_id))[1:-1]
+            json_steps[edge_id] = text
+        return text
+
+    out = ['{\n  "version": 1,\n  "findings": [']
+    for i, finding in enumerate(findings):
+        out += (
+            _opening(i, "    "), '{\n      "cwe_id": ', _json_value(finding.cwe_id, "      "),
+            ',\n      "cwe_name": ', _json_value(finding.cwe_name, "      "),
+            ',\n      "message": ', _json_value(finding.message, "      "),
+            ',\n      "paths": [',
+        )
+        separator = '\n        "'
+        for path in finding.witness_paths:
+            try:
+                out += (
+                    separator, json_nodes[path.nodes[0]],
+                    *map(json_steps.__getitem__, path.edges), '"',
+                )
+            except KeyError:
+                out += (separator, json_node(path.nodes[0]), *map(json_step, path.edges), '"')
+            separator = ',\n        "'
+        out += (_closing(finding.witness_paths, "      ", "]"), ',\n      "terminals": [')
+        for j, node_id in enumerate(finding.terminal_nodes):
+            terminal = graph.node(node_id)
+            out += (
+                _opening(j, "        "), '{\n          "label": ',
+                _json_value(terminal.label, "          "), ',\n          "properties": {',
+            )
+            for k, key in enumerate(sorted(terminal.properties)):
+                out += (
+                    _opening(k, "            "), encode_basestring(key), ": ",
+                    _json_value(terminal.properties[key], "            "),
+                )
+            out += (_closing(terminal.properties, "          ", "}"), "\n        }")
+        out += (_closing(finding.terminal_nodes, "      ", "]"), "\n    }")
+    out += (_closing(findings, "  ", "]"), ',\n  "unsupported": [')
+    for i, capability in enumerate(capabilities):
+        out += (
+            _opening(i, "    "), '{\n      "cwe_id": ', _json_value(capability.cwe_id, "      "),
+            ',\n      "reason": ', _json_value(capability.reason, "      "), "\n    }",
+        )
+    out += (_closing(capabilities, "  ", "]"), "\n}\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

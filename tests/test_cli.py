@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tempfile
 from importlib import resources
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,7 @@ from conftest import catalog_entry
 from test_cparse import c_texts
 import pkgraph
 import pkgraph.cypher.parser
-from pkgraph.cli import run_cli
+from pkgraph.cli import _fs_path, run_cli
 from pkgraph.detectors import generate_detection_query
 
 DATA = resources.files("pkgraph") / "data"
@@ -203,6 +203,19 @@ class TestIngestAndExport:
         assert (out_dir / "relationships.csv").exists()
         assert "digraph G {" in (out_dir / "graph.dot").read_text()
 
+    @given(st.text(st.sampled_from("/.ab"), max_size=8))
+    def test_paths_are_spelled_as_pathlib_spells_them(self, text):
+        assert _fs_path(text) == str(PurePosixPath(text))
+
+    def test_paths_open_and_show_as_pathlib_spells_them(self, tmp_path, double_free_file):
+        assert cli("scan", double_free_file + "/")[0] == 1
+        code, out, err = cli("scan", f"{tmp_path}/.//missing.c/")
+        assert (code, out) == (3, "")
+        assert err == f"pkgraph: error: [Errno 2] No such file or directory: '{tmp_path}/missing.c'\n"
+        code, out, _ = cli("export", double_free_file, "--out", f"{tmp_path}/./exported/")
+        assert code == 0
+        assert out == f"wrote nodes.csv, relationships.csv, graph.dot -> {tmp_path}/exported\n"
+
     def test_ingest_csv_error_exits_three(self, tmp_path):
         cwe = tmp_path / "cwe.csv"
         cwe.write_text("cwe_id,name,description,function_events\nBAD,n,d,free\n")
@@ -266,7 +279,6 @@ _FRESH_RUN = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
 import argparse, bisect, csv, itertools, operator, re
-from pathlib import Path
 baseline = set(sys.modules)
 from pkgraph.cli import run_cli
 report = []
@@ -323,15 +335,16 @@ class TestStartUp:
         assert not_needed_by_a_scan(modules) == []
 
     def test_one_shot_commands_load_no_typing_or_resources(self, tmp_path):
-        """Without site, which may load both first, the interpreter starts
-        with neither typing nor importlib.resources, and no one-shot
-        command loads either."""
+        """Without site, which may load them first, the interpreter starts
+        without typing, importlib.resources or pathlib, and no one-shot
+        command loads any of them."""
+        unwanted = ("typing", "importlib.resources", "pathlib")
         baseline, report = fresh_run(*one_shot_commands(tmp_path), flags=("-I", "-S"))
-        assert "typing" not in baseline and "importlib.resources" not in baseline
+        assert [m for m in baseline if m.startswith(unwanted)] == []
         assert [code for code, _ in report] == [1, 1, 0, 0, 0]
         modules = report[-1][1]
         assert "pkgraph.cli" in modules
-        assert [m for m in modules if m.startswith(("typing", "importlib.resources"))] == []
+        assert [m for m in modules if m.startswith(unwanted)] == []
 
     def test_query_loads_the_query_engine(self, tmp_path):
         query = tmp_path / "q.cypher"

@@ -7,6 +7,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     DATA,
@@ -21,7 +22,13 @@ from pkgraph.cli import run_cli
 from pkgraph.cypher import eval as cypher_eval
 from pkgraph.cypher.eval import execute_query
 from pkgraph.cypher.parser import parse_query
-from pkgraph.detectors import detect_double_release, generate_detection_query, run_all
+from pkgraph.detectors import (
+    DetectorCapability,
+    Finding,
+    detect_double_release,
+    generate_detection_query,
+    run_all,
+)
 from pkgraph.graph import Node, Path, PropertyGraph
 from pkgraph.render import (
     ExportError,
@@ -113,6 +120,97 @@ def reference_value(value, graph):
     return render_scalar(value, quote_text=False)
 
 
+def reference_report(findings, capabilities, graph):
+    """The JSON report as json.dumps writes it, every path rendered
+    afresh: the oracle for findings_to_json."""
+    doc = {
+        "version": 1,
+        "findings": [
+            {
+                "cwe_id": f.cwe_id,
+                "cwe_name": f.cwe_name,
+                "message": f.message,
+                "paths": [reference_path(graph, p) for p in f.witness_paths],
+                "terminals": [
+                    {
+                        "label": graph.node(t).label,
+                        "properties": {
+                            k: graph.node(t).properties[k]
+                            for k in sorted(graph.node(t).properties)
+                        },
+                    }
+                    for t in f.terminal_nodes
+                ],
+            }
+            for f in findings
+        ],
+        "unsupported": [{"cwe_id": c.cwe_id, "reason": c.reason} for c in capabilities],
+    }
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+# Characters JSON escapes or that are easy to get wrong: quote, backslash,
+# control characters, the line and paragraph separators (which JSON
+# leaves as they are), non-ASCII and astral characters.
+TRICKY = '"\\\x00\x08\n\x1f\x7f\u2028\u2029\xe9\u20ac\U0001f600'
+
+
+def json_texts(min_size=0):
+    chars = st.one_of(st.sampled_from(TRICKY), st.characters(exclude_categories=("Cs",)))
+    return st.text(chars, min_size=min_size, max_size=6)
+
+
+PROPERTY_VALUES = st.one_of(
+    json_texts(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.floats(),
+    st.lists(json_texts(), max_size=3),
+)
+
+
+@st.composite
+def reports(draw):
+    """(graph, findings, capabilities): up to five nodes with any
+    properties, walks along random edges as witness paths, a sealed or
+    an unsealed graph."""
+    graph = PropertyGraph()
+    ids = [
+        graph.add_node(
+            draw(json_texts(min_size=1)),
+            draw(st.dictionaries(json_texts(), PROPERTY_VALUES, max_size=3)),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    out = {node_id: [] for node_id in ids}
+    for _ in range(draw(st.integers(0, 8))):
+        source, target = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        out[source].append((graph.add_edge(source, target, draw(json_texts(min_size=1))), target))
+    if draw(st.booleans()):
+        graph.seal()
+    findings = []
+    for _ in range(draw(st.integers(0, 3))):
+        paths = []
+        for _ in range(draw(st.integers(0, 3))):
+            nodes, edges = [draw(st.sampled_from(ids))], []
+            for _ in range(draw(st.integers(0, 4))):
+                if not out[nodes[-1]]:
+                    break
+                edge, target = draw(st.sampled_from(out[nodes[-1]]))
+                nodes.append(target)
+                edges.append(edge)
+            paths.append(Path(tuple(nodes), tuple(edges)))
+        terminals = draw(st.lists(st.sampled_from(ids), max_size=3))
+        findings.append(
+            Finding(draw(json_texts()), draw(json_texts()), paths, terminals, draw(json_texts()))
+        )
+    capabilities = [
+        DetectorCapability(draw(json_texts()), False, draw(json_texts()))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    return graph, findings, capabilities
+
+
 BUNDLED = sorted(path for kind in ("corpus", "clean") for path in (DATA / kind).iterdir())
 
 EVENTS = ["gets(buf)", "atoi(s)", "free(p)", "free(q)", "fclose(fp)", "printf(x)"]
@@ -192,11 +290,17 @@ class TestRenderCache:
         main = graph.add_node("CallGraph", {"Name": "main"})
         call = graph.add_node("CallGraph", {"Name": "gets"})
         path = Path((main, call), (graph.add_edge(main, call, "CALLS"),))
-        assert render_path(graph, path) == (
+        finding = Finding("CWE-242", "gets", [path], [call], "m")
+
+        def reported_path():
+            (reported,) = json.loads(findings_to_json([finding], [], graph))["findings"]
+            return reported["paths"][0]
+
+        assert render_path(graph, path) == reported_path() == (
             '(:CallGraph {Name: "main"})-[:CALLS]->(:CallGraph {Name: "gets"})'
         )
         graph.node(call).properties["Name"] = "fgets"
-        assert render_path(graph, path) == (
+        assert render_path(graph, path) == reported_path() == (
             '(:CallGraph {Name: "main"})-[:CALLS]->(:CallGraph {Name: "fgets"})'
         )
         assert render_value(graph.node(call), graph) == '(:CallGraph {Name: "fgets"})'
@@ -234,6 +338,48 @@ class TestRenderCache:
         render_path(graph, path)
         render_path(graph, path)
         assert sorted(rendered) == ([main, call] if sealed else [main, main, call, call])
+
+    def test_json_cache_entry_goes_with_its_graph(self):
+        class Marker:
+            pass
+
+        def reported_graph():
+            graph, _ = call_graph_of(DOUBLE_FREE_SRC)
+            foo = node_named(graph, "foo")
+            paths = graph.enumerate_paths(foo.id, {n.id for n in graph.nodes()})
+            findings_to_json([Finding("CWE-415", "x", paths, [], "m")], [], graph)
+            nodes, steps = graph.derived(render._json_texts)
+            assert nodes and steps
+            marker = nodes[0] = Marker()
+            return weakref.ref(graph), weakref.ref(marker)
+
+        gc.collect()
+        graph, marker = reported_graph()
+        gc.collect()
+        assert graph() is None
+        assert marker() is None
+
+    @pytest.mark.parametrize("sealed", [True, False])
+    def test_only_a_sealed_graph_keeps_its_escaped_texts(self, sealed, monkeypatch):
+        graph = PropertyGraph()
+        main = graph.add_node("CallGraph", {"Name": "main"})
+        call = graph.add_node("CallGraph", {"Name": "gets"})
+        path = Path((main, call), (graph.add_edge(main, call, "CALLS"),))
+        if sealed:
+            graph.seal()
+        finding = Finding("CWE-242", "gets", [path], [], "m")
+        escaped = []
+
+        def escape(text):
+            escaped.append(text)
+            return json.encoder.encode_basestring(text)
+
+        monkeypatch.setattr(render, "encode_basestring", escape)
+        findings_to_json([finding], [], graph)
+        findings_to_json([finding], [], graph)
+        node, step = render_node(graph.node(main)), "-[:CALLS]->" + render_node(graph.node(call))
+        pieces = sorted(text for text in escaped if text in (node, step))
+        assert pieces == ([node, step] if sealed else [node, node, step, step])
 
 
 # Each of d1..d10 calls the next twice, so gets has 2**10 witness paths.
@@ -293,6 +439,22 @@ class TestFindingsToJson:
         graph, tu, _ = merged_graph_of(DOUBLE_FREE_SRC)
         findings = detect_double_release(graph, catalog_entry("CWE-415"))
         assert findings_to_json(findings, [], graph) == findings_to_json(findings, [], graph)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_json_dumps(self, data):
+        graph, findings, capabilities = data.draw(reports())
+        want = reference_report(findings, capabilities, graph)
+        assert findings_to_json(findings, capabilities, graph) == want
+        assert findings_to_json(findings, capabilities, graph) == want
+
+    @pytest.mark.parametrize("sample", BUNDLED, ids=lambda path: path.name)
+    def test_bundled_samples_match_json_dumps(self, sample):
+        graph, tu, catalog = merged_graph_of(sample.read_text())
+        findings, capabilities = run_all(graph, tu, catalog)
+        want = reference_report(findings, capabilities, graph)
+        assert findings_to_json(findings, capabilities, graph) == want
+        assert findings_to_json(findings, capabilities, graph) == want
 
 
 def _parse_cell(column: str, cell: str):
