@@ -103,7 +103,7 @@ def _read_text(path: str) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise _InputError(f"{path}: line {line}: not UTF-8: {exc.reason}") from None
+        raise _InputError(f"{_fs_path(path)}: line {line}: not UTF-8: {exc.reason}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -167,22 +167,18 @@ def detect_double_release(graph: PropertyGraph, cwe: CweRecord) -> list:
     return _findings(graph, cwe, groups)
 
 
-def detect_sizeof_on_pointer(
-    graph: PropertyGraph, tu: TranslationUnit | None, cwe: CweRecord
-) -> list:
-    """sizeof applied to a pointer-typed local. The pointer-local sets
-    come from the translation unit; without one we fall back to flagging
-    sizeof over any bare identifier (weaker, documented heuristic)."""
+def detect_sizeof_on_pointer(graph: PropertyGraph, tu: TranslationUnit, cwe: CweRecord) -> list:
+    """sizeof applied to a pointer-typed local, with the pointer locals
+    of each function taken from the translation unit."""
     groups = {}
     for node_id in _call_sites_matching(graph, ["sizeof"]):
         node = graph.node(node_id)
         argument = node.properties.get("Argument1")
         if not isinstance(argument, str) or not argument.isidentifier():
             continue
-        if tu is not None:
-            fn = tu.enclosing_function(node.properties["ExecOrder"])
-            if fn is None or argument not in fn.pointer_locals:
-                continue
+        fn = tu.enclosing_function(node.properties["ExecOrder"])
+        if fn is None or argument not in fn.pointer_locals:
+            continue
         groups[(node_id,)] = f"sizeof applied to pointer {argument!r}"
     return _findings(graph, cwe, groups)
 
@@ -312,7 +308,7 @@ _FAMILIES = {
 }
 
 
-def run_all(graph: PropertyGraph, tu: TranslationUnit | None, catalog: list):
+def run_all(graph: PropertyGraph, tu: TranslationUnit, catalog: list):
     """Run every catalog entry through its detector family.
 
     Unknown weakness ids fall back to the banned-call rule over their

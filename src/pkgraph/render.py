@@ -6,11 +6,13 @@ export follows the bulk-import CSV header convention (id:ID, :LABEL,
 :START_ID, :END_ID, :TYPE) plus a DOT emitter for visualization. All
 output is locale-independent and byte-stable.
 
-A sealed graph's node texts and call-step texts (`-[:TYPE]->` plus the
-target node's text) are rendered once and cached with the graph, so a
-path's text is one join of cached pieces however many paths share them.
-The JSON report keeps the same texts JSON-escaped in a second cache, so
-no witness path is escaped as a whole.
+Each graph has one text table: node texts, call-step texts (`-[:TYPE]->`
+plus the target node's text), and both again JSON-escaped. An entry is
+rendered on its first lookup and, once the graph is sealed, kept with
+it, so a path's text is one join of looked-up pieces however many paths
+share them. The JSON scan report is a plain dict written by one small
+writer that gives json.dumps(indent=2)'s text; a witness path in it is
+its escaped pieces between quotes, so no path is escaped as a whole.
 """
 
 from __future__ import annotations
@@ -52,44 +54,46 @@ def render_node(node: Node) -> str:
     return f"(:{node.label} {{{body}}})"
 
 
+class _Table(dict):
+    """A dict that fills a missing entry with fill(key) on lookup, so a
+    hit stays a plain dict lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def _texts(graph: PropertyGraph) -> tuple:
-    """The caches (node id -> node text, edge id -> step text) of graph,
-    kept with it once it is sealed."""
-    return ({}, {})
+    """graph's text table: node id -> node text, edge id -> step text,
+    and the same two JSON-escaped without their quotes. A step is keyed
+    by its edge id alone: path.nodes[k + 1] is the target of
+    path.edges[k] in every path that enumerate_paths or the query
+    matcher builds."""
 
-
-def _json_texts(graph: PropertyGraph) -> tuple:
-    """The same texts JSON-escaped, without their quotes; kept like
-    _texts."""
-    return ({}, {})
-
-
-def _node_text(graph: PropertyGraph, nodes: dict, node_id: int) -> str:
-    text = nodes.get(node_id)
-    if text is None:
-        text = nodes[node_id] = render_node(graph.node(node_id))
-    return text
-
-
-def _step_text(graph: PropertyGraph, nodes: dict, steps: dict, edge_id: int) -> str:
-    text = steps.get(edge_id)
-    if text is None:
+    def step(edge_id):
         edge = graph.edge(edge_id)
-        text = steps[edge_id] = f"-[:{edge.type}]->" + _node_text(graph, nodes, edge.target)
-    return text
+        return f"-[:{edge.type}]->" + nodes[edge.target]
+
+    nodes = _Table(lambda node_id: render_node(graph.node(node_id)))
+    steps = _Table(step)
+    return (
+        nodes,
+        steps,
+        _Table(lambda node_id: encode_basestring(nodes[node_id])[1:-1]),
+        _Table(lambda edge_id: encode_basestring(steps[edge_id])[1:-1]),
+    )
 
 
 def render_path(graph: PropertyGraph, path: Path) -> str:
     """The head node's text followed by one `-[:TYPE]->(node)` step per
-    edge. A step is keyed by its edge id alone: path.nodes[k + 1] is the
-    target of path.edges[k] in every path that enumerate_paths or the
-    query matcher builds."""
-    nodes, steps = graph.derived(_texts)
-    try:
-        tail = [steps[edge_id] for edge_id in path.edges]
-    except KeyError:
-        tail = [_step_text(graph, nodes, steps, edge_id) for edge_id in path.edges]
-    return "".join([_node_text(graph, nodes, path.nodes[0]), *tail])
+    edge."""
+    nodes, steps, _, _ = graph.derived(_texts)
+    return "".join([nodes[path.nodes[0]], *map(steps.__getitem__, path.edges)])
 
 
 def render_value(value, graph: PropertyGraph) -> str:
@@ -98,7 +102,7 @@ def render_value(value, graph: PropertyGraph) -> str:
     if value is None:
         return "null"
     if isinstance(value, Node):
-        return _node_text(graph, graph.derived(_texts)[0], value.id)
+        return graph.derived(_texts)[0][value.id]
     if isinstance(value, Path):
         return render_path(graph, value)
     if isinstance(value, list):
@@ -106,92 +110,72 @@ def render_value(value, graph: PropertyGraph) -> str:
     return render_scalar(value, quote_text=False)
 
 
-def _json_value(value, indent: str) -> str:
-    """value as json.dumps(value, indent=2, ensure_ascii=False) writes it
-    on a line indented by indent: a string through the C escaper, a list
-    one item a line, any other scalar as json.dumps writes it."""
+def _write_json(value, newline: str, out: list, graph: PropertyGraph) -> None:
+    """Append to out the text json.dumps(value, indent=2,
+    ensure_ascii=False) gives for value on a line that newline ("\\n" and
+    that line's indentation) ends. A list whose first item is a Path
+    holds graph's paths only, each written as its rendered text."""
     if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, list) and value:
-        inner = indent + "  "
-        items = (",\n" + inner).join(_json_value(v, inner) for v in value)
-        return f"[\n{inner}{items}\n{indent}]"
-    return json.dumps(value)
-
-
-def _opening(index: int, indent: str) -> str:
-    """What goes before item index of an indented JSON array or object."""
-    return (",\n" if index else "\n") + indent
-
-
-def _closing(items, indent: str, bracket: str) -> str:
-    """The end of an indented JSON array or object; an empty one closes
-    on the line it opened on."""
-    return f"\n{indent}{bracket}" if items else bracket
+        out.append(encode_basestring(value))
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        opening, separator = "{" + inner, "," + inner
+        for key, item in value.items():
+            out += (opening, encode_basestring(key), ": ")
+            _write_json(item, inner, out, graph)
+            opening = separator
+        out += (newline, "}")
+    elif isinstance(value, list) and value:
+        inner = newline + "  "
+        if isinstance(value[0], Path):
+            _, _, nodes, steps = graph.derived(_texts)
+            opening, separator = "[" + inner + '"', "," + inner + '"'
+            for path in value:
+                out += (opening, nodes[path.nodes[0]], *map(steps.__getitem__, path.edges), '"')
+                opening = separator
+        else:
+            opening, separator = "[" + inner, "," + inner
+            for item in value:
+                out.append(opening)
+                _write_json(item, inner, out, graph)
+                opening = separator
+        out += (newline, "]")
+    elif type(value) is int:  # as json.dumps writes it, without its per-call set-up
+        out.append(repr(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def findings_to_json(findings: list, capabilities: list, graph: PropertyGraph) -> str:
-    """The text json.dumps(report, indent=2, ensure_ascii=False) + "\\n"
-    gives for report = {"version": 1, "findings": [...], "unsupported":
-    [...]}, written piece by piece. Escaping works character by
-    character, so a witness path is the escaped text of its head node and
-    of its steps, each escaped once per sealed graph, between quotes."""
-    nodes, steps = graph.derived(_texts)
-    json_nodes, json_steps = graph.derived(_json_texts)
-
-    def json_node(node_id):
-        text = json_nodes.get(node_id)
-        if text is None:
-            text = encode_basestring(_node_text(graph, nodes, node_id))[1:-1]
-            json_nodes[node_id] = text
-        return text
-
-    def json_step(edge_id):
-        text = json_steps.get(edge_id)
-        if text is None:
-            text = encode_basestring(_step_text(graph, nodes, steps, edge_id))[1:-1]
-            json_steps[edge_id] = text
-        return text
-
-    out = ['{\n  "version": 1,\n  "findings": [']
-    for i, finding in enumerate(findings):
-        out += (
-            _opening(i, "    "), '{\n      "cwe_id": ', _json_value(finding.cwe_id, "      "),
-            ',\n      "cwe_name": ', _json_value(finding.cwe_name, "      "),
-            ',\n      "message": ', _json_value(finding.message, "      "),
-            ',\n      "paths": [',
-        )
-        separator = '\n        "'
-        for path in finding.witness_paths:
-            try:
-                out += (
-                    separator, json_nodes[path.nodes[0]],
-                    *map(json_steps.__getitem__, path.edges), '"',
-                )
-            except KeyError:
-                out += (separator, json_node(path.nodes[0]), *map(json_step, path.edges), '"')
-            separator = ',\n        "'
-        out += (_closing(finding.witness_paths, "      ", "]"), ',\n      "terminals": [')
-        for j, node_id in enumerate(finding.terminal_nodes):
-            terminal = graph.node(node_id)
-            out += (
-                _opening(j, "        "), '{\n          "label": ',
-                _json_value(terminal.label, "          "), ',\n          "properties": {',
-            )
-            for k, key in enumerate(sorted(terminal.properties)):
-                out += (
-                    _opening(k, "            "), encode_basestring(key), ": ",
-                    _json_value(terminal.properties[key], "            "),
-                )
-            out += (_closing(terminal.properties, "          ", "}"), "\n        }")
-        out += (_closing(finding.terminal_nodes, "      ", "]"), "\n    }")
-    out += (_closing(findings, "  ", "]"), ',\n  "unsupported": [')
-    for i, capability in enumerate(capabilities):
-        out += (
-            _opening(i, "    "), '{\n      "cwe_id": ', _json_value(capability.cwe_id, "      "),
-            ',\n      "reason": ', _json_value(capability.reason, "      "), "\n    }",
-        )
-    out += (_closing(capabilities, "  ", "]"), "\n}\n")
+    """The JSON scan report, one line per item as json.dumps(indent=2)
+    writes it, with each witness path as its rendered text and each
+    terminal's properties in key order."""
+    report = {
+        "version": 1,
+        "findings": [
+            {
+                "cwe_id": finding.cwe_id,
+                "cwe_name": finding.cwe_name,
+                "message": finding.message,
+                "paths": finding.witness_paths,
+                "terminals": [
+                    {
+                        "label": terminal.label,
+                        "properties": dict(sorted(terminal.properties.items())),
+                    }
+                    for terminal in map(graph.node, finding.terminal_nodes)
+                ],
+            }
+            for finding in findings
+        ],
+        "unsupported": [
+            {"cwe_id": capability.cwe_id, "reason": capability.reason}
+            for capability in capabilities
+        ],
+    }
+    out = []
+    _write_json(report, "\n", out, graph)
+    out.append("\n")
     return "".join(out)
 
 

@@ -458,6 +458,19 @@ class TestUnreadableInput:
             paths = {kind: tmp_path / kind for kind in files}
             assert err == "pkgraph: error: " + message.format(**paths) + "\n"
 
+    def test_names_a_file_one_way(self, tmp_path):
+        """A file that does not decode and a file that does not open are
+        both named without the empty and `.` segments of the path typed."""
+        (tmp_path / "latin.c").write_bytes(b"void f() { /* \xe9 */ }")
+        code, _, err = cli("scan", f"{tmp_path}/.//latin.c")
+        assert code == 3
+        assert err == (
+            f"pkgraph: error: {tmp_path}/latin.c: line 1: not UTF-8: invalid continuation byte\n"
+        )
+        code, _, err = cli("scan", f"{tmp_path}/.//missing.c")
+        assert code == 3
+        assert err.endswith(f"No such file or directory: '{tmp_path}/missing.c'\n")
+
 
 # Catalogs are the bundled header over bundled rows, or a mix of the
 # bundled cells and CSV punctuation; queries are template lines, or a mix

@@ -160,6 +160,19 @@ def json_texts(min_size=0):
     return st.text(chars, min_size=min_size, max_size=6)
 
 
+# Any JSON value without NaN or infinities, empty containers included.
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        json_texts(),
+    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_texts(), inner, max_size=4),
+    max_leaves=20,
+)
+
 PROPERTY_VALUES = st.one_of(
     json_texts(),
     st.integers(min_value=-(2**70), max_value=2**70),
@@ -314,7 +327,7 @@ class TestRenderCache:
             foo = node_named(graph, "foo")
             for path in graph.enumerate_paths(foo.id, {n.id for n in graph.nodes()}):
                 render_path(graph, path)
-            nodes, _ = graph.derived(render._texts)
+            nodes, _, _, _ = graph.derived(render._texts)
             assert nodes
             marker = nodes[0] = Marker()
             return weakref.ref(graph), weakref.ref(marker)
@@ -348,7 +361,7 @@ class TestRenderCache:
             foo = node_named(graph, "foo")
             paths = graph.enumerate_paths(foo.id, {n.id for n in graph.nodes()})
             findings_to_json([Finding("CWE-415", "x", paths, [], "m")], [], graph)
-            nodes, steps = graph.derived(render._json_texts)
+            _, _, nodes, steps = graph.derived(render._texts)
             assert nodes and steps
             marker = nodes[0] = Marker()
             return weakref.ref(graph), weakref.ref(marker)
@@ -415,6 +428,18 @@ def test_diamond_report_bytes(tmp_path):
     assert digest == "a9542f9364b9ecd6af2290f041269dc276d287bd5d6d2095ec87567c83231f5a"
 
 
+def test_diamond_table_bytes(tmp_path):
+    """The table report of the same diamond, byte for byte as it was
+    before node and step texts came from one text table per graph."""
+    source = tmp_path / "diamond10.c"
+    source.write_text(DIAMOND10)
+    out = io.StringIO()
+    code = run_cli(["scan", str(source)], stdin=io.StringIO(""), stdout=out, stderr=io.StringIO())
+    assert code == 1
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == "1e3a4177459e4a72fe2b7469651897edb10139dad9b8e677640077b0acfe8a15"
+
+
 class TestFindingsToJson:
     def test_double_free_report(self):
         graph, tu, _ = merged_graph_of(DOUBLE_FREE_SRC)
@@ -447,6 +472,13 @@ class TestFindingsToJson:
         want = reference_report(findings, capabilities, graph)
         assert findings_to_json(findings, capabilities, graph) == want
         assert findings_to_json(findings, capabilities, graph) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_writer_matches_json_dumps(self, value):
+        out = []
+        render._write_json(value, "\n", out, None)
+        assert "".join(out) == json.dumps(value, indent=2, ensure_ascii=False)
 
     @pytest.mark.parametrize("sample", BUNDLED, ids=lambda path: path.name)
     def test_bundled_samples_match_json_dumps(self, sample):
