@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import weakref
 from json.encoder import encode_basestring  # the C escaper
 
 from .graph import Node, Path, PropertyGraph
@@ -73,7 +74,10 @@ def _texts(graph: PropertyGraph) -> tuple:
     and the same two JSON-escaped without their quotes. A step is keyed
     by its edge id alone: path.nodes[k + 1] is the target of
     path.edges[k] in every path that enumerate_paths or the query
-    matcher builds."""
+    matcher builds. The fills hold graph weakly: the table is kept in
+    graph, and a cycle through it would outlive the graph's last
+    reference until the cyclic collector ran."""
+    graph = weakref.proxy(graph)
 
     def step(edge_id):
         edge = graph.edge(edge_id)

@@ -333,10 +333,13 @@ class TestRenderCache:
             return weakref.ref(graph), weakref.ref(marker)
 
         gc.collect()
-        graph, marker = rendered_graph()
-        gc.collect()
-        assert graph() is None
-        assert marker() is None
+        gc.disable()  # reference counting alone must free them
+        try:
+            graph, marker = rendered_graph()
+            assert graph() is None
+            assert marker() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("sealed", [True, False])
     def test_only_a_sealed_graph_keeps_its_texts(self, sealed, monkeypatch):
@@ -367,10 +370,13 @@ class TestRenderCache:
             return weakref.ref(graph), weakref.ref(marker)
 
         gc.collect()
-        graph, marker = reported_graph()
-        gc.collect()
-        assert graph() is None
-        assert marker() is None
+        gc.disable()  # reference counting alone must free them
+        try:
+            graph, marker = reported_graph()
+            assert graph() is None
+            assert marker() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("sealed", [True, False])
     def test_only_a_sealed_graph_keeps_its_escaped_texts(self, sealed, monkeypatch):
