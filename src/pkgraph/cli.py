@@ -9,6 +9,7 @@ honored by construction.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -34,14 +35,33 @@ class _InputError(Exception):
     """Bad input, described in full by the message."""
 
 
+class _Exit(Exception):
+    """-h or --version: the text to write to stdout before exiting 0."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
+    def print_help(self, file=None):
+        raise _Exit(self.format_help())
 
+
+class _VersionAction(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise _Exit(f"pkgraph {__version__}\n")
+
+
+# Built once per process and shared by every run_cli call: parse_args
+# returns a fresh Namespace and keeps no state in the parser, and help and
+# usage read the terminal width when they are formatted.
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="pkgraph", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"pkgraph {__version__}")
+    parser.add_argument(
+        "--version", action=_VersionAction, nargs=0, default=argparse.SUPPRESS,
+        help="show program's version number and exit",
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     ingest = sub.add_parser("ingest", help="build the vulnerability knowledge graph")
@@ -213,6 +233,9 @@ def run_cli(argv, stdin=None, stdout=None, stderr=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=stderr)
         return 2
+    except _Exit as exc:
+        stdout.write(str(exc))
+        return 0
     try:
         return args.run(args, stdin, stdout)
     except (

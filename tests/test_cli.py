@@ -266,6 +266,17 @@ class TestUsage:
         assert code == 3
         assert "no-such-catalog.csv" in err
 
+    @pytest.mark.parametrize("argv, head", [
+        (["--version"], f"pkgraph {pkgraph.__version__}\n"),
+        (["-h"], "usage: pkgraph [-h] [--version]"),
+        (["scan", "-h"], "usage: pkgraph scan [-h]"),
+        (["query", "--help"], "usage: pkgraph query [-h]"),
+    ], ids=["--version", "-h", "scan -h", "query --help"])
+    def test_help_and_version_return_zero_through_the_given_stdout(self, argv, head):
+        code, out, err = cli(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(head) and out.endswith("\n")
+
 
 SRC = Path(pkgraph.__file__).parent.parent
 
@@ -407,6 +418,73 @@ class TestStartUp:
         monkeypatch.setattr(pkgraph.cypher.parser, "parse_query", counted)
         code, out, _ = cli("query", double_free_file, stdin_text="MATCH (n) RETURN COUNT(n)")
         assert code == 0 and len(calls) == 1
+
+
+# Runs each [columns, argv] through run_cli in one fresh interpreter, with
+# COLUMNS set to columns for that call, and prints as JSON each call's
+# exit code, stdout and stderr, and the prog of every argument parser
+# constructed.
+_SEQUENCE_RUN = """
+import io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+from pkgraph import cli
+built = []
+init = cli._ArgumentParser.__init__
+def counted_init(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+cli._ArgumentParser.__init__ = counted_init
+results = []
+for columns, argv in json.loads(sys.argv[2]):
+    os.environ["COLUMNS"] = str(columns)
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run_cli(argv, stdin=io.StringIO(), stdout=out, stderr=err)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([results, built]))
+"""
+
+
+def sequence_run(*commands):
+    """([exit code, stdout, stderr] per command, progs of the parsers built)."""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _SEQUENCE_RUN, str(SRC), json.dumps(commands)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestParserReuse:
+    """run_cli builds its parser once per process, and a reused parser
+    answers every argv as a freshly built one does."""
+
+    def test_each_call_answers_as_the_first_call_of_a_fresh_process(self, tmp_path):
+        query = tmp_path / "q.cypher"
+        query.write_text('MATCH (n:CallGraph {Name: "free"}) RETURN n.Name')
+        source = str(CORPUS / "cwe415_double_free.c")
+        argvs = [
+            *one_shot_commands(tmp_path),
+            ["query", source, "--query-file", str(query)],
+            ["frobnicate"],
+            ["ingest", "--cve", "cve.csv"],
+            ["scan", source, "--format", "xml"],
+            ["scan", "-h"],
+            ["--version"],
+            ["scan", source, "--format", "json"],
+        ]
+        # Help and a usage error again at another width, which a parser
+        # built at the first width must follow.
+        again = [["scan", "-h"], ["frobnicate"]]
+        commands = [[80, argv] for argv in argvs] + [[50, argv] for argv in again]
+        results, built = sequence_run(*commands)
+        assert [code for code, _, _ in results] == [1, 1, 0, 0, 0, 0, 2, 2, 2, 0, 0, 1, 0, 2]
+        for argv, narrow in zip(again, results[len(argvs):]):
+            assert narrow != results[argvs.index(argv)]
+        assert built == [
+            "pkgraph", "pkgraph ingest", "pkgraph extract", "pkgraph scan", "pkgraph query",
+            "pkgraph export",
+        ]
+        assert results == [sequence_run(command)[0][0] for command in commands]
 
 
 CWE_HEADER = b"cwe_id,name,description,function_events\n"
