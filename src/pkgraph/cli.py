@@ -109,10 +109,25 @@ def default_catalog_bytes() -> bytes:
     return _read_bytes(os.path.join(os.path.dirname(__file__), "data", "cwe-catalog.csv"))
 
 
-def _load_catalog(path) -> list:
-    if path is None:
-        return parse_cwe_csv(default_catalog_bytes())
-    return parse_cwe_csv(_read_bytes(path))
+# The last weakness catalog parsed in this process: (bytes, records).
+_kept_catalog = (None, ())
+
+
+def _load_catalog(path) -> tuple:
+    """The records of the catalog at path (None: the bundled one).
+
+    The file is read on every call but parsed only when its bytes differ
+    from those of the last catalog parsed in this process. One entry is
+    enough: a process scans with one catalog, the bundled one or the one
+    --catalog names, again and again. Comparing bytes rather than a path
+    or an mtime catches every rewrite, and costs one memcmp next to a
+    parse. A parse error keeps the last catalog. The records are a tuple,
+    so no caller can change the kept sequence."""
+    global _kept_catalog
+    data = default_catalog_bytes() if path is None else _read_bytes(path)
+    if data != _kept_catalog[0]:
+        _kept_catalog = (data, tuple(parse_cwe_csv(data)))
+    return _kept_catalog[1]
 
 
 def _read_text(path: str) -> str:
@@ -151,7 +166,7 @@ def _write_import_csv(graph, out: str) -> None:
 
 
 def _cmd_ingest(args, stdin, stdout) -> int:
-    cwes = parse_cwe_csv(_read_bytes(args.cwe))
+    cwes = _load_catalog(args.cwe)
     cves = parse_cve_csv(_read_bytes(args.cve))
     graph = PropertyGraph()
     stats = build_knowledge_graph(cwes, cves, graph)

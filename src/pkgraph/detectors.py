@@ -87,9 +87,14 @@ def entry_nodes(graph: PropertyGraph) -> list:
 
 
 def _call_sites_matching(graph: PropertyGraph, names: list) -> list:
-    """Call sites whose Name is one of names, ascending id."""
+    """Call sites whose Name is one of names, ascending id. Most catalog
+    rows name one procedure or none the program calls, so a set and a
+    sort are built only when two or more names have call sites."""
     by_name = graph.derived(_index).by_name
-    return sorted(set().union(*(by_name.get(name, ()) for name in names)))
+    found = [by_name[name] for name in names if name in by_name]
+    if len(found) > 1:
+        return sorted(set().union(*found))
+    return list(found[0]) if found else []
 
 
 def _paths_by_end(graph: PropertyGraph, starts: list, terminals: list):

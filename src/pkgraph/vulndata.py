@@ -1,8 +1,9 @@
 """CVE/CWE catalog parsing and knowledge-graph construction.
 
 CSV dialect: comma-separated, double-quote quoting with "" escape,
-required header, UTF-8. Multi-valued fields (function events, affected
-versions) use ';' inside a single cell.
+required header, UTF-8 with or without a leading byte-order mark.
+Multi-valued fields (function events, affected versions) use ';'
+inside a single cell.
 
 The knowledge-graph shape per catalog row:
 
@@ -54,10 +55,14 @@ def _split_list(cell: str) -> list:
 
 def _read_rows(text: bytes, expected_header: list) -> list:
     try:
-        reader = csv.reader(io.StringIO(text.decode("utf-8")))
+        # utf-8-sig drops a leading byte-order mark, as spreadsheets'
+        # "CSV UTF-8" exports write one.
+        reader = csv.reader(io.StringIO(text.decode("utf-8-sig")))
         rows = list(reader)
     except UnicodeDecodeError as exc:
-        raise CsvError(text.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason}") from None
+        # After a mark, exc.start counts in exc.object, the bytes after it.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise CsvError(line, f"not UTF-8: {exc.reason}") from None
     except csv.Error as exc:
         raise CsvError(reader.line_num, str(exc)) from None
     if not rows:
@@ -71,7 +76,7 @@ def _invalid(text: bytes, index: int, reason: str) -> CsvError:
     """A validation error for data row index, on the physical line where
     its record starts. The rows are read again to count their lines, so
     only an invalid catalog pays for the count."""
-    reader = csv.reader(io.StringIO(text.decode("utf-8")))
+    reader = csv.reader(io.StringIO(text.decode("utf-8-sig")))
     for _ in islice(reader, index + 1):  # the header and the rows before this one
         pass
     return CsvError(reader.line_num + 1, reason)

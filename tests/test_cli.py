@@ -420,14 +420,17 @@ class TestStartUp:
         assert code == 0 and len(calls) == 1
 
 
-# Runs each [columns, argv] through run_cli in one fresh interpreter, with
-# COLUMNS set to columns for that call, and prints as JSON each call's
-# exit code, stdout and stderr, and the prog of every argument parser
-# constructed.
+# Runs each [columns, argv, files] through run_cli in one fresh
+# interpreter, with COLUMNS set to columns for that call and each path in
+# the optional files dict rewritten in place with its text before it. It
+# prints as JSON each call's exit code, stdout and stderr, the prog of
+# every argument parser constructed, and whether the catalog records the
+# process kept equal a fresh parse of the kept bytes.
 _SEQUENCE_RUN = """
 import io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 from pkgraph import cli
+from pkgraph.vulndata import parse_cwe_csv
 built = []
 init = cli._ArgumentParser.__init__
 def counted_init(self, *args, **kwargs):
@@ -435,17 +438,23 @@ def counted_init(self, *args, **kwargs):
     built.append(self.prog)
 cli._ArgumentParser.__init__ = counted_init
 results = []
-for columns, argv in json.loads(sys.argv[2]):
+for columns, argv, *files in json.loads(sys.argv[2]):
+    for path, text in (files[0] if files else {}).items():
+        with open(path, "w", encoding="utf-8") as file:
+            file.write(text)
     os.environ["COLUMNS"] = str(columns)
     out, err = io.StringIO(), io.StringIO()
     code = cli.run_cli(argv, stdin=io.StringIO(), stdout=out, stderr=err)
     results.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps([results, built]))
+data, records = cli._kept_catalog
+kept_as_parsed = data is None or list(records) == parse_cwe_csv(data)
+print(json.dumps([results, built, kept_as_parsed]))
 """
 
 
 def sequence_run(*commands):
-    """([exit code, stdout, stderr] per command, progs of the parsers built)."""
+    """([exit code, stdout, stderr] per command, progs of the parsers built,
+    whether the kept catalog records equal a fresh parse of their bytes)."""
     proc = subprocess.run(
         [sys.executable, "-I", "-c", _SEQUENCE_RUN, str(SRC), json.dumps(commands)],
         capture_output=True, text=True, timeout=120,
@@ -476,7 +485,7 @@ class TestParserReuse:
         # built at the first width must follow.
         again = [["scan", "-h"], ["frobnicate"]]
         commands = [[80, argv] for argv in argvs] + [[50, argv] for argv in again]
-        results, built = sequence_run(*commands)
+        results, built, _ = sequence_run(*commands)
         assert [code for code, _, _ in results] == [1, 1, 0, 0, 0, 0, 2, 2, 2, 0, 0, 1, 0, 2]
         for argv, narrow in zip(again, results[len(argvs):]):
             assert narrow != results[argvs.index(argv)]
@@ -489,11 +498,71 @@ class TestParserReuse:
 
 CWE_HEADER = b"cwe_id,name,description,function_events\n"
 GETS_SRC = b"void main() { char b[8]; gets(b); }\n"
+BOM = b"\xef\xbb\xbf"
+
+
+class TestCatalogReuse:
+    """run_cli parses a catalog once per process and again only when its
+    bytes change, and a kept catalog answers as a freshly parsed one."""
+
+    def test_each_call_answers_as_the_first_call_of_a_fresh_process(self, tmp_path):
+        catalog, bad = str(tmp_path / "a.csv"), tmp_path / "bad.csv"
+        first = CWE_HEADER.decode() + "CWE-415,Double free,d,free\nCWE-676,Risky,d,printf\n"
+        second = first + "CWE-9999,Custom,d,gets\n"
+        bad.write_text(first + "CWE-x,n,d,gets\n")
+        query = tmp_path / "q.cypher"
+        query.write_text("MATCH (c:CWE) RETURN c.`CWE-ID`, c.Name")
+        cve = tmp_path / "cve.csv"
+        cve.write_text(
+            "cve_id,description,cwe_id,cvss2_score,product,affected_versions\n"
+            "CVE-2020-0001,d,CWE-9999,7.5,Lib,1.0\n"
+        )
+        source = str(CORPUS / "cwe242_gets.c")
+        scan = ["scan", source, "--format", "json"]
+        query_a = ["query", source, "--query-file", str(query), "--catalog", catalog]
+        steps = [
+            (first, scan),
+            (first, [*scan, "--catalog", catalog]),
+            (first, query_a),
+            (second, [*scan, "--catalog", catalog]),
+            (second, query_a),
+            (second, ["scan", source, "--catalog", str(bad)]),
+            (second, ["scan", source, "--catalog", str(bad)]),
+            (second, ["ingest", "--cwe", catalog, "--cve", str(cve), "--out", str(tmp_path)]),
+        ]
+        # The catalog is written before every call, so a fresh process
+        # sees it as the sequence saw it; equal bytes leave the file as it was.
+        commands = [[80, argv, {catalog: text}] for text, argv in steps]
+        results, _, kept_as_parsed = sequence_run(*commands)
+        assert [code for code, _, _ in results] == [1, 1, 0, 1, 0, 3, 3, 0]
+        assert "CWE-9999" in results[3][1] and "CWE-9999" not in results[1][1]
+        assert "CWE-9999" in results[4][1] and "CWE-9999" not in results[2][1]
+        message = "pkgraph: error: line 4: malformed cwe_id 'CWE-x'\n"
+        assert results[5][2] == results[6][2] == message
+        assert "(0 orphan CVEs)" in results[7][1]  # CVE-2020-0001 found CWE-9999
+        assert kept_as_parsed
+        assert results == [sequence_run(command)[0][0] for command in commands]
+
+
+class TestByteOrderMark:
+    """A catalog may start with a UTF-8 byte-order mark, as spreadsheets'
+    "CSV UTF-8" exports write, and then answers as without it."""
+
+    def test_catalog(self, tmp_path):
+        catalog = tmp_path / "catalog.csv"
+        catalog.write_bytes(BOM + (DATA / "cwe-catalog.csv").read_bytes())
+        source = str(CORPUS / "cwe242_gets.c")
+        query = "MATCH (c:CWE) RETURN c.`CWE-ID`"
+        for argv in (["scan", source, "--format", "json"], ["query", source]):
+            want = cli(*argv, stdin_text=query)
+            assert want[0] in (0, 1)
+            assert cli(*argv, "--catalog", str(catalog), stdin_text=query) == want
 
 
 class TestUnreadableInput:
-    """A file that is not UTF-8, or a catalog the csv module cannot
-    read, exits 3 with one error line and writes nothing to stdout."""
+    """A file that is not UTF-8, a catalog the csv module cannot read, or
+    a C source or query that starts with a byte-order mark exits 3 with
+    one error line and writes nothing to stdout."""
 
     @pytest.mark.parametrize(
         "files, message",
@@ -516,6 +585,14 @@ class TestUnreadableInput:
                 {"query": b"MATCH (n:CallGraph)\nRETURN n.Name \xff"},
                 "{query}: line 2: not UTF-8: invalid start byte",
                 id="query-latin-1",
+            ),
+            pytest.param(
+                {"source": BOM + GETS_SRC}, "1:1: unexpected character '\\ufeff'", id="source-bom"
+            ),
+            pytest.param(
+                {"query": BOM + b"MATCH (n) RETURN n"},
+                "1:1: unexpected character '\\ufeff'",
+                id="query-bom",
             ),
         ],
     )

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    DATA,
     DOUBLE_FREE_INTERPROC_SRC,
     DOUBLE_FREE_SRC,
     call_graph_of,
@@ -383,6 +385,33 @@ def test_call_sites_matching_equals_name_filter(seed):
     got = _call_sites_matching(graph, names)
     assert got == want
     assert not set(got) & set(entries)
+
+
+CORPUS_GRAPHS = [
+    merged_graph_of(sample.read_text(encoding="utf-8"))[0]
+    for folder in ("corpus", "clean")
+    for sample in sorted((DATA / folder).iterdir(), key=lambda path: path.name)
+]
+CORPUS_NAMES = sorted(
+    {n.properties["Name"] for g in CORPUS_GRAPHS for n in g.find_nodes("CallGraph")}
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    graph=st.sampled_from(CORPUS_GRAPHS),
+    names=st.lists(st.sampled_from(CORPUS_NAMES + ["absent", ""]), max_size=6),
+)
+def test_call_sites_matching_equals_a_set_union(graph, names):
+    """Over the bundled samples' graphs, with repeated, unknown and no
+    names, the lookup gives the sorted union of the names' call sites,
+    as a list of its own that the caller may change."""
+    by_name = _index(graph).by_name
+    want = sorted(set().union(*(by_name.get(name, ()) for name in names)))
+    got = _call_sites_matching(graph, names)
+    assert got == want
+    got.append(-1)
+    assert _call_sites_matching(graph, names) == want
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -147,6 +147,36 @@ class TestUnreadableCsv:
         assert exc.value.line == 2
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+class TestByteOrderMark:
+    """A catalog may start with a UTF-8 byte-order mark, as spreadsheets'
+    "CSV UTF-8" exports write; errors keep their lines."""
+
+    def test_cwe_catalog(self):
+        data = CWE_HEADER + b"CWE-415,Double free,desc,free\n"
+        assert parse_cwe_csv(BOM + data) == parse_cwe_csv(data)
+
+    def test_cve_catalog(self):
+        data = CVE_HEADER + b"CVE-2020-0001,desc,CWE-415,7.5,Lib,1.0;1.1\n"
+        assert parse_cve_csv(BOM + data) == parse_cve_csv(data)
+
+    def test_bad_byte_on_line_two(self):
+        """The mark's three bytes would put the line-2 byte on line 1 if
+        the error's offset were counted in the bytes with the mark."""
+        with pytest.raises(CsvError) as exc:
+            parse_cwe_csv(BOM + CWE_HEADER + b"\xffCWE-415,n,d,free\n")
+        assert (exc.value.line, exc.value.reason) == (2, "not UTF-8: invalid start byte")
+
+    def test_invalid_row_on_line_three(self):
+        with pytest.raises(CsvError) as exc:
+            parse_cve_csv(
+                BOM + CVE_HEADER + b"CVE-2020-0001,d,CWE-415,7.5,P,1.0\nCVE-x,d,CWE-415,7.5,P,1.0\n"
+            )
+        assert (exc.value.line, exc.value.reason) == (3, "malformed cve_id 'CVE-x'")
+
+
 def cwe(cwe_id="CWE-415", events=("free",)):
     return CweRecord(cwe_id, "Double free", "desc", list(events))
 
