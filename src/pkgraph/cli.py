@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .cparse import ParseError, extract_translation_unit, build_call_graph
-from .detectors import run_all
+from .detectors import Catalog, run_all
 from .graph import PropertyGraph
 from .render import (
     ExportError,
@@ -110,10 +110,10 @@ def default_catalog_bytes() -> bytes:
 
 
 # The last weakness catalog parsed in this process: (bytes, records).
-_kept_catalog = (None, ())
+_kept_catalog = (None, Catalog())
 
 
-def _load_catalog(path) -> tuple:
+def _load_catalog(path) -> Catalog:
     """The records of the catalog at path (None: the bundled one).
 
     The file is read on every call but parsed only when its bytes differ
@@ -121,12 +121,13 @@ def _load_catalog(path) -> tuple:
     enough: a process scans with one catalog, the bundled one or the one
     --catalog names, again and again. Comparing bytes rather than a path
     or an mtime catches every rewrite, and costs one memcmp next to a
-    parse. A parse error keeps the last catalog. The records are a tuple,
-    so no caller can change the kept sequence."""
+    parse. A parse error keeps the last catalog. The records are a
+    Catalog, a tuple, so no caller can change the kept sequence, and the
+    map run_all walks is built with it once, on the first scan."""
     global _kept_catalog
     data = default_catalog_bytes() if path is None else _read_bytes(path)
     if data != _kept_catalog[0]:
-        _kept_catalog = (data, tuple(parse_cwe_csv(data)))
+        _kept_catalog = (data, Catalog(parse_cwe_csv(data)))
     return _kept_catalog[1]
 
 
@@ -143,10 +144,14 @@ def _read_text(path: str) -> str:
 
 
 def _merged_graph(source_path: str, catalog=()):
-    """Knowledge graph of the catalog plus the file's call graph, sealed."""
+    """The file's call graph after one CWE node per catalog row, sealed.
+    Only a query reads CWE nodes; the other commands pass no catalog.
+    CWE nodes have no edges and a scan renders no ids, so a scan's
+    output is the same without them."""
     source = _read_text(source_path)
     graph = PropertyGraph()
-    build_knowledge_graph(catalog, [], graph)
+    if catalog:
+        build_knowledge_graph(catalog, [], graph)
     tu = extract_translation_unit(source)
     build_call_graph(tu, graph)
     graph.seal()
@@ -198,7 +203,7 @@ def _cmd_extract(args, stdin, stdout) -> int:
 
 def _cmd_scan(args, stdin, stdout) -> int:
     catalog = _load_catalog(args.catalog)
-    graph, tu = _merged_graph(args.source, catalog)
+    graph, tu = _merged_graph(args.source)
     findings, capabilities = run_all(graph, tu, catalog)
     if args.format == "json":
         stdout.write(findings_to_json(findings, capabilities, graph))

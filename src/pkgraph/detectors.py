@@ -11,6 +11,8 @@ declared capability gap because a call graph carries no data flow.
 
 from __future__ import annotations
 
+import functools
+
 from .cparse import TranslationUnit
 from .graph import FrozenRecord, PropertyGraph, Record
 from .vulndata import CweRecord
@@ -283,6 +285,7 @@ class _Family(FrozenRecord):
         "detect",  # (graph, tu, cwe) -> findings; None: a capability miss
         "template",  # detection query; None: no pure-query formulation
         "unsupported",  # why the family is a capability miss
+        "triggers",  # names of which detect needs one called; None: the row's events
     )
 
 
@@ -290,10 +293,10 @@ class _Family(FrozenRecord):
 # perfbench/tracer.py wraps module attributes, so a stored function
 # object would hide every detectors.detect_* span.
 _BANNED_CALL = _Family(
-    lambda g, tu, cwe: detect_banned_calls(g, cwe), _BANNED_CALL_TEMPLATE, ""
+    lambda g, tu, cwe: detect_banned_calls(g, cwe), _BANNED_CALL_TEMPLATE, "", None
 )
 _DOUBLE_RELEASE = _Family(
-    lambda g, tu, cwe: detect_double_release(g, cwe), _DOUBLE_RELEASE_TEMPLATE, ""
+    lambda g, tu, cwe: detect_double_release(g, cwe), _DOUBLE_RELEASE_TEMPLATE, "", None
 )
 
 #: Family per weakness id; an id not listed is a banned-call weakness.
@@ -302,27 +305,80 @@ _FAMILIES = {
     "CWE-477": _BANNED_CALL,
     "CWE-415": _DOUBLE_RELEASE,
     "CWE-1341": _DOUBLE_RELEASE,
-    "CWE-467": _Family(lambda g, tu, cwe: detect_sizeof_on_pointer(g, tu, cwe), None, ""),
-    "CWE-479": _Family(lambda g, tu, cwe: detect_signal_nonreentrant(g, cwe), None, ""),
-    "CWE-558": _Family(lambda g, tu, cwe: detect_getlogin_multithreaded(g, cwe), None, ""),
+    "CWE-467": _Family(
+        lambda g, tu, cwe: detect_sizeof_on_pointer(g, tu, cwe), None, "", ("sizeof",)
+    ),
+    # Runs whenever signal is called, even if no event is: an unresolved
+    # handler is warned of before the events are looked at.
+    "CWE-479": _Family(
+        lambda g, tu, cwe: detect_signal_nonreentrant(g, cwe), None, "", ("signal",)
+    ),
+    # Its events, not pthread_create: threads without getlogin find nothing.
+    "CWE-558": _Family(
+        lambda g, tu, cwe: detect_getlogin_multithreaded(g, cwe), None, "", None
+    ),
     "CWE-401": _Family(
         None,
         None,
         "call graph lacks data-flow; malloc's Argument1 is a size, not the released handle",
+        None,
     ),
 }
 
 
-def run_all(graph: PropertyGraph, tu: TranslationUnit, catalog: list):
-    """Run every catalog entry through its detector family.
+class Catalog(tuple):
+    """Weakness records in catalog order, keeping the map run_all walks,
+    built on its first use. A process that keeps one parsed catalog
+    builds the map once, and a command that never scans never builds it.
+    The records must not change once it is built."""
+
+    @functools.cached_property
+    def rows_by_trigger(self) -> dict:
+        """Call-site name -> indices of the rows whose detector can find
+        something only if the program calls that name, ascending; a row's
+        index may appear twice. Capability misses are listed whatever the
+        program calls, so their rows are under None, which no call-site
+        name equals."""
+        rows = {}
+        for index, cwe in enumerate(self):
+            family = _FAMILIES.get(cwe.cwe_id, _BANNED_CALL)
+            if family.detect is None:
+                names = (None,)
+            elif family.triggers is None:
+                names = cwe.function_events
+            else:
+                names = family.triggers
+            for name in names:
+                rows.setdefault(name, []).append(index)
+        return rows
+
+
+def run_all(graph: PropertyGraph, tu: TranslationUnit, catalog):
+    """Run the catalog's rows through their detector families.
 
     Unknown weakness ids fall back to the banned-call rule over their
     function events. Returns (findings, capability misses); findings
     are sorted by (cwe_id, smallest terminal ExecOrder).
+
+    A row runs only if the program calls one of its trigger names: its
+    function events, or the one name its family needs (sizeof for
+    CWE-467, signal for CWE-479). A row no called name triggers would
+    find nothing and log nothing. Each row runs at most once, in catalog
+    order, so a scan costs what the program calls, not what the catalog
+    lists; capability misses are listed for every row that has one. A
+    Catalog brings its name -> rows map; any other sequence of records
+    is wrapped in one, which builds the map for this call.
     """
+    if not isinstance(catalog, Catalog):
+        catalog = Catalog(catalog)
+    rows = catalog.rows_by_trigger
+    matched = set(rows.get(None, ()))
+    for name in graph.derived(_index).by_name:
+        matched.update(rows.get(name, ()))
     findings = []
     capabilities = []
-    for cwe in catalog:
+    for index in sorted(matched):
+        cwe = catalog[index]
         family = _FAMILIES.get(cwe.cwe_id, _BANNED_CALL)
         if family.detect is None:
             capabilities.append(

@@ -559,6 +559,70 @@ class TestByteOrderMark:
             assert cli(*argv, "--catalog", str(catalog), stdin_text=query) == want
 
 
+def catalog_with_uncalled_rows(tmp_path, rows):
+    """The bundled catalog plus rows whose events no sample calls, with
+    ids outside every detector family."""
+    path = tmp_path / f"uncalled{rows}.csv"
+    extra = "".join(
+        f"CWE-{20000 + i},Generated {i},d,legacy_api_{i};legacy_api_{rows + i}\n"
+        for i in range(rows)
+    )
+    path.write_bytes((DATA / "cwe-catalog.csv").read_bytes() + extra.encode())
+    return str(path)
+
+
+SAMPLES = sorted(
+    str(sample) for folder in ("corpus", "clean") for sample in (DATA / folder).iterdir()
+)
+
+
+class TestScanCostsWhatTheProgramCalls:
+    """A scan reads the catalog's records but builds no CWE nodes, and
+    runs only the rows that a name the program calls triggers."""
+
+    def test_uncalled_rows_change_no_output(self, tmp_path):
+        catalog = catalog_with_uncalled_rows(tmp_path, 300)
+        assert len(SAMPLES) == 23
+        for extra in ([], ["--format", "json"]):
+            bundled = [cli("scan", sample, *extra) for sample in SAMPLES]
+            with_rows = [cli("scan", sample, *extra, "--catalog", catalog) for sample in SAMPLES]
+            assert with_rows == bundled
+            assert {code for code, _, _ in bundled} == {0, 1}
+
+    def test_only_a_query_builds_cwe_nodes(self, monkeypatch, tmp_path):
+        """As the benchmark's tracer wraps it, in the namespace the CLI
+        calls it from. Neither a query nor an ingest builds the map a
+        scan walks."""
+        calls = []
+        original = pkgraph.cli.build_knowledge_graph
+
+        def counted(cwes, cves, graph):
+            calls.append(len(cwes))
+            return original(cwes, cves, graph)
+
+        monkeypatch.setattr(pkgraph.cli, "build_knowledge_graph", counted)
+        catalog = catalog_with_uncalled_rows(tmp_path, 40)
+        source = str(CORPUS / "cwe242_gets.c")
+        cve = tmp_path / "cve.csv"
+        cve.write_text(",".join(pkgraph.vulndata.CVE_COLUMNS) + "\n")
+        assert cli("query", source, "--catalog", catalog, stdin_text="MATCH (n) RETURN n")[0] == 0
+        ingest = ["ingest", "--cwe", catalog, "--cve", str(cve), "--out", str(tmp_path)]
+        assert cli(*ingest)[0] == 0
+        assert calls == [48, 48]
+        assert "rows_by_trigger" not in vars(pkgraph.cli._kept_catalog[1])
+        for extra in ([], ["--format", "json"], ["--catalog", catalog]):
+            assert cli("scan", source, *extra)[0] == 1
+        assert calls == [48, 48]
+
+    def test_a_query_counts_every_cwe_node(self, tmp_path):
+        catalog = catalog_with_uncalled_rows(tmp_path, 900)
+        source = str(CORPUS / "cwe242_gets.c")
+        query = "MATCH (c:CWE) RETURN COUNT(c)"
+        assert cli("scan", source, "--catalog", catalog)[0] == 1
+        code, out, _ = cli("query", source, "--catalog", catalog, stdin_text=query)
+        assert (code, out.splitlines()[1:]) == (0, ["908"])
+
+
 class TestUnreadableInput:
     """A file that is not UTF-8, a catalog the csv module cannot read, or
     a C source or query that starts with a byte-order mark exits 3 with

@@ -16,6 +16,11 @@ from test_graph import brute_force_paths, is_valid_path
 from pkgraph.cypher.eval import execute_query
 from pkgraph.cypher.parser import parse_query
 from pkgraph.detectors import (
+    _BANNED_CALL,
+    _FAMILIES,
+    Catalog,
+    DetectorCapability,
+    Finding,
     UnsupportedTemplate,
     detect_banned_calls,
     detect_double_release,
@@ -387,11 +392,12 @@ def test_call_sites_matching_equals_name_filter(seed):
     assert not set(got) & set(entries)
 
 
-CORPUS_GRAPHS = [
-    merged_graph_of(sample.read_text(encoding="utf-8"))[0]
+CORPUS_PROGRAMS = [
+    merged_graph_of(sample.read_text(encoding="utf-8"))[:2]
     for folder in ("corpus", "clean")
     for sample in sorted((DATA / folder).iterdir(), key=lambda path: path.name)
 ]
+CORPUS_GRAPHS = [graph for graph, _ in CORPUS_PROGRAMS]
 CORPUS_NAMES = sorted(
     {n.properties["Name"] for g in CORPUS_GRAPHS for n in g.find_nodes("CallGraph")}
 )
@@ -453,3 +459,119 @@ def test_site_findings_match_per_site_search(seed):
             assert finding.witness_paths == _witness_paths(graph, entries, [site])
     for finding in detect_double_release(graph, catalog_entry("CWE-1341")):
         assert finding.witness_paths == _witness_paths(graph, entries, finding.terminal_nodes)
+
+
+def reference_run_all(graph, tu, catalog):
+    """run_all walking every catalog row in order, as it did before it
+    walked the program's called names: the oracle for that inversion."""
+    findings = []
+    capabilities = []
+    for cwe in catalog:
+        family = _FAMILIES.get(cwe.cwe_id, _BANNED_CALL)
+        if family.detect is None:
+            capabilities.append(
+                DetectorCapability(cwe.cwe_id, supported=False, reason=family.unsupported)
+            )
+        else:
+            findings.extend(family.detect(graph, tu, cwe))
+
+    def order(f: Finding):
+        min_exec = min(
+            (graph.node(t).properties.get("ExecOrder", 0) for t in f.terminal_nodes),
+            default=0,
+        )
+        return (f.cwe_id, min_exec)
+
+    findings.sort(key=order)
+    return findings, capabilities
+
+
+# Names no bundled sample calls, and names the trigger rules single out.
+UNCALLED = ["legacy_api_1", "legacy_api_2", "absent"]
+TRIGGER_NAMES = ["sizeof", "signal", "syslog", "getlogin", "pthread_create"]
+
+
+def random_catalog(rng, called):
+    """Rows with every family's id and unknown ids, events drawn from the
+    program's called names, uncalled names and the trigger names, some
+    lists empty or naming one event twice, and some ids listed twice."""
+    ids = list(_FAMILIES) + ["CWE-9999", "CWE-20001"]
+    names = called + UNCALLED + TRIGGER_NAMES
+    rows = []
+    for i in range(rng.randint(0, 14)):
+        events = rng.choices(names, k=rng.randint(0, 4))
+        if events and rng.random() < 0.2:
+            events.append(events[0])
+        rows.append(CweRecord(rng.choice(ids), f"row {i}", "", events))
+        if rng.random() < 0.2:
+            rows.append(CweRecord(rows[-1].cwe_id, f"row {i} again", "", list(events)))
+    rng.shuffle(rows)
+    return rows
+
+
+def logged_run(run, caplog, *args):
+    """run(*args) and the messages it logged."""
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        result = run(*args)
+    return result, [r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_run_all_equals_the_row_by_row_reference(seed, caplog):
+    """Over the bundled samples' graphs and random catalogs, running only
+    the rows a called name triggers gives the findings (ids, names,
+    messages, terminals, witness paths) and capability misses of running
+    every row, in the same order, and logs the same warnings. Ids listed
+    twice with other names pin the stable sort's tie order."""
+    rng = random.Random(seed)
+    for graph, tu in CORPUS_PROGRAMS:
+        called = sorted(_index(graph).by_name)
+        for _ in range(3):
+            catalog = random_catalog(rng, called)
+            want = logged_run(reference_run_all, caplog, graph, tu, catalog)
+            assert logged_run(run_all, caplog, graph, tu, catalog) == want
+            assert logged_run(run_all, caplog, graph, tu, Catalog(catalog)) == want
+
+
+class TestTriggers:
+    """Rows whose detector needs a name other than their events, or that
+    name one called procedure more than once."""
+
+    def test_signal_row_runs_without_its_events_called(self, caplog):
+        graph, tu = call_graph_of("void main() { signal(2, missing_handler); pause(); }")
+        result, _ = logged_run(run_all, caplog, graph, tu, [catalog_entry("CWE-479")])
+        assert result == ([], [])
+        assert "syslog" in catalog_entry("CWE-479").function_events
+        assert any("cannot be resolved" in r.message for r in caplog.records)
+
+    def test_getlogin_without_threads_finds_nothing(self):
+        graph, tu = call_graph_of("void main() { getlogin(); }")
+        assert run_all(graph, tu, [catalog_entry("CWE-558")]) == ([], [])
+
+    @pytest.mark.parametrize(
+        "events", [["gets", "atoi"], ["gets", "gets"], ["atoi", "gets", "atoi"]]
+    )
+    def test_each_finding_once(self, events):
+        graph, tu = call_graph_of("void main() { gets(b); atoi(b); gets(c); }")
+        findings, _ = run_all(graph, tu, [CweRecord("CWE-9999", "Custom", "", events)])
+        terminals = [t for f in findings for t in f.terminal_nodes]
+        assert sorted(terminals) == sorted(set(terminals))
+        assert len(terminals) == len(_call_sites_matching(graph, events))
+
+    def test_an_id_listed_twice_keeps_catalog_order(self):
+        graph, tu = call_graph_of("void main() { gets(b); }")
+        first = CweRecord("CWE-242", "first", "", ["gets"])
+        second = CweRecord("CWE-242", "second", "", ["absent", "gets"])
+        for catalog in ([first, second], [second, first]):
+            findings, _ = run_all(graph, tu, catalog)
+            assert [f.cwe_name for f in findings] == [c.name for c in catalog]
+
+    def test_a_catalog_keeps_its_map(self):
+        catalog = Catalog(load_catalog())
+        graph, tu = call_graph_of("void main() { gets(b); }")
+        run_all(graph, tu, catalog)
+        rows = catalog.rows_by_trigger
+        run_all(graph, tu, catalog)
+        assert catalog.rows_by_trigger is rows
+        assert [catalog[i].cwe_id for i in rows[None]] == ["CWE-401"]

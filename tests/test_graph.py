@@ -243,7 +243,7 @@ RECORDS = [
     (Finding, ("CWE-242", "Dangerous function", [Path((1, 2), (7,))], [2], "gets is called")),
     (DetectorCapability, ("CWE-401", False, "no data flow")),
     (_CallGraphIndex, ((1, 3), (1,), {"gets": [2]})),
-    (_Family, (len, "MATCH (n) RETURN n", "")),
+    (_Family, (len, "MATCH (n) RETURN n", "", ("sizeof",))),
     (ast.Literal, ("x",)),
     (ast.Var, ("x",)),
     (ast.Prop, ("n", "Name")),
