@@ -122,8 +122,9 @@ def _load_catalog(path) -> Catalog:
     --catalog names, again and again. Comparing bytes rather than a path
     or an mtime catches every rewrite, and costs one memcmp next to a
     parse. A parse error keeps the last catalog. The records are a
-    Catalog, a tuple, so no caller can change the kept sequence, and the
-    map run_all walks is built with it once, on the first scan."""
+    Catalog, a tuple, so no caller can change the kept sequence; the map
+    run_all walks is built with it once, on the first scan, and the graph
+    of its CWE nodes once, on the first query."""
     global _kept_catalog
     data = default_catalog_bytes() if path is None else _read_bytes(path)
     if data != _kept_catalog[0]:
@@ -143,15 +144,14 @@ def _read_text(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _merged_graph(source_path: str, catalog=()):
+def _merged_graph(source_path: str, catalog: Catalog | None = None):
     """The file's call graph after one CWE node per catalog row, sealed.
     Only a query reads CWE nodes; the other commands pass no catalog.
     CWE nodes have no edges and a scan renders no ids, so a scan's
-    output is the same without them."""
+    output is the same without them. The CWE nodes are a copy of the
+    catalog's graph of them, built once per kept catalog."""
     source = _read_text(source_path)
-    graph = PropertyGraph()
-    if catalog:
-        build_knowledge_graph(catalog, [], graph)
+    graph = catalog.cwe_graph.copy() if catalog is not None else PropertyGraph()
     tu = extract_translation_unit(source)
     build_call_graph(tu, graph)
     graph.seal()

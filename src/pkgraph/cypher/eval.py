@@ -109,7 +109,11 @@ def _size(value, expr: Func) -> int:
 class _Evaluator:
     def __init__(self, graph: PropertyGraph):
         self.graph = graph
-        self._scans = {}  # literal-only NodePattern -> the nodes it matches
+        # id(literal-only NodePattern) -> the nodes it matches. Not keyed
+        # by the pattern itself: patterns compare equal when their literals
+        # do, and 1, 1.0 and True are equal but match different nodes. The
+        # query holds each pattern, so an id is not reused while it is kept.
+        self._scans = {}
         self._step_lists = {}  # id(compound expression) -> _steps(expression)
 
     # -- scalar expressions ------------------------------------------------
@@ -265,17 +269,24 @@ class _Evaluator:
         """The nodes np matches under bound: its variable's node if bound,
         else a scan. A pattern whose property filters are all literals
         matches the same nodes on every row, so its scan runs once per
-        query."""
+        query; with a label, and each key given once and not null, the
+        graph's find_nodes does that scan."""
         if np.var in bound:
             node = _bound_node(np, bound)
             return [node] if node is not None and self._node_matches(np, node, bound) else []
         cacheable = all(isinstance(expr, Literal) for _, expr in np.props)
-        if cacheable and np in self._scans:
-            return self._scans[np]
-        pool = self.graph.find_nodes(np.label) if np.label is not None else self.graph.nodes()
-        found = [n for n in pool if self._node_matches(np, n, bound)]
+        if cacheable and id(np) in self._scans:
+            return self._scans[id(np)]
+        filters = {key: expr.value for key, expr in np.props} if cacheable else {}
+        if np.label is not None and cacheable and len(filters) == len(np.props) and (
+            None not in filters.values()
+        ):
+            found = self.graph.find_nodes(np.label, filters)
+        else:
+            pool = self.graph.find_nodes(np.label) if np.label is not None else self.graph.nodes()
+            found = [n for n in pool if self._node_matches(np, n, bound)]
         if cacheable:
-            self._scans[np] = found
+            self._scans[id(np)] = found
         return found
 
     def _node_matches(self, np, node: Node, row: dict) -> bool:

@@ -15,7 +15,7 @@ import functools
 
 from .cparse import TranslationUnit
 from .graph import FrozenRecord, PropertyGraph, Record
-from .vulndata import CweRecord
+from .vulndata import CweRecord, build_knowledge_graph
 
 
 class Finding(Record):
@@ -327,10 +327,20 @@ _FAMILIES = {
 
 
 class Catalog(tuple):
-    """Weakness records in catalog order, keeping the map run_all walks,
-    built on its first use. A process that keeps one parsed catalog
-    builds the map once, and a command that never scans never builds it.
-    The records must not change once it is built."""
+    """Weakness records in catalog order, keeping the map run_all walks
+    and the graph of their CWE nodes, each built on its first use. A
+    process that keeps one parsed catalog builds each once, and a command
+    that never reads one never builds it. The records must not change
+    once either is built."""
+
+    @functools.cached_property
+    def cwe_graph(self) -> PropertyGraph:
+        """One CWE node per row, in catalog order, sealed: what a query's
+        graph copies before it adds the program's call graph."""
+        graph = PropertyGraph()
+        build_knowledge_graph(self, [], graph)
+        graph.seal()
+        return graph
 
     @functools.cached_property
     def rows_by_trigger(self) -> dict:

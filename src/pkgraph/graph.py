@@ -5,6 +5,12 @@ call graph: labeled nodes with key/value properties, typed directed
 edges, a label index, and edge-unique path enumeration. Mutation happens
 in a single-threaded build phase; after seal() the graph is immutable
 and reads are safe from any thread.
+
+copy() starts a new, unsealed graph from a sealed one without building
+its nodes again: the copy holds the same Node and Edge records under the
+same ids, and only its indexes are new. A node's adjacency lists are
+created by its first edge, so a node without edges costs neither
+add_node nor copy() any list; a missing list reads as no edges.
 """
 
 from __future__ import annotations
@@ -174,8 +180,6 @@ class PropertyGraph:
         self._next_node_id += 1
         self._nodes[node_id] = Node(node_id, label, dict(properties or {}))
         self._by_label.setdefault(label, []).append(node_id)
-        self._out[node_id] = []
-        self._in[node_id] = []
         return node_id
 
     def add_edge(self, source: int, target: int, edge_type: str) -> int:
@@ -190,8 +194,8 @@ class PropertyGraph:
         edge_id = self._next_edge_id
         self._next_edge_id += 1
         self._edges[edge_id] = Edge(edge_id, source, target, edge_type)
-        self._out[source].append(edge_id)
-        self._in[target].append(edge_id)
+        self._out.setdefault(source, []).append(edge_id)
+        self._in.setdefault(target, []).append(edge_id)
         return edge_id
 
     def seal(self) -> None:
@@ -201,6 +205,22 @@ class PropertyGraph:
     @property
     def sealed(self) -> bool:
         return self._sealed
+
+    def copy(self) -> PropertyGraph:
+        """An unsealed graph with this graph's nodes and edges, to add more
+        to: the same Node and Edge records under the same ids, and new ids
+        issued after this graph's. The records are shared, so neither graph
+        may change one; the indexes are the copy's own, so adding to the
+        copy leaves this graph as it was. Derived values are not copied."""
+        other = PropertyGraph()
+        other._nodes = dict(self._nodes)
+        other._edges = dict(self._edges)
+        other._by_label = {label: list(ids) for label, ids in self._by_label.items()}
+        other._out = {node_id: list(ids) for node_id, ids in self._out.items()}
+        other._in = {node_id: list(ids) for node_id, ids in self._in.items()}
+        other._next_node_id = self._next_node_id
+        other._next_edge_id = self._next_edge_id
+        return other
 
     def derived(self, build):
         """build(self), kept with the graph once it is sealed, so it is
@@ -240,25 +260,25 @@ class PropertyGraph:
 
     def out_edges(self, node_id: int) -> list:
         self.node(node_id)
-        return [self._edges[e] for e in self._out[node_id]]
+        return [self._edges[e] for e in self._out.get(node_id, ())]
 
     def in_edges(self, node_id: int) -> list:
         self.node(node_id)
-        return [self._edges[e] for e in self._in[node_id]]
+        return [self._edges[e] for e in self._in.get(node_id, ())]
 
     def find_nodes(self, label: str, filters: dict | None = None) -> list:
         """All nodes with the given label whose properties satisfy every
         filter entry under values_equal. Ascending node-id order; an
-        unknown label yields an empty list."""
-        result = []
-        for node_id in self._by_label.get(label, ()):
-            node = self._nodes[node_id]
-            if all(
-                key in node.properties and values_equal(value, node.properties[key])
-                for key, value in (filters or {}).items()
-            ):
-                result.append(node)
-        return result
+        unknown label yields an empty list. Each filter entry narrows the
+        list left by the ones before it."""
+        nodes = self._nodes
+        found = [nodes[node_id] for node_id in self._by_label.get(label, ())]
+        for key, value in (filters or {}).items():
+            found = [
+                node for node in found
+                if key in node.properties and values_equal(value, node.properties[key])
+            ]
+        return found
 
     # -- traversal ---------------------------------------------------------
 
@@ -298,7 +318,8 @@ class PropertyGraph:
         used = set()
         # One iterator per node on the current path, over its out-edges in
         # ascending id order; the top one resumes where its child returned.
-        stack = [iter(self._out[start])] if max_len is None or max_len > 0 else []
+        out = self._out
+        stack = [iter(out.get(start, ()))] if max_len is None or max_len > 0 else []
         while stack:
             for edge_id in stack[-1]:
                 edge = self._edges[edge_id]
@@ -314,7 +335,7 @@ class PropertyGraph:
                 if len(edge_seq) >= min_len and edge.target in target_set:
                     results.append(Path(tuple(node_seq), tuple(edge_seq)))
                 if max_len is None or len(edge_seq) < max_len:
-                    stack.append(iter(self._out[edge.target]))
+                    stack.append(iter(out.get(edge.target, ())))
                     break
                 node_seq.pop()
                 edge_seq.pop()
@@ -332,7 +353,7 @@ class PropertyGraph:
         live = {t for t in target_set if t in self._nodes}
         frontier = list(live)
         while frontier:
-            for edge_id in self._in[frontier.pop()]:
+            for edge_id in self._in.get(frontier.pop(), ()):
                 edge = self._edges[edge_id]
                 if edge.source not in live and (edge_type is None or edge.type == edge_type):
                     live.add(edge.source)

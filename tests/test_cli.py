@@ -14,7 +14,7 @@ from test_cparse import c_texts
 import pkgraph
 import pkgraph.cypher.parser
 from pkgraph.cli import _fs_path, run_cli
-from pkgraph.detectors import generate_detection_query
+from pkgraph.detectors import Catalog, generate_detection_query
 
 DATA = resources.files("pkgraph") / "data"
 CORPUS = DATA / "corpus"
@@ -559,6 +559,9 @@ class TestByteOrderMark:
             assert cli(*argv, "--catalog", str(catalog), stdin_text=query) == want
 
 
+DETECTION_415 = generate_detection_query(catalog_entry("CWE-415"), "foo")
+
+
 def catalog_with_uncalled_rows(tmp_path, rows):
     """The bundled catalog plus rows whose events no sample calls, with
     ids outside every detector family."""
@@ -590,29 +593,51 @@ class TestScanCostsWhatTheProgramCalls:
             assert {code for code, _, _ in bundled} == {0, 1}
 
     def test_only_a_query_builds_cwe_nodes(self, monkeypatch, tmp_path):
-        """As the benchmark's tracer wraps it, in the namespace the CLI
-        calls it from. Neither a query nor an ingest builds the map a
-        scan walks."""
+        """Counted as the benchmark's tracer wraps it: in every pkgraph
+        module that holds the name. A kept catalog builds its CWE nodes
+        once, on its first query, and again only when its bytes change;
+        an ingest builds its own graph and a scan builds none. Neither a
+        query nor an ingest builds the map a scan walks."""
         calls = []
-        original = pkgraph.cli.build_knowledge_graph
+        original = pkgraph.vulndata.build_knowledge_graph
 
         def counted(cwes, cves, graph):
-            calls.append(len(cwes))
+            calls.append((len(cwes), len(cves)))
             return original(cwes, cves, graph)
 
-        monkeypatch.setattr(pkgraph.cli, "build_knowledge_graph", counted)
+        holders = [
+            module for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "pkgraph"
+            and vars(module).get("build_knowledge_graph") is original
+        ]
+        assert {pkgraph.cli, pkgraph.detectors, pkgraph.vulndata} <= set(holders)
+        for module in holders:
+            monkeypatch.setattr(module, "build_knowledge_graph", counted)
+        monkeypatch.setattr(pkgraph.cli, "_kept_catalog", (None, Catalog()))
         catalog = catalog_with_uncalled_rows(tmp_path, 40)
         source = str(CORPUS / "cwe242_gets.c")
         cve = tmp_path / "cve.csv"
-        cve.write_text(",".join(pkgraph.vulndata.CVE_COLUMNS) + "\n")
-        assert cli("query", source, "--catalog", catalog, stdin_text="MATCH (n) RETURN n")[0] == 0
+        cve.write_text(
+            ",".join(pkgraph.vulndata.CVE_COLUMNS) + "\nCVE-2020-0001,d,CWE-9999,7.5,Lib,1.0\n"
+        )
+        query = ["query", source, "--catalog", catalog]
+        for _ in range(3):
+            assert cli(*query, stdin_text="MATCH (n) RETURN n")[0] == 0
+        assert calls == [(48, 0)]
         ingest = ["ingest", "--cwe", catalog, "--cve", str(cve), "--out", str(tmp_path)]
         assert cli(*ingest)[0] == 0
-        assert calls == [48, 48]
+        assert calls == [(48, 0), (48, 1)]
         assert "rows_by_trigger" not in vars(pkgraph.cli._kept_catalog[1])
-        for extra in ([], ["--format", "json"], ["--catalog", catalog]):
+        for extra in (["--catalog", catalog], ["--catalog", catalog, "--format", "json"]):
             assert cli("scan", source, *extra)[0] == 1
-        assert calls == [48, 48]
+        assert cli(*query, stdin_text="MATCH (n) RETURN n")[0] == 0
+        assert cli("scan", source)[0] == 1
+        assert calls == [(48, 0), (48, 1)]
+        with open(catalog, "a") as file:
+            file.write("CWE-20999,Appended,d,legacy_api_999\n")
+        for _ in range(2):
+            assert cli(*query, stdin_text="MATCH (n) RETURN n")[0] == 0
+        assert calls == [(48, 0), (48, 1), (49, 0)]
 
     def test_a_query_counts_every_cwe_node(self, tmp_path):
         catalog = catalog_with_uncalled_rows(tmp_path, 900)
@@ -621,6 +646,48 @@ class TestScanCostsWhatTheProgramCalls:
         assert cli("scan", source, "--catalog", catalog)[0] == 1
         code, out, _ = cli("query", source, "--catalog", catalog, stdin_text=query)
         assert (code, out.splitlines()[1:]) == (0, ["908"])
+
+
+class TestKeptCweGraph:
+    """A query's graph starts as a copy of the kept catalog's CWE graph,
+    and answers as with a catalog parsed for that call alone."""
+
+    def test_each_query_answers_as_with_a_fresh_catalog(self, monkeypatch, tmp_path):
+        first = tmp_path / "first.csv"
+        first.write_bytes(CWE_HEADER + b"CWE-415,Double free,d,free\nCWE-676,Risky,d,printf\n")
+        second = catalog_with_uncalled_rows(tmp_path, 5)
+        source = str(CORPUS / "cwe415_double_free.c")
+        queries = [
+            "MATCH (n) RETURN COLLECT(n)",
+            DETECTION_415,
+            'MATCH (c:CWE {`CWE-ID`: "CWE-415"}) RETURN c.Name, c.`Function Events`',
+            "MATCH (c:CWE) RETURN COUNT(c)",
+        ]
+        monkeypatch.setattr(pkgraph.cli, "_kept_catalog", (None, Catalog()))
+        outputs, graphs = [], []
+        # Three calls with one catalog, three with the other, and so on;
+        # the first catalog's file is rewritten between steps 6 and 7.
+        for step in range(12):
+            if step == 7:
+                first.write_text(first.read_text() + "CWE-9999,Custom,d,free;gets\n")
+            catalog = str(first) if step // 3 % 2 == 0 else second
+            argv = ["query", source, "--catalog", catalog]
+            text = queries[step % len(queries)]
+            got = cli(*argv, stdin_text=text)
+            kept = pkgraph.cli._kept_catalog
+            pkgraph.cli._kept_catalog = (None, Catalog())
+            assert cli(*argv, stdin_text=text) == got, (step, text)
+            pkgraph.cli._kept_catalog = kept
+            outputs.append(got)
+            graphs.append(kept[1].cwe_graph)
+        assert graphs[0] is graphs[1] is graphs[2] and graphs[3] is graphs[4] is graphs[5]
+        assert graphs[6] is not graphs[7] and graphs[7] is graphs[8]
+        assert {code for code, _, _ in outputs} == {0}
+        assert "CWE-9999" not in outputs[0][1] and "CWE-9999" in outputs[8][1]
+        for _, out, _ in (outputs[0], outputs[4], outputs[8]):
+            labels = [part.split(" ", 1)[0] for part in out.split("(:")[1:]]
+            assert labels[0] == "CWE" and "CallGraph" in labels
+            assert labels == sorted(labels, key=lambda label: label != "CWE")
 
 
 class TestUnreadableInput:

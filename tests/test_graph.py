@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pkgraph.cparse import CallSite, FunctionDef, TranslationUnit
 from pkgraph.cypher import ast
@@ -151,6 +152,123 @@ class TestFindNodes:
         ys = {g.add_node("Y", {}) for _ in range(2)}
         assert {n.id for n in g.find_nodes("X")} == xs
         assert {n.id for n in g.find_nodes("Y")} == ys
+
+
+# Property values of every kind, drawn from few enough texts and numbers
+# that filters often meet them: 1 and 1.0 and True differ, and a text
+# meets a list that holds it.
+VALUES = st.one_of(
+    st.sampled_from(["a", "b", "gets", ""]),
+    st.sampled_from([0, 1, 2, 1.0, 0.0, 2.5, True, False]),
+    st.lists(st.sampled_from(["a", "b", "gets"]), max_size=3),
+    st.none(),
+)
+PROPERTIES = st.dictionaries(st.sampled_from(["k", "Name", "x"]), VALUES, max_size=3)
+
+
+def brute_force_find(graph, label, filters):
+    return [
+        node
+        for node in graph.nodes()
+        if node.label == label
+        and all(key in node.properties and values_equal(value, node.properties[key])
+                for key, value in filters.items())
+    ]
+
+
+class TestFindNodesOracle:
+    """find_nodes against a scan of every node under values_equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nodes=st.lists(st.tuples(st.sampled_from("AB"), PROPERTIES), max_size=12),
+        label=st.sampled_from("ABZ"),
+        filters=PROPERTIES,
+        sealed=st.booleans(),
+    )
+    @example(nodes=[("A", {"k": 1}), ("A", {"k": 1.0}), ("A", {"k": True})], label="A",
+             filters={"k": 1}, sealed=True)
+    @example(nodes=[("A", {"k": ["a", "b"]}), ("A", {"k": "a"}), ("A", {})], label="A",
+             filters={"k": "a"}, sealed=False)
+    @example(nodes=[("A", {"k": None}), ("A", {})], label="A", filters={"k": None}, sealed=True)
+    def test_matches_a_scan_of_every_node(self, nodes, label, filters, sealed):
+        graph = PropertyGraph()
+        for node_label, properties in nodes:
+            graph.add_node(node_label, properties)
+        if sealed:
+            graph.seal()
+        found = graph.find_nodes(label, filters)
+        assert found == brute_force_find(graph, label, filters)
+        assert [node.id for node in found] == sorted({node.id for node in found})
+
+
+class TestCopy:
+    """copy() adds to a new graph that starts with the same records, and
+    leaves the sealed original as it was."""
+
+    def test_original_unchanged_and_records_shared(self):
+        g = PropertyGraph()
+        a = g.add_node("CWE", {"CWE-ID": "CWE-1"})
+        b = g.add_node("CWE", {"CWE-ID": "CWE-2"})
+        lone = g.add_node("X", {"k": 1})
+        ab = g.add_edge(a, b, "HAS_CVE")
+        g.seal()
+        built = []
+
+        def labels(graph):
+            built.append(graph)
+            return [node.label for node in graph.nodes()]
+
+        kept = g.derived(labels)
+
+        def snapshot(graph):
+            return (
+                [(n.id, n.label, n.properties) for n in graph.nodes()],
+                [(e.id, e.source, e.target, e.type) for e in graph.edges()],
+                {n.id: ([e.id for e in graph.out_edges(n.id)], [e.id for e in graph.in_edges(n.id)])
+                 for n in graph.nodes()},
+                {label: [n.id for n in graph.find_nodes(label)] for label in ("CWE", "X", "Y")},
+                graph.node_count,
+                graph.edge_count,
+                graph.sealed,
+            )
+
+        before = snapshot(g)
+        c = g.copy()
+        assert not c.sealed
+        assert all(c.node(n.id) is n for n in g.nodes())
+        assert all(c.edge(e.id) is e for e in g.edges())
+        new = c.add_node("CWE", {"CWE-ID": "CWE-3"})
+        y = c.add_node("Y", {})
+        assert (new, y) == (lone + 1, lone + 2)
+        out_of_a = c.add_edge(a, new, "CALLS")
+        into_a = c.add_edge(new, a, "CALLS")
+        c.add_edge(lone, y, "CALLS")
+        assert (out_of_a, into_a) == (ab + 1, ab + 2)
+        assert [e.id for e in c.out_edges(a)] == [ab, out_of_a]
+        assert [e.id for e in c.in_edges(a)] == [into_a]
+        assert [n.id for n in c.find_nodes("CWE")] == [a, b, new]
+        assert (c.node_count, c.edge_count) == (5, 4)
+        assert [p.edges for p in c.enumerate_paths(new, {b}, "CALLS")] == []
+        assert [p.edges for p in c.enumerate_paths(new, {new}, None)] == [(into_a, out_of_a)]
+        c.seal()
+        assert c.derived(labels) == ["CWE", "CWE", "X", "CWE", "Y"]
+        assert snapshot(g) == before
+        assert g.derived(labels) is kept
+        assert built == [g, c]
+        with pytest.raises(GraphSealed):
+            g.add_node("CWE", {})
+
+    def test_copy_of_a_graph_without_edges(self):
+        g = PropertyGraph()
+        ids = [g.add_node("CWE", {"CWE-ID": f"CWE-{i}"}) for i in range(3)]
+        g.seal()
+        c = g.copy()
+        assert [e for n in ids for e in c.out_edges(n) + c.in_edges(n)] == []
+        edge = c.add_edge(ids[0], ids[2], "T")
+        assert edge == 1
+        assert [e.id for e in c.out_edges(ids[0])] == [edge]
+        assert g.out_edges(ids[0]) == [] and g.in_edges(ids[2]) == []
 
 
 class TestEnumeratePaths:

@@ -342,6 +342,70 @@ class TestRowDependentPattern:
         assert scanned == ["CWE"] + ["CallGraph"] * 9
 
 
+# Literals of every kind a pattern can hold, and property values that
+# often meet them: 1, 1.0 and True differ, and a text meets a list that
+# holds it. A parsed query holds no null or boolean literal; a pattern
+# built by hand can.
+LITERALS = st.one_of(
+    st.sampled_from(["a", "b", "gets", "", 0, 1, 1.0, 2.5, True, False]), st.none()
+)
+PROPERTY_VALUES = st.one_of(
+    st.sampled_from(["a", "b", "gets", 0, 1, 1.0, 2.5, True]),
+    st.lists(st.sampled_from(["a", "b", "gets"]), max_size=3),
+)
+
+
+class TestLiteralPatternScan:
+    """A labeled pattern whose filters are all literals is answered by the
+    graph's find_nodes; it matches the nodes _node_matches accepts, in
+    ascending id order, whatever its label, keys and literals."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nodes=st.lists(
+            st.tuples(
+                st.sampled_from("AB"),
+                st.dictionaries(st.sampled_from(["k", "Name"]), PROPERTY_VALUES, max_size=2),
+            ),
+            max_size=10,
+        ),
+        label=st.sampled_from([None, "A", "B", "Z"]),
+        props=st.lists(st.tuples(st.sampled_from(["k", "Name"]), LITERALS), max_size=3),
+    )
+    @example(nodes=[("A", {"k": 1}), ("A", {"k": 1.0}), ("A", {"k": True})], label="A",
+             props=[("k", 1), ("k", 1.0)])
+    @example(nodes=[("A", {"k": ["a", "gets"]}), ("A", {"k": "a"})], label="A",
+             props=[("k", "a")])
+    def test_same_nodes_as_node_matches(self, nodes, label, props):
+        graph = PropertyGraph()
+        for node_label, properties in nodes:
+            graph.add_node(node_label, properties)
+        graph.seal()
+        np = ast.NodePattern("n", label, tuple((key, Literal(value)) for key, value in props))
+        evaluator = _Evaluator(graph)
+        want = [node for node in graph.nodes() if evaluator._node_matches(np, node, {})]
+        assert evaluator._candidates(np, {}) == want
+        query = ast.Query((
+            ast.MatchClause(ast.Pattern(None, (np,), ()), False),
+            ast.ReturnClause(((Var("n"), None),)),
+        ))
+        assert execute_query(query, graph).rows == sorted((render_node(n),) for n in want)
+
+    def test_patterns_equal_but_for_the_kind_of_a_literal_scan_apart(self):
+        """{k: 1} and {k: 1.0} compare equal as patterns but match
+        different nodes, so one's scan never answers for the other."""
+        graph = PropertyGraph()
+        graph.add_node("A", {"k": 1})
+        graph.add_node("A", {"k": 1.0})
+        graph.seal()
+        queries = {
+            "MATCH (a:A {k: 1}) WITH COUNT(a) AS c MATCH (a:A {k: 1.0}) RETURN a.k": [("1.0",)],
+            "MATCH (:A {k: 1}) MATCH (b:A)-[*0..0]->(:A {k: 1.0}) RETURN b.k": [("1.0",)],
+        }
+        for text, rows in queries.items():
+            assert execute_query(parse_query(text), graph).rows == rows, text
+
+
 def random_graph(rng):
     """6-10 nodes labelled X or Y and edges of types A and B, with at
     least one self-loop and one parallel edge."""
