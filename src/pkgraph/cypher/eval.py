@@ -14,7 +14,7 @@ import operator
 from itertools import chain
 
 from ..graph import Node, Path, PropertyGraph, Record, values_equal
-from ..render import render_value
+from ..render import CellTooLong, render_value
 from . import ast
 from .ast import Binary, Func, Literal, Not, Prop, Var
 
@@ -45,13 +45,24 @@ class ResultTable(Record):
     )
 
 
-def _group_key(value):
+def _group_key(value, by_id: dict, by_items: dict):
+    """value's grouping key: equal values get equal keys. by_id and
+    by_items serve one projection. by_id maps id(list) -> (list, key) for
+    each list keyed so far, so a list held many times is expanded once.
+    by_items maps the element keys of each distinct list to its key,
+    ("list", n) with n counting distinct lists, so hashing a key never
+    walks into a nested list."""
     if isinstance(value, Node):
         return ("node", value.id)
     if isinstance(value, Path):
         return ("path", value.nodes, value.edges)
     if isinstance(value, list):
-        return ("list", tuple(_group_key(v) for v in value))
+        kept = by_id.get(id(value))
+        if kept is None:
+            items = tuple(_group_key(v, by_id, by_items) for v in value)
+            key = by_items.setdefault(items, ("list", len(by_items)))
+            kept = by_id[id(value)] = (value, key)
+        return kept[1]
     return (type(value).__name__, value)
 
 
@@ -337,9 +348,10 @@ class _Evaluator:
         agg_items = [item for item, agg in zip(items, aggregated) if agg]
         groups = {}
         order = []
+        by_id, by_items = {}, {}
         for row in rows:
             key_values = {alias: self.scalar(expr, row) for expr, alias in key_items}
-            key = tuple(_group_key(key_values[alias]) for _, alias in key_items)
+            key = tuple(_group_key(key_values[alias], by_id, by_items) for _, alias in key_items)
             if key not in groups:
                 groups[key] = (key_values, [])
                 order.append(key)
@@ -403,10 +415,13 @@ class _Evaluator:
                 ]
                 projected = self.project(items, rows)
                 out_columns = [alias for _, alias in items]
-                rendered = [
-                    tuple(render_value(row[c], self.graph) for c in out_columns)
-                    for row in projected
-                ]
+                try:
+                    rendered = [
+                        tuple(render_value(row[c], self.graph) for c in out_columns)
+                        for row in projected
+                    ]
+                except CellTooLong as exc:
+                    raise EvalError(str(exc)) from None
                 rendered.sort()
                 return ResultTable(out_columns, rendered)
         raise TypeMismatch("query has no RETURN clause")  # parser guarantees otherwise

@@ -9,6 +9,7 @@ appear. Only right-pointing relationship arrows are supported.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from ..cparse import _position
@@ -344,7 +345,15 @@ class _Parser:
         return expr
 
 
+@functools.lru_cache(maxsize=64)
 def parse_query(text: str) -> Query:
     """Parse query text, raising QuerySyntaxError with 1-based line:column
-    positions on malformed input."""
+    positions on malformed input.
+
+    The last 64 distinct texts parsed keep their Query, so a text that runs
+    again is not parsed again; a text that fails is never kept and raises
+    the same error each time. Callers share the kept Query. That is safe
+    because the tree is FrozenRecords and tuples, and the evaluator never
+    writes to it: a fresh _Evaluator per run keys its caches by id() of
+    the tree's nodes. parse_query.cache_clear() forgets every kept parse."""
     return _Parser(text).parse()

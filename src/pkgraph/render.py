@@ -30,6 +30,16 @@ class ExportError(Exception):
     """Export requested on a graph that is not sealed."""
 
 
+#: How long a list cell may render, in characters. A list may hold one
+#: sublist many times, so its text can grow exponentially in the length
+#: of the query that built it.
+MAX_CELL_CHARS = 10_000_000
+
+
+class CellTooLong(Exception):
+    """A list cell renders longer than MAX_CELL_CHARS characters."""
+
+
 def render_scalar(value, quote_text: bool = True) -> str:
     if isinstance(value, str):
         if not quote_text:
@@ -110,8 +120,30 @@ def render_value(value, graph: PropertyGraph) -> str:
     if isinstance(value, Path):
         return render_path(graph, value)
     if isinstance(value, list):
-        return "[" + ", ".join(render_value(v, graph) for v in value) + "]"
+        return _render_list(value, graph, {})
     return render_scalar(value, quote_text=False)
+
+
+def _render_list(value: list, graph: PropertyGraph, texts: dict) -> str:
+    """value's text as render_value gives it. texts maps id(list) -> text
+    for the lists of one cell rendered so far, so a list held many times
+    is rendered once; the cell holds every one of them, so no id is
+    reused. Raises CellTooLong as soon as the text would pass
+    MAX_CELL_CHARS, before it is joined."""
+    pieces = []
+    length = 0  # "[" and "]" stand in for the first element's ", "
+    for v in value:
+        if isinstance(v, list):
+            text = texts.get(id(v))
+            if text is None:
+                text = texts[id(v)] = _render_list(v, graph, texts)
+        else:
+            text = render_value(v, graph)
+        length += len(text) + 2
+        if length > MAX_CELL_CHARS:
+            raise CellTooLong(f"a list cell renders longer than {MAX_CELL_CHARS} characters")
+        pieces.append(text)
+    return "[" + ", ".join(pieces) + "]"
 
 
 def _write_json(value, newline: str, out: list, graph: PropertyGraph) -> None:

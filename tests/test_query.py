@@ -21,6 +21,7 @@ from pkgraph.cypher.eval import (
     TypeMismatch,
     UnboundVariable,
     _Evaluator,
+    _group_key,
     _list_depth,
     _size,
     execute_query,
@@ -29,8 +30,9 @@ from pkgraph.cypher.eval import (
 from pkgraph.cypher.parser import FUNCTIONS, QuerySyntaxError, _Parser, parse_query
 from pkgraph.detectors import generate_detection_query
 from pkgraph.graph import Node, Path, PropertyGraph, values_equal
-from pkgraph.render import render_node, render_value
+from pkgraph.render import MAX_CELL_CHARS, render_node, render_value
 from pkgraph.vulndata import CweRecord
+from test_acceptance import REFERENCE_DOUBLE_RELEASE_QUERY
 
 DETECTION_QUERY = generate_detection_query(catalog_entry("CWE-415"), "foo")
 
@@ -126,6 +128,55 @@ class TestParseQuery:
         query = parse_query(text)
         printed = ast.query_text(query)
         assert parse_query(printed) == query
+
+
+class TestKeptParse:
+    """parse_query keeps the Query of each of the last 64 texts and hands
+    the same tree to every caller, which must not change what it answers."""
+
+    SHARED_TEXTS = [
+        generate_detection_query(catalog_entry("CWE-242"), "main"),
+        generate_detection_query(catalog_entry("CWE-415"), "main"),
+        REFERENCE_DOUBLE_RELEASE_QUERY,
+    ]
+
+    def test_a_text_parsed_again_is_the_same_query(self):
+        text = self.SHARED_TEXTS[1]
+        assert parse_query(text) is parse_query(text)
+
+    @pytest.mark.parametrize("text", SHARED_TEXTS, ids=["CWE-242", "CWE-415", "reference"])
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0)], ids=["forward", "backward"])
+    def test_one_query_over_several_graphs(self, text, order):
+        sources = [DOUBLE_FREE_SRC, DOUBLE_FREE_INTERPROC_SRC, GETS_SAMPLE.read_text()]
+        graphs = [merged_graph_of(source)[0] for source in sources]
+        parse_query.cache_clear()
+        query = parse_query(text)
+        tables = []
+        for index in order:
+            tables.append(execute_query(query, graphs[index]))
+            assert tables[-1] == execute_query(_Parser(text).parse(), graphs[index])
+        assert parse_query(text) is query
+        assert any(table.rows for table in tables)
+
+    def test_a_bad_text_raises_the_same_error_each_time(self):
+        parse_query.cache_clear()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(QuerySyntaxError) as exc:
+                parse_query("MATCH (n)\nRETURN ,")
+            errors.append((exc.value.line, exc.value.column, exc.value.message))
+        assert errors[0] == errors[1] == (2, 8, "expected an expression, found ','")
+        assert parse_query.cache_info().currsize == 0
+
+    def test_only_the_last_64_texts_are_kept(self):
+        parse_query.cache_clear()
+        texts = [f"RETURN {i} AS v" for i in range(65)]
+        first = parse_query(texts[0])
+        for text in texts[1:]:
+            parse_query(text)
+        assert parse_query.cache_info().currsize == 64
+        again = parse_query(texts[0])
+        assert again is not first and again == first
 
 
 class TestExecuteQuery:
@@ -641,6 +692,12 @@ def reference_parse_query(text):
     return ReferenceParser(text).parse()
 
 
+def fresh_parse_query(text):
+    """parse_query with no kept parses, so the text is parsed afresh."""
+    parse_query.cache_clear()
+    return parse_query(text)
+
+
 def reference_has_aggregate(expr):
     if isinstance(expr, Func):
         return expr.name in ast.AGGREGATES or reference_has_aggregate(expr.arg)
@@ -856,7 +913,7 @@ class TestExpressionOracle:
     @settings(max_examples=300, deadline=None)
     def test_printed_expression_parses_to_its_tree(self, printed):
         tree, text = printed
-        for parse in (parse_query, reference_parse_query):
+        for parse in (fresh_parse_query, reference_parse_query):
             (item,) = parse(f"RETURN {text} AS v").clauses[0].items
             assert repr(item[0]) == repr(tree)
 
@@ -871,7 +928,8 @@ class TestExpressionOracle:
     @example("a.b.c")
     def test_same_tree_or_first_error(self, text):
         for query in query_contexts(text):
-            assert outcome(parse_query, query) == outcome(reference_parse_query, query), query
+            want = outcome(reference_parse_query, query)
+            assert outcome(fresh_parse_query, query) == want, query
 
     @given(expr_trees)
     @settings(max_examples=300, deadline=None)
@@ -1009,3 +1067,76 @@ class TestDeepExpressions:
         text = f'MATCH (n:CallGraph {{Name: "gets"}}) RETURN {item} AS s'
         failing = "SIZE(SIZE(" + inner + "))"
         assert run_query(text) == (3, "", f"pkgraph: error: SIZE of non-list: {failing}\n")
+
+
+def collect_chain(levels, tail=" RETURN x"):
+    """A query over GETS_SAMPLE's four CallGraph nodes whose x, at each of
+    levels levels, holds the list below it four times."""
+    return (
+        "MATCH (n:CallGraph) WITH COLLECT(n) AS x"
+        + " MATCH (m:CallGraph) WITH COLLECT(x) AS x" * levels
+        + tail
+    )
+
+
+def reference_group_key(value):
+    """The grouping key that expands every copy of a list."""
+    if isinstance(value, Node):
+        return ("node", value.id)
+    if isinstance(value, Path):
+        return ("path", value.nodes, value.edges)
+    if isinstance(value, list):
+        return ("list", tuple(reference_group_key(v) for v in value))
+    return (type(value).__name__, value)
+
+
+def copied_lists(value):
+    """value with each list in it copied: equal to it, sharing no list."""
+    return [copied_lists(v) for v in value] if isinstance(value, list) else value
+
+
+group_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(0, 2),
+        st.sampled_from([1.0, "", "1", "gets"]),
+        st.sampled_from(NODES),
+        st.just(Path((1, 2), (5,))),
+    ),
+    lambda kids: st.one_of(st.lists(kids, max_size=3), kids.map(lambda v: [v, v])),
+    max_leaves=10,
+)
+
+
+class TestSharedSublists:
+    """A list may hold one sublist many times. Grouping keys it once, and
+    rendering stops at MAX_CELL_CHARS, so neither grows with the copies."""
+
+    @given(st.lists(group_values, min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_group_keys_agree_with_expanded_keys(self, values):
+        values = values + [copied_lists(v) for v in values]
+        by_id, by_items = {}, {}
+        keys = [_group_key(v, by_id, by_items) for v in values]
+        for a, key_a in zip(values, keys):
+            for b, key_b in zip(values, keys):
+                assert (key_a == key_b) == (reference_group_key(a) == reference_group_key(b))
+
+    def test_grouping_by_a_list_that_holds_one_sublist_many_times(self):
+        """4**40 copies of the innermost list if each were expanded."""
+        tail = " MATCH (k:CallGraph) WITH x, SIZE(x) AS s, COUNT(k) AS c RETURN s, c"
+        assert run_query(collect_chain(40, tail)) == (0, "s | c\n4 | 4\n", "")
+
+    def test_cell_under_the_bound_prints_every_copy(self):
+        graph, _, _ = merged_graph_of(GETS_SAMPLE.read_text())
+        texts = [render_node(node) for node in graph.find_nodes("CallGraph")]
+        cell = "[" + ", ".join(texts) + "]"
+        for _ in range(4):
+            cell = "[" + ", ".join([cell] * len(texts)) + "]"
+        assert run_query(collect_chain(4)) == (0, f"x\n{cell}\n", "")
+
+    @pytest.mark.parametrize("levels", [8, 9, 40])
+    def test_cell_past_the_bound_is_an_error(self, levels):
+        error = f"pkgraph: error: a list cell renders longer than {MAX_CELL_CHARS} characters\n"
+        assert run_query(collect_chain(levels)) == (3, "", error)

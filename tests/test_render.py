@@ -73,6 +73,37 @@ class TestRenderNode:
         assert render_node(g.node(n)) == '(:CallGraph {Argument1: "say \\"hi\\""})'
 
 
+class TestListCellBound:
+    """A list cell renders up to MAX_CELL_CHARS characters and raises
+    CellTooLong past them, without building the whole text first."""
+
+    def test_flat_list_at_and_past_the_bound(self):
+        graph = PropertyGraph()
+        text = "a" * (render.MAX_CELL_CHARS - 2)
+        assert render_value([text], graph) == f"[{text}]"
+        with pytest.raises(render.CellTooLong):
+            render_value([text + "a"], graph)
+
+    def test_nested_list_at_and_past_the_bound(self):
+        graph = PropertyGraph()
+        text = "a" * (render.MAX_CELL_CHARS - 7)
+        assert render_value([[text], "b"], graph) == f"[[{text}], b]"
+        with pytest.raises(render.CellTooLong):
+            render_value([[text], "bb"], graph)
+
+    def test_shared_sublists_are_rendered_once(self):
+        graph = PropertyGraph()
+        value = ["x", 1.5, None]
+        for _ in range(4):
+            value = [value, "y", value]
+        want = reference_value(value, graph)
+        assert render_value(value, graph) == want
+        for _ in range(60):
+            value = [value, value]
+        with pytest.raises(render.CellTooLong):
+            render_value(value, graph)
+
+
 class TestRenderPath:
     def test_second_witness_path(self, double_free_graph):
         foo = node_named(double_free_graph, "foo")
@@ -236,6 +267,8 @@ CELL_QUERIES = [
     "MATCH p=(a:CallGraph)-[]->(b) WITH a, COLLECT(p) AS ps, COLLECT(b) AS bs RETURN a, ps, bs",
     "MATCH (a:CallGraph) WITH a.Name AS name, COLLECT(a) AS calls RETURN name, calls, SIZE(calls)",
     "MATCH (c:CWE) RETURN c, c.`Function Events`",
+    "MATCH (a:CallGraph) WITH COLLECT(a.Name) AS names MATCH (b:CallGraph) "
+    "WITH b.Name AS name, COLLECT(names) AS copies WITH copies, COUNT(name) AS c RETURN copies, c",
 ]
 
 
