@@ -195,8 +195,14 @@ class _Evaluator:
 
     @staticmethod
     def _equal(left, right) -> bool:
+        """Two lists are equal when grouping would put them together:
+        their keys, built with one shared numbering, are equal. Each
+        distinct list is keyed once, however many times it is held."""
         if isinstance(left, Node) or isinstance(right, Node):
             return left is right
+        if isinstance(left, list) and isinstance(right, list):
+            by_id, by_items = {}, {}
+            return _group_key(left, by_id, by_items) == _group_key(right, by_id, by_items)
         return values_equal(left, right)
 
     # -- pattern matching --------------------------------------------------

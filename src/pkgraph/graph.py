@@ -150,10 +150,13 @@ class Path(FrozenRecord):
 class PropertyGraph:
     """Labeled property graph with integer node/edge ids.
 
-    Ids are opaque, unique, and stable; nodes are never deduplicated at
-    this layer. All query results use deterministic orderings (ascending
-    node id, lexicographic edge-id sequences) so downstream golden files
-    are byte-stable. Ids are issued in increasing order and only ever
+    Ids are unique and stable; nodes are never deduplicated at this
+    layer. Node ids are 1..N in nodes() order, in a copy() and after
+    further adds too, as nodes are never removed; the CSV export writes
+    each node's id as its place in that order and relies on this. All
+    query results use deterministic orderings (ascending node id,
+    lexicographic edge-id sequences) so downstream golden files are
+    byte-stable. Ids are issued in increasing order and only ever
     appended to the indexes, so every index is already in ascending id
     order and reads need not sort.
     """

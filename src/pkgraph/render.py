@@ -6,6 +6,15 @@ export follows the bulk-import CSV header convention (id:ID, :LABEL,
 :START_ID, :END_ID, :TYPE) plus a DOT emitter for visualization. All
 output is locale-independent and byte-stable.
 
+An import CSV has one property column per key and kind of value seen,
+sorted by (key, column name): `key:int` for an int, `key:float` for a
+float (written by repr), `key:string[]` for a string list (joined with
+';'), and a plain `key` for text and for a bool (written True/False).
+A key whose values are of several kinds gets one column per kind, and
+a node's cell is empty in the columns of the kinds its value is not.
+A None value adds a plain `key` column and gives an empty cell in it.
+Relationship rows are ordered by (start, end, type, edge id).
+
 Each graph has one text table: node texts, call-step texts (`-[:TYPE]->`
 plus the target node's text), and both again JSON-escaped. An entry is
 rendered on its first lookup and, once the graph is sealed, kept with
@@ -21,7 +30,9 @@ import csv
 import io
 import json
 import weakref
+from itertools import repeat
 from json.encoder import encode_basestring  # the C escaper
+from operator import attrgetter, itemgetter
 
 from .graph import Node, Path, PropertyGraph
 
@@ -229,52 +240,67 @@ def _column_for(key: str, value) -> str:
     return key
 
 
-def _cell_for(value) -> str:
-    if isinstance(value, list):
-        return ";".join(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it as a field, quoted when it must be."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text])
+    return out.getvalue()[:-1]
 
 
 def export_import_csv(graph: PropertyGraph):
     """Serialize to (nodes.csv, relationships.csv) bytes.
 
-    Node ids are renumbered 1..N in ascending-id order so that
-    export -> import -> export is byte-stable. Property columns are the
-    union of keys seen, typed from their values, sorted by name.
+    A node's id column is its graph id, which is its 1-based place in
+    nodes() order (PropertyGraph issues ids that way), so export ->
+    import -> export is byte-stable. Property columns are the union of
+    (key, kind) pairs seen, sorted by name. Nodes are grouped by shape
+    (label, property keys and value types, in order): each shape's
+    column slots are worked out once, and its values are pulled one key
+    at a time, so no Python code runs per (node, column) pair.
+    Relationship rows are sorted by (start, end, type, edge id).
     """
     if not graph.sealed:
         raise ExportError("graph must be sealed before export")
-    columns = {}
+    shapes = {}
     for node in graph.nodes():
-        for key, value in node.properties.items():
-            columns[(key, _column_for(key, value))] = None
-    prop_columns = sorted(columns, key=lambda kc: (kc[0], kc[1]))
+        props = node.properties
+        shapes.setdefault((node.label, *props, *map(type, props.values())), []).append(node)
+    # The nodes of one shape share their first node's keys and kinds.
+    columns = sorted({
+        (key, _column_for(key, value))
+        for group in shapes.values()
+        for key, value in group[0].properties.items()
+    })
+    slot = {column: i for i, (_, column) in enumerate(columns)}
 
-    canonical = {node.id: i for i, node in enumerate(graph.nodes(), start=1)}
+    rows = [None] * graph.node_count
+    blank = repeat("")
+    for group in shapes.values():
+        props = [node.properties for node in group]
+        cells = [blank] * len(columns)
+        for key, value in props[0].items():
+            values = map(itemgetter(key), props)
+            # csv.writer writes str as is, a float by repr, None as an
+            # empty cell and anything else by str; a list is joined here.
+            cells[slot[_column_for(key, value)]] = (
+                map(";".join, values) if isinstance(value, list) else values
+            )
+        for row in zip([node.id for node in group], repeat(group[0].label), *cells):
+            rows[row[0] - 1] = row
     nodes_out = io.StringIO()
     writer = csv.writer(nodes_out, lineterminator="\n")
-    writer.writerow(["id:ID", ":LABEL"] + [c for _, c in prop_columns])
-    for node in graph.nodes():
-        row = [str(canonical[node.id]), node.label]
-        for key, column in prop_columns:
-            value = node.properties.get(key)
-            if value is not None and _column_for(key, value) == column:
-                row.append(_cell_for(value))
-            else:
-                row.append("")
-        writer.writerow(row)
+    writer.writerow(["id:ID", ":LABEL"] + [column for _, column in columns])
+    writer.writerows(rows)
 
-    rels_out = io.StringIO()
-    writer = csv.writer(rels_out, lineterminator="\n")
-    writer.writerow([":START_ID", ":END_ID", ":TYPE"])
-    rows = sorted(
-        (canonical[e.source], canonical[e.target], e.type, e.id) for e in graph.edges()
+    # Rows that tie on (start, end, type) are the same line, so sorting
+    # without the edge id writes what sorting with it would.
+    edges = sorted(map(attrgetter("source", "target", "type"), graph.edges()))
+    quoted = {edge_type: _csv_field(edge_type) for edge_type in {e[2] for e in edges}}
+    relationships = "".join(
+        [":START_ID,:END_ID,:TYPE\n"]
+        + [f"{source},{target},{quoted[edge_type]}\n" for source, target, edge_type in edges]
     )
-    for source, target, edge_type, _ in rows:
-        writer.writerow([str(source), str(target), edge_type])
-    return nodes_out.getvalue().encode("utf-8"), rels_out.getvalue().encode("utf-8")
+    return nodes_out.getvalue().encode("utf-8"), relationships.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 CSV dialect: comma-separated, double-quote quoting with "" escape,
 required header, UTF-8 with or without a leading byte-order mark.
 Multi-valued fields (function events, affected versions) use ';'
-inside a single cell.
+inside a single cell. A cvss2_score cell is ASCII digits with an
+optional fraction of ASCII digits after a '.', and at most 10: no sign,
+exponent, whitespace, digit separator or non-ASCII digit, as no CVSS v2
+score is written with one. Any other cell is a non-numeric score.
 
 The knowledge-graph shape per catalog row:
 
@@ -26,6 +29,7 @@ CVE_COLUMNS = ["cve_id", "description", "cwe_id", "cvss2_score", "product", "aff
 _CWE_ID_RE = re.compile(r"CWE-[1-9][0-9]*")
 _CVE_ID_RE = re.compile(r"CVE-[0-9]{4}-[0-9]{4,}")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_SCORE_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
 class CsvError(Exception):
@@ -104,18 +108,21 @@ def parse_cwe_csv(text: bytes) -> list:
 def parse_cve_csv(text: bytes) -> list:
     """Parse a vulnerability catalog; one CveRecord per data row."""
     records = []
+    scores = {}  # each distinct valid score cell -> its score, so it is checked once
     for i, row in enumerate(_read_rows(text, CVE_COLUMNS)):
         if len(row) != len(CVE_COLUMNS):
             raise _invalid(text, i, f"expected {len(CVE_COLUMNS)} columns, got {len(row)}")
         cve_id, description, cwe_id, score_cell, product, versions_cell = row
         if not _CVE_ID_RE.fullmatch(cve_id):
             raise _invalid(text, i, f"malformed cve_id {cve_id!r}")
-        try:
+        score = scores.get(score_cell)
+        if score is None:
+            if not _SCORE_RE.fullmatch(score_cell):
+                raise _invalid(text, i, f"non-numeric cvss2_score {score_cell!r}")
             score = float(score_cell)
-        except ValueError:
-            raise _invalid(text, i, f"non-numeric cvss2_score {score_cell!r}") from None
-        if not 0.0 <= score <= 10.0:
-            raise _invalid(text, i, f"cvss2_score {score} outside [0.0, 10.0]")
+            if score > 10.0:
+                raise _invalid(text, i, f"cvss2_score {score} outside [0.0, 10.0]")
+            scores[score_cell] = score
         records.append(
             CveRecord(cve_id, description, cwe_id, score, product, _split_list(versions_cell))
         )

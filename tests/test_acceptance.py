@@ -5,6 +5,9 @@ Each test covers one acceptance criterion and prints a single
 or ``-rP`` to see the lines for passing tests).
 """
 
+import csv
+import hashlib
+import io
 import random
 import time
 
@@ -19,13 +22,19 @@ from conftest import (
 )
 from test_graph import brute_force_paths
 from test_render import import_csv
+from pkgraph.cli import run_cli
 from pkgraph.cparse import extract_translation_unit
 from pkgraph.cypher.eval import execute_query
 from pkgraph.cypher.parser import parse_query
 from pkgraph.detectors import generate_detection_query, run_all
 from pkgraph.graph import PropertyGraph
 from pkgraph.render import export_import_csv, render_node, render_path
-from pkgraph.vulndata import build_knowledge_graph, parse_cve_csv, parse_cwe_csv
+from pkgraph.vulndata import (
+    CVE_COLUMNS,
+    build_knowledge_graph,
+    parse_cve_csv,
+    parse_cwe_csv,
+)
 
 DATA = resources.files("pkgraph") / "data"
 
@@ -282,3 +291,62 @@ def test_knowledge_graph_shape_and_round_trip():
         rebuilt = import_csv(nodes, relationships)
         rebuilt.seal()
         assert export_import_csv(rebuilt) == (nodes, relationships)
+
+
+def _golden_cve_csv() -> bytes:
+    """A vulnerability catalog drawn from a fixed seed over the bundled
+    weakness catalog, with orphan CVEs, products shared across CVEs,
+    multi-version cells and one description holding a comma, a quote
+    and a newline."""
+    rng = random.Random(20261019)
+    cwe_ids = [cwe.cwe_id for cwe in load_catalog()]
+    products = ["OpenLib", "NetTool", "Parser", "Shell"]
+    versions = ["1.0", "1.1", "2.0", "2.1", "3.0"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CVE_COLUMNS)
+    for i in range(60):
+        cwe_id = "CWE-99999" if rng.random() < 0.2 else rng.choice(cwe_ids)
+        description = 'Reads "name", then\nwrites it' if i == 7 else f"Generated vulnerability {i}"
+        writer.writerow([
+            f"CVE-{2015 + i % 8}-{1000 + i}",
+            description,
+            cwe_id,
+            f"{rng.randint(0, 100) / 10:.1f}",
+            rng.choice(products),
+            ";".join(rng.sample(versions, rng.randint(1, 3))),
+        ])
+    return out.getvalue().encode("utf-8")
+
+
+# sha256 of the import CSV an ingest of _golden_cve_csv() writes: 148
+# nodes and 229 edges, 10 of the CVEs orphans.
+GOLDEN_INGEST_SHA256 = {
+    "nodes.csv": "f90facec5d81b766ed8b7a00d207e5edb9d7db3d40d3230c6440e133a4903c32",
+    "relationships.csv": "da78f1b744da78f7012e1fd91f9f83f8e499ae5cacc9007f27970d7babc2885b",
+}
+
+
+def test_ingest_golden_bytes(tmp_path):
+    with report("ingest import CSV bytes"):
+        text = _golden_cve_csv()
+        cves = parse_cve_csv(text)
+        cwe_ids = {cwe.cwe_id for cwe in load_catalog()}
+        assert any(cve.cwe_id not in cwe_ids for cve in cves)
+        assert len({cve.product for cve in cves}) < len(cves)
+        assert any(len(cve.affected_versions) > 1 for cve in cves)
+        assert any(all(c in cve.description for c in ',"\n') for cve in cves)
+        (tmp_path / "cves.csv").write_bytes(text)
+        out = tmp_path / "out"
+        argv = [
+            "ingest",
+            "--cwe", str(DATA / "cwe-catalog.csv"),
+            "--cve", str(tmp_path / "cves.csv"),
+            "--out", str(out),
+        ]
+        assert run_cli(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        got = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in GOLDEN_INGEST_SHA256
+        }
+        assert got == GOLDEN_INGEST_SHA256

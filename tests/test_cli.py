@@ -246,6 +246,21 @@ class TestIngestAndExport:
             code, _, err = cli("scan", str(CORPUS / "cwe242_gets.c"), "--catalog", str(cwe))
             assert (code, err) == (3, f"pkgraph: error: {message}\n")
 
+    @pytest.mark.parametrize("cell", ["0_5", "\uff17.5", "-0.0"])
+    def test_score_that_float_reads_but_no_cvss_score_has_exits_three(self, tmp_path, cell):
+        cwe = tmp_path / "cwe.csv"
+        cwe.write_text("cwe_id,name,description,function_events\nCWE-415,n,d,free\n")
+        cve = tmp_path / "cve.csv"
+        cve.write_text(
+            "cve_id,description,cwe_id,cvss2_score,product,affected_versions\n"
+            f"CVE-2020-0001,d,CWE-415,{cell},P,1.0\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        code, _, err = cli("ingest", "--cwe", str(cwe), "--cve", str(cve), "--out", str(out_dir))
+        assert (code, err) == (3, f"pkgraph: error: line 2: non-numeric cvss2_score {cell!r}\n")
+        assert not out_dir.exists()
+
 
 class TestUsage:
     def test_unknown_subcommand(self):

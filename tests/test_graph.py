@@ -270,6 +270,19 @@ class TestCopy:
         assert [e.id for e in c.out_edges(ids[0])] == [edge]
         assert g.out_edges(ids[0]) == [] and g.in_edges(ids[2]) == []
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=5))
+    def test_node_ids_are_places_in_nodes_order(self, batches):
+        """The CSV export writes a node's id as its place in nodes()
+        order, so ids must stay 1..N there through copy() and more adds."""
+        g = PropertyGraph()
+        for count in batches:
+            for _ in range(count):
+                g.add_node("N", {})
+            g.seal()
+            assert [n.id for n in g.nodes()] == list(range(1, g.node_count + 1))
+            g = g.copy()
+
 
 class TestEnumeratePaths:
     def test_double_free_paths(self, double_free_graph):

@@ -1140,3 +1140,60 @@ class TestSharedSublists:
     def test_cell_past_the_bound_is_an_error(self, levels):
         error = f"pkgraph: error: a list cell renders longer than {MAX_CELL_CHARS} characters\n"
         assert run_query(collect_chain(levels)) == (3, "", error)
+
+
+# Values that Python's == takes for one another: 1, 1.0 and True.
+look_alikes = st.recursive(
+    st.sampled_from([0, 1, 1.0, True, False, "1"]),
+    lambda kids: st.lists(kids, max_size=2),
+    max_leaves=4,
+)
+
+
+class TestListEquality:
+    """`=` and `<>` on two lists agree with grouping: equal exactly when
+    their grouping keys are, so elements of different kinds never match."""
+
+    @given(st.one_of(st.tuples(group_values, group_values), st.tuples(look_alikes, look_alikes)))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_agrees_with_expanded_keys(self, pair):
+        a, b = pair
+        a, b = [a], [b]
+        for left, right in ((a, b), (a, copied_lists(a)), (copied_lists(b), b)):
+            want = reference_group_key(left) == reference_group_key(right)
+            assert _Evaluator._equal(left, right) is want
+
+    @pytest.mark.parametrize(
+        "left, right, equal",
+        [
+            ([1], [True], False),
+            ([0], [False], False),
+            ([1], [1.0], False),
+            (["1"], [1], False),
+            ([[1, "a"]], [[1, "a"]], True),
+            ([NODES[0]], [NODES[0]], True),
+            ([NODES[0]], [NODES[1]], False),
+        ],
+    )
+    def test_elements_of_different_kinds(self, left, right, equal):
+        assert _Evaluator._equal(left, right) is equal
+        assert _Evaluator._equal(1, True) is False
+
+    def test_collected_one_against_collected_true(self):
+        query = (
+            'MATCH (n:CallGraph {Name: "gets"})'
+            " WITH COLLECT(1) AS a, COLLECT(n.ExecOrder > 0) AS b WHERE a OP b RETURN a, b"
+        )
+        assert run_query(query.replace("OP", "=")) == (0, "a | b\n", "")
+        assert run_query(query.replace("OP", "<>")) == (0, "a | b\n[1] | [true]\n", "")
+
+    def test_equal_lists_sharing_no_sublist(self):
+        """Two equal lists, each holding its sublist four times per level:
+        4**40 comparisons if each copy were expanded."""
+        query = (
+            "MATCH (n:CallGraph) WITH COLLECT(n) AS x, COLLECT(n) AS y"
+            + " MATCH (m:CallGraph) WITH COLLECT(x) AS x, COLLECT(y) AS y" * 40
+            + " WHERE x {} y RETURN SIZE(x) AS s"
+        )
+        assert run_query(query.format("=")) == (0, "s\n4\n", "")
+        assert run_query(query.format("<>")) == (0, "s\n", "")

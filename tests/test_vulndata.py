@@ -71,6 +71,40 @@ class TestParseCveCsv:
         with pytest.raises(CsvError):
             parse_cve_csv(CVE_HEADER + b"CVE-2020-0001,desc,CWE-415,high,P,1.0\n")
 
+    @pytest.mark.parametrize(
+        "cell",
+        ["0_5", "\uff17.5", "-0.0", "+7.5", " 7.5", "7.5 ", "1e1", "nan", "inf", ".5", "5.", ""],
+    )
+    def test_score_that_is_not_digits_is_non_numeric(self, cell):
+        row = f"CVE-2020-0001,desc,CWE-415,{cell},P,1.0\n".encode()
+        with pytest.raises(CsvError) as exc:
+            parse_cve_csv(CVE_HEADER + row)
+        assert (exc.value.line, exc.value.reason) == (2, f"non-numeric cvss2_score {cell!r}")
+
+    @pytest.mark.parametrize(
+        "cell, score", [("0", 0.0), ("10", 10.0), ("10.0", 10.0), ("007.50", 7.5), ("0.0", 0.0)]
+    )
+    def test_score_of_digits(self, cell, score):
+        row = f"CVE-2020-0001,desc,CWE-415,{cell},P,1.0\n".encode()
+        (record,) = parse_cve_csv(CVE_HEADER + row)
+        assert repr(record.cvss2_score) == repr(score)
+
+    def test_repeated_score_cells(self):
+        rows = b"".join(
+            f"CVE-2020-000{i},desc,CWE-415,{cell},P,1.0\n".encode()
+            for i, cell in enumerate(["7.5", "7.5", "10", "7.5", "10.5"], start=1)
+        )
+        with pytest.raises(CsvError) as exc:
+            parse_cve_csv(CVE_HEADER + rows)
+        assert (exc.value.line, exc.value.reason) == (6, "cvss2_score 10.5 outside [0.0, 10.0]")
+        records = parse_cve_csv(CVE_HEADER + rows.rsplit(b"CVE-", 1)[0])
+        assert [record.cvss2_score for record in records] == [7.5, 7.5, 10.0, 7.5]
+
+    def test_score_past_ten_names_its_value(self):
+        with pytest.raises(CsvError) as exc:
+            parse_cve_csv(CVE_HEADER + b"CVE-2020-0001,desc,CWE-415,10.01,P,1.0\n")
+        assert exc.value.reason == "cvss2_score 10.01 outside [0.0, 10.0]"
+
     def test_empty_versions(self):
         rows = parse_cve_csv(CVE_HEADER + b"CVE-2020-0001,desc,CWE-415,7.5,P,\n")
         assert rows[0].affected_versions == []
