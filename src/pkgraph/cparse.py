@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import itemgetter, sub
 
 from .graph import PropertyGraph, Record
 
@@ -28,24 +30,33 @@ _TYPE_WORDS = {
     "union", "const", "static", "auto", "register", "bool",
 }
 
-# One match per token: leading whitespace, then one alternative per token
-# kind, or any other non-whitespace character, which is an error. Without
-# re.DOTALL `.` never matches a newline, so `\\.` in a literal cannot
-# escape one. Trailing whitespace is cut off with endpos, where `\s*`
-# would otherwise be retried at every offset of it.
+# One match per token: its leading whitespace, then one alternative per
+# token kind, or any other non-whitespace character, which is an error.
+# Each alternative starts with characters no other one starts with, so a
+# token's first character gives its kind (_KIND_OF). Without re.DOTALL
+# `.` never matches a newline, so `\\.` in a literal cannot escape one.
+# Trailing whitespace is cut off with endpos, where `\s*` would otherwise
+# be retried at every offset of it.
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:
-    (?P<id>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<num>(?:0[xX][0-9a-fA-F]+|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)[uUlLfF]*)
-  | (?P<str>"(?:[^"\\\n]|\\.)*")
-  | (?P<char>'(?:[^'\\\n]|\\.)*')
-  | (?P<punct>::|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[-+*/%&|^~!<>=?:;,.(){}\[\]\\\#])
-  | (?P<bad>\S)
+    [A-Za-z_][A-Za-z0-9_]*
+  | (?:0[xX][0-9a-fA-F]+|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)[uUlLfF]*
+  | "(?:[^"\\\n]|\\.)*"
+  | '(?:[^'\\\n]|\\.)*'
+  | ::|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[-+*/%&|^~!<>=?:;,.(){}\[\]\\\#]
+  | \S
     )
     """,
     re.VERBOSE,
 )
+_KIND_OF = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "id"),
+    **dict.fromkeys("0123456789", "num"),
+    '"': "str",
+    "'": "char",
+    **dict.fromkeys("-+*/%&|^~!<>=?:;,.(){}[]\\#", "punct"),
+}
 # Argument text collapses every whitespace run to one space; only runs
 # of two or more characters shift the offsets after them.
 _RUN_RE = re.compile(r"\s+")
@@ -55,15 +66,19 @@ _LONG_RUN_RE = re.compile(r"\s\s+")
 # the end of the text when unterminated; it is kept. A `/*` comment runs
 # to the first `*/` after it, or to the end. A directive is a `#` preceded
 # on its line only by whitespace, which stays, and runs to the end of the
-# line, continued by a backslash-newline.
+# line, continued by a backslash-newline; it is matched from the newline
+# before its line, which stays too. Each alternative starts with one
+# given character, so the engine skips to the next quote, slash or
+# newline instead of trying every alternative at every offset.
 _BLANK_RE = re.compile(
     r"""
-    (?P<literal>"(?:[^"\\]|\\[\s\S])*"?|'(?:[^'\\]|\\[\s\S])*'?)
+    "(?:[^"\\]|\\[\s\S])*"?
+  | '(?:[^'\\]|\\[\s\S])*'?
   | //[^\n]*
   | /\*[\s\S]*?(?:\*/|\Z)
-  | ^(?P<indent>[^\S\n]*)\#(?:\\\n|[^\n])*
+  | \n(?P<indent>[^\S\n]*)\#(?:\\\n|[^\n])*
     """,
-    re.VERBOSE | re.MULTILINE,
+    re.VERBOSE,
 )
 _NOT_NEWLINE_RE = re.compile(r"[^\n]")
 
@@ -113,33 +128,42 @@ class TranslationUnit(Record):
 # ---------------------------------------------------------------------------
 
 def _blank(match) -> str:
-    if match.lastgroup == "literal":
-        return match.group()
-    indent = match.group("indent") or ""
-    return indent + _NOT_NEWLINE_RE.sub(" ", match.group()[len(indent):])
+    text = match.group()
+    if text[0] in "\"'":
+        return text
+    indent = match.group("indent")
+    kept = 0 if indent is None else 1 + len(indent)  # a directive's newline and indent
+    return text[:kept] + _NOT_NEWLINE_RE.sub(" ", text[kept:])
 
 
 def _blank_comments(source: str) -> str:
     """Replace comments and preprocessor lines with spaces, preserving
-    offsets and newlines so token positions stay source-accurate."""
-    return _BLANK_RE.sub(_blank, source)
+    offsets and newlines so token positions stay source-accurate. A
+    newline put in front, and cut off again, lets a directive start the
+    text."""
+    return _BLANK_RE.sub(_blank, "\n" + source)[1:]
 
 
 def _tokenize(blanked: str) -> tuple:
     """The tokens of blanked as four parallel lists: kinds, texts, and
-    start and end offsets into blanked."""
-    kinds, texts, starts, ends = [], [], [], []
-    for m in _TOKEN_RE.finditer(blanked, 0, len(blanked.rstrip())):
-        kind = m.lastgroup
-        start, end = m.span(kind)
-        if kind == "bad":
-            c = blanked[start]
-            message = "unterminated literal" if c in "\"'" else f"unexpected character {c!r}"
-            raise _error(blanked, start, message)
-        kinds.append(kind)
-        texts.append(blanked[start:end])
-        starts.append(start)
-        ends.append(end)
+    start and end offsets into blanked. One findall gives each token with
+    its leading whitespace; a token ends where the running length of
+    those pieces does, and starts its own length before that. The first
+    token that starts with a character outside _KIND_OF, or that is a
+    quote opening no literal, raises ParseError."""
+    pieces = _TOKEN_RE.findall(blanked, 0, len(blanked.rstrip()))
+    texts = list(map(str.lstrip, pieces))
+    ends = list(accumulate(map(len, pieces)))
+    starts = list(map(sub, ends, map(len, texts)))
+    try:
+        kinds = list(map(_KIND_OF.__getitem__, map(itemgetter(0), texts)))
+    except KeyError:
+        kinds = None
+    if kinds is None or '"' in texts or "'" in texts:
+        i = next(i for i, text in enumerate(texts) if text[0] not in _KIND_OF or text in ('"', "'"))
+        c = texts[i]
+        message = "unterminated literal" if c in "\"'" else f"unexpected character {c!r}"
+        raise _error(blanked, starts[i], message)
     return kinds, texts, starts, ends
 
 
@@ -190,14 +214,20 @@ def _bracket_index(texts: list) -> tuple:
 
 class _Tokens:
     """The tokens of a blanked text as parallel lists, with the indexes
-    of _bracket_index over their texts."""
+    of _bracket_index over their texts, the call heads of _call_heads
+    and the ascending indexes of the '*' tokens."""
 
-    __slots__ = ("blanked", "kinds", "texts", "starts", "ends", "table", "depths", "commas", "_runs")
+    __slots__ = (
+        "blanked", "kinds", "texts", "starts", "ends", "table", "depths", "commas",
+        "heads", "opens", "stars", "_runs",
+    )
 
     def __init__(self, blanked: str):
         self.blanked = blanked
         self.kinds, self.texts, self.starts, self.ends = _tokenize(blanked)
         self.table, self.depths, self.commas = _bracket_index(self.texts)
+        self.heads, self.opens = _call_heads(self.kinds, self.texts)
+        self.stars = _positions(self.texts, "*")
         self._runs = None
 
     def error(self, i: int, message: str) -> ParseError:
@@ -251,6 +281,36 @@ def _skip_template_args(kinds: list, texts: list, i: int) -> int:
     return i
 
 
+def _positions(texts: list, text: str) -> list:
+    """Ascending indexes of the tokens equal to text."""
+    found = []
+    j = -1
+    try:
+        while True:
+            j = texts.index(text, j + 1)
+            found.append(j)
+    except ValueError:
+        return found
+
+
+def _call_heads(kinds: list, texts: list) -> tuple:
+    """The tokens that _scan_calls may record as calls, as two ascending
+    parallel lists: each identifier, other than a control keyword,
+    followed by '(' directly or after a template-argument list, and the
+    index of that '('. Only the '(' and '<' tokens are visited."""
+    heads, opens = [], []
+    n = len(texts)
+    for j in sorted(_positions(texts, "(") + _positions(texts, "<")):
+        head = j - 1
+        if head < 0 or kinds[head] != "id" or texts[head] in _CONTROL_KEYWORDS:
+            continue
+        open_ = j if texts[j] == "(" else _skip_template_args(kinds, texts, j)
+        if open_ < n and texts[open_] == "(":
+            heads.append(head)
+            opens.append(open_)
+    return heads, opens
+
+
 def _render_argument(toks: _Tokens, lo: int, hi: int) -> str:
     if hi - lo == 1:
         kind = toks.kinds[lo]
@@ -268,6 +328,8 @@ def _split_arguments(toks: _Tokens, lo: int, hi: int) -> list:
     when it is the last."""
     if lo >= hi:
         return []
+    if hi - lo == 1 and toks.texts[lo] != ",":
+        return [_render_argument(toks, lo, hi)]
     commas = toks.commas.get(toks.depths[lo], ())
     first = bisect_left(commas, lo)
     args = []
@@ -286,54 +348,58 @@ def _split_arguments(toks: _Tokens, lo: int, hi: int) -> list:
 def _scan_calls(toks: _Tokens, lo: int, hi: int) -> list:
     """(name, arguments) of each call in tokens lo..hi-1, in evaluation
     order: a call is appended after the calls in its arguments. Nesting
-    is kept on an explicit stack of pending calls, not in recursion."""
-    kinds, texts = toks.kinds, toks.texts
+    is kept on an explicit stack of pending calls, not in recursion.
+    Only the call heads are visited: the next one at or after a range's
+    start is the first token there that a walk over its tokens would
+    record, and none lies inside a template-argument list it skips."""
+    heads, opens, texts = toks.heads, toks.opens, toks.texts
     out = []
-    pending = []  # (name, '(' index, ')' index, hi of the enclosing range)
-    i = lo
+    pending = []  # (head index, '(' index, ')' index, hi of the enclosing range)
+    k = bisect_left(heads, lo)
     while True:
-        if i >= hi:
-            if not pending:
-                return out
-            name, open_, close, hi = pending.pop()
-            out.append((name, _split_arguments(toks, open_ + 1, close)))
-            i = close + 1
-            continue
-        if kinds[i] == "id" and texts[i] not in _CONTROL_KEYWORDS:
-            after = _skip_template_args(kinds, texts, i + 1)
-            if after < hi and texts[after] == "(":
-                close = toks.closing(after)
-                pending.append((texts[i], after, close, hi))
-                i, hi = after + 1, close
-                continue
-        i += 1
+        if k < len(heads) and heads[k] < hi:
+            head, open_ = heads[k], opens[k]
+            k += 1
+            if open_ < hi:
+                close = toks.closing(open_)
+                pending.append((head, open_, close, hi))
+                hi = close
+        elif pending:
+            head, open_, close, hi = pending.pop()
+            out.append((texts[head], _split_arguments(toks, open_ + 1, close)))
+        else:
+            return out
 
 
-def _pointer_decls(kinds: list, texts: list, lo: int, hi: int) -> set:
+def _pointer_decls(toks: _Tokens, lo: int, hi: int) -> set:
     """Identifiers declared with pointer type in tokens lo..hi-1. A
     declarator is recognized as <type word(s)> '*'+ <name> followed by a
     declarator terminator; multiplication never matches because the
-    left operand is preceded by an operator, not a statement boundary."""
+    left operand is preceded by an operator, not a statement boundary.
+    Only the '*' tokens are visited: each that follows an identifier
+    starts a run, and the name after a run may start the next one."""
+    kinds, texts, stars = toks.kinds, toks.texts, toks.stars
     names = set()
-    i = lo
-    while i + 2 < hi:
-        if kinds[i] == "id" and texts[i + 1] == "*":
-            j = i + 1
-            while j < hi and texts[j] == "*":
-                j += 1
-            if (
-                j < hi
-                and kinds[j] == "id"
-                and j + 1 <= hi
-                and (j + 1 == hi or texts[j + 1] in ("=", ";", ",", ")", "["))
-            ):
-                prev = texts[i - 1] if i > lo else ";"
-                if texts[i] in _TYPE_WORDS or prev in (";", "{", "}", "(", ","):
-                    names.add(texts[j])
-            i = j
-        else:
-            i += 1
+    for star in stars[bisect_left(stars, lo + 1) : bisect_left(stars, hi - 1)]:
+        i = star - 1
+        if kinds[i] != "id":
+            continue
+        j = star + 1
+        while j < hi and texts[j] == "*":
+            j += 1
+        if j < hi and kinds[j] == "id" and (j + 1 == hi or texts[j + 1] in ("=", ";", ",", ")", "[")):
+            prev = texts[i - 1] if i > lo else ";"
+            if texts[i] in _TYPE_WORDS or prev in (";", "{", "}", "(", ","):
+                names.add(texts[j])
     return names
+
+
+def _warn_skipped(blanked: str, offset: int) -> None:
+    import logging  # here, so that a clean parse does not load it
+
+    logging.getLogger(__name__).warning(
+        "skipping unparseable top-level item at %d:%d", *_position(blanked, offset)
+    )
 
 
 def extract_translation_unit(source: str) -> TranslationUnit:
@@ -359,8 +425,8 @@ def extract_translation_unit(source: str) -> TranslationUnit:
                 if text in tu.defined_names:
                     raise toks.error(i, f"duplicate definition of {text!r}")
                 counter += 1
-                pointer_locals = _pointer_decls(kinds, texts, i + 2, close) | _pointer_decls(
-                    kinds, texts, close + 2, body_close
+                pointer_locals = _pointer_decls(toks, i + 2, close) | _pointer_decls(
+                    toks, close + 2, body_close
                 )
                 fn = FunctionDef(text, counter, [], pointer_locals)
                 for callee, args in _scan_calls(toks, close + 2, body_close):
@@ -377,13 +443,17 @@ def extract_translation_unit(source: str) -> TranslationUnit:
             i = j + 1
             continue
         if text == "{":
-            # stray top-level block (e.g. struct body we don't model)
-            i = toks.closing(i) + 1
+            # a block that starts an item, such as the body after a K&R
+            # parameter declaration list
+            close = toks.closing(i)
+            _warn_skipped(blanked, toks.starts[i])
+            i = close + 1
             continue
         if text == ";":
             i += 1
             continue
-        # anything else: advance; warn once per skipped run of tokens.
+        # anything else: advance; warn once per skipped run of tokens,
+        # which takes in a block it ends at (a struct body we don't model).
         # A run ending at `name (` is the return type of a definition we
         # are about to recognize, not an unparseable item.
         run_start = i
@@ -394,12 +464,9 @@ def extract_translation_unit(source: str) -> TranslationUnit:
         if i == run_start:
             i += 1
         elif not (i < n and kinds[i] == "id"):
-            import logging  # here, so that a clean parse does not load it
-
-            logging.getLogger(__name__).warning(
-                "skipping unparseable top-level item at %d:%d",
-                *_position(blanked, toks.starts[run_start]),
-            )
+            _warn_skipped(blanked, toks.starts[run_start])
+            if i < n and texts[i] == "{":
+                i = toks.closing(i) + 1
     return tu
 
 
@@ -415,13 +482,17 @@ def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
     """
     entries = {}
     site_nodes = []  # (node_id, callee name)
+    keys = []  # "Argument1", "Argument2", ...: as many as the most arguments so far
     for fn in tu.functions:
         entry = graph.add_node("CallGraph", {"ExecOrder": fn.exec_order, "Name": fn.name})
         entries[fn.name] = entry
         for site in fn.call_sites:
             props = {"ExecOrder": site.exec_order, "Name": site.name}
-            for k, arg in enumerate(site.arguments, start=1):
-                props[f"Argument{k}"] = arg
+            args = site.arguments
+            if len(args) > len(keys):
+                keys += [f"Argument{k}" for k in range(len(keys) + 1, len(args) + 1)]
+            for key, arg in zip(keys, args):
+                props[key] = arg
             node = graph.add_node("CallGraph", props)
             graph.add_edge(entry, node, "CALLS")
             site_nodes.append((node, site.name))

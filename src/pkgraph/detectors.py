@@ -54,25 +54,26 @@ def _index(graph: PropertyGraph) -> _CallGraphIndex:
     Roots (no incoming CALLS edge) are function entries; an entry's
     CALLS targets are call sites; a call site's CALLS target is the
     entry of the function it invokes. Alternating from the roots
-    classifies every node, including recursive cycles. Callers read it
-    through graph.derived, which builds it once per sealed graph.
+    classifies every node, including recursive cycles; a node no root
+    reaches stays unclassified. One pass over the edges gives each
+    node's CALLS targets. Callers read it through graph.derived, which
+    builds it once per sealed graph.
     """
-    roots = [
-        n.id
-        for n in graph.find_nodes("CallGraph")
-        if not any(e.type == "CALLS" for e in graph.in_edges(n.id))
-    ]
+    targets = {}  # node id -> its CALLS targets
+    for edge in graph.edges():
+        if edge.type == "CALLS":
+            targets.setdefault(edge.source, []).append(edge.target)
+    called = {target for ids in targets.values() for target in ids}
+    roots = [n.id for n in graph.find_nodes("CallGraph") if n.id not in called]
     entries, sites = set(roots), set()
     stack = [(n, True) for n in roots]
     while stack:
         node_id, is_entry = stack.pop()
-        for edge in graph.out_edges(node_id):
-            if edge.type != "CALLS":
-                continue
-            bucket = sites if is_entry else entries
-            if edge.target not in bucket:
-                bucket.add(edge.target)
-                stack.append((edge.target, not is_entry))
+        bucket = sites if is_entry else entries
+        for target in targets.get(node_id, ()):
+            if target not in bucket:
+                bucket.add(target)
+                stack.append((target, not is_entry))
     roots.sort(key=lambda n: (graph.node(n).properties.get("Name") != "main", n))
     by_name = {}
     for n in sorted(sites):

@@ -6,10 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import DOUBLE_FREE_INTERPROC_SRC, DOUBLE_FREE_SRC, call_graph_of
 from pkgraph.cparse import (
+    _CONTROL_KEYWORDS,
+    _TYPE_WORDS,
     ParseError,
     _Tokens,
     _blank_comments,
     _bracket_index,
+    _pointer_decls,
+    _scan_calls,
+    _skip_template_args,
     _split_arguments,
     _tokenize,
     build_call_graph,
@@ -142,6 +147,40 @@ class TestExtractTranslationUnit:
         b = extract_translation_unit(DOUBLE_FREE_SRC)
         assert a == b
 
+    def test_knr_body_is_skipped_with_one_warning(self, caplog):
+        """The body after a K&R parameter declaration list starts an item
+        of its own, which is skipped with a warning at its '{'."""
+        with caplog.at_level("WARNING"):
+            tu = extract_translation_unit("int f(a) int a; { gets(a); }\nvoid g() { h(); }")
+        assert [f.name for f in tu.functions] == ["g"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping unparseable top-level item at 1:17"
+        ]
+
+    @pytest.mark.parametrize(
+        "source, where",
+        [
+            pytest.param("struct s { int a; };", ["1:1"], id="struct-body"),
+            pytest.param("struct s { int a; } x;", ["1:1", "1:21"], id="struct-then-declarator"),
+            pytest.param("{ g(); } ; { h(); }", ["1:1", "1:12"], id="two-blocks"),
+            pytest.param("int f(a) char *a; { }", ["1:19"], id="knr-one-declaration"),
+            pytest.param("int f(a, b) int a; char *b; { }", ["1:20", "1:29"], id="knr-two-declarations"),
+        ],
+    )
+    def test_each_skipped_item_warns_once(self, caplog, source, where):
+        with caplog.at_level("WARNING"):
+            tu = extract_translation_unit(source)
+        assert tu.functions == []
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping unparseable top-level item at {position}" for position in where
+        ]
+
+    def test_unbalanced_top_level_block_raises_without_a_warning(self, caplog):
+        with caplog.at_level("WARNING"), pytest.raises(ParseError) as exc:
+            extract_translation_unit("void f() { }\n{ g(); ")
+        assert (exc.value.line, exc.value.column, exc.value.message) == (2, 1, "unbalanced '{'")
+        assert caplog.records == []
+
     def test_deep_nesting_innermost_first(self):
         depth = 3000
         tu = extract_translation_unit("void f() { " + "atoi(" * depth + "s" + ")" * depth + "; }")
@@ -216,6 +255,43 @@ c_texts = st.one_of(
 )
 
 
+# The blanking pattern _blank_comments replaced, which tried every
+# alternative at every offset and found directives with a multiline `^`.
+REFERENCE_BLANK_RE = re.compile(
+    r"""
+    (?P<literal>"(?:[^"\\]|\\[\s\S])*"?|'(?:[^'\\]|\\[\s\S])*'?)
+  | //[^\n]*
+  | /\*[\s\S]*?(?:\*/|\Z)
+  | ^(?P<indent>[^\S\n]*)\#(?:\\\n|[^\n])*
+    """,
+    re.VERBOSE | re.MULTILINE,
+)
+
+
+def reference_blank(match):
+    if match.lastgroup == "literal":
+        return match.group()
+    indent = match.group("indent") or ""
+    return indent + re.sub(r"[^\n]", " ", match.group()[len(indent):])
+
+
+@given(
+    st.one_of(
+        c_texts,
+        st.lists(st.sampled_from(C_FRAGMENTS + ["\r\n", "\f", "\xa0", "  #", "\n#"]), max_size=40).map("".join),
+    )
+)
+@example("#x\n#y")
+@example("#a \\\n\n  #b")
+@example('"a\n#b" #c\n\t#d')
+@example("x\n\n#")
+@settings(max_examples=500, deadline=None)
+def test_blank_comments_matches_the_multiline_pattern(source):
+    """Matching a directive from the newline before it blanks what the
+    multiline `^` pattern blanks, at the start of the text too."""
+    assert _blank_comments(source) == REFERENCE_BLANK_RE.sub(reference_blank, source)
+
+
 class TestNeverCrash:
     @given(c_texts)
     @settings(deadline=None)
@@ -265,6 +341,183 @@ class TestNeverCrash:
         assert _bracket_index(texts)[0] == want
 
 
+# The tokenizer _tokenize replaced: one finditer match per token, its
+# kind the name of the group that matched.
+REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    \s*(?:
+    (?P<id>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<num>(?:0[xX][0-9a-fA-F]+|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)[uUlLfF]*)
+  | (?P<str>"(?:[^"\\\n]|\\.)*")
+  | (?P<char>'(?:[^'\\\n]|\\.)*')
+  | (?P<punct>::|->|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\||[-+*/%&|^~!<>=?:;,.(){}\[\]\\\#])
+  | (?P<bad>\S)
+    )
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(blanked):
+    kinds, texts, starts, ends = [], [], [], []
+    for m in REFERENCE_TOKEN_RE.finditer(blanked, 0, len(blanked.rstrip())):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        if kind == "bad":
+            c = blanked[start]
+            message = "unterminated literal" if c in "\"'" else f"unexpected character {c!r}"
+            line = blanked.count("\n", 0, start) + 1
+            raise ParseError(line, start - blanked.rfind("\n", 0, start), message)
+        kinds.append(kind)
+        texts.append(blanked[start:end])
+        starts.append(start)
+        ends.append(end)
+    return kinds, texts, starts, ends
+
+
+def outcome(function, *args):
+    """function(*args), or the position and message of its ParseError."""
+    try:
+        return function(*args)
+    except ParseError as exc:
+        return (exc.line, exc.column, exc.message)
+
+
+# Lone quotes, characters no token starts with (non-ASCII letters and
+# digits among them), whitespace that is not ASCII, and every token kind.
+LEXICAL_FRAGMENTS = [
+    '"', "'", "@", "$", "`", "é", "ß", "Ж", "٣", "\xa0", "\f", "\v", "\u2028", "\x1c",
+    " ", "\n", "\t", "x", "_a1", "1", "0x1Fu", "1.5e+3f", ".5", '"a\\"b"', '"\\', "'\\n'", "''",
+    "->", "::", "<<=", "#", "\\", "(", ")", "{", "}", "[", "]", ",", ";", "*",
+]
+token_texts = st.tuples(
+    st.one_of(
+        c_texts,
+        st.lists(st.sampled_from(LEXICAL_FRAGMENTS), max_size=30).map("".join),
+        st.text(max_size=30),
+    ),
+    st.text(" \t\n\xa0\f\v\u3000", max_size=4),
+).map("".join)
+
+
+@given(token_texts)
+@example('f(" )')
+@example("g('a)")
+@example("a @ b")
+@example("$x")
+@example("é")
+@example("x\xa0y\f(\v)  \n\xa0")
+@example("")
+@settings(max_examples=500, deadline=None)
+def test_tokenize_matches_the_finditer_tokenizer(text):
+    """The findall tokenizer gives the kinds, texts, starts and ends of
+    the per-match one, or the ParseError at the same line and column,
+    with the same message."""
+    assert outcome(_tokenize, text) == outcome(reference_tokenize, text)
+
+
+def reference_pointer_decls(kinds, texts, lo, hi):
+    """The token walk _pointer_decls replaced, which visits every token
+    in lo..hi-1 and jumps past each run of stars."""
+    names = set()
+    i = lo
+    while i + 2 < hi:
+        if kinds[i] == "id" and texts[i + 1] == "*":
+            j = i + 1
+            while j < hi and texts[j] == "*":
+                j += 1
+            if (
+                j < hi
+                and kinds[j] == "id"
+                and j + 1 <= hi
+                and (j + 1 == hi or texts[j + 1] in ("=", ";", ",", ")", "["))
+            ):
+                prev = texts[i - 1] if i > lo else ";"
+                if texts[i] in _TYPE_WORDS or prev in (";", "{", "}", "(", ","):
+                    names.add(texts[j])
+            i = j
+        else:
+            i += 1
+    return names
+
+
+# Declarators, products and star runs between statement and argument
+# boundaries, so that a '*' falls at either end of some range.
+DECLARATOR_FRAGMENTS = [
+    "char", "int", "const", "a", "b", "c", "p", "*", "*", "**", "(", ")", ",", ";", "=", "[", "{", "}", "1", "+",
+]
+declarator_soups = st.lists(st.sampled_from(DECLARATOR_FRAGMENTS), max_size=14).map(" ".join)
+
+
+@given(declarator_soups)
+@example("char **p;")
+@example("a * b * c;")
+@example("int * p , * q ;")
+@example("* p = 1")
+@example("x * y *")
+@example("( char * p ) , int * q [")
+@settings(max_examples=300, deadline=None)
+def test_pointer_decls_match_the_token_walk(text):
+    """Over every token range, visiting only the stars names the pointer
+    locals that the walk over every token names."""
+    toks = _Tokens(text)
+    n = len(toks.texts)
+    for lo in range(n + 1):
+        for hi in range(lo, n + 1):
+            assert _pointer_decls(toks, lo, hi) == reference_pointer_decls(toks.kinds, toks.texts, lo, hi)
+
+
+def reference_scan_calls(toks, lo, hi):
+    """The token walk _scan_calls replaced, which visits every token and
+    looks for a template-argument list after every identifier."""
+    kinds, texts = toks.kinds, toks.texts
+    out = []
+    pending = []
+    i = lo
+    while True:
+        if i >= hi:
+            if not pending:
+                return out
+            name, open_, close, hi = pending.pop()
+            out.append((name, _split_arguments(toks, open_ + 1, close)))
+            i = close + 1
+            continue
+        if kinds[i] == "id" and texts[i] not in _CONTROL_KEYWORDS:
+            after = _skip_template_args(kinds, texts, i + 1)
+            if after < hi and texts[after] == "(":
+                close = toks.closing(after)
+                pending.append((texts[i], after, close, hi))
+                i, hi = after + 1, close
+                continue
+        i += 1
+
+
+# Calls, control keywords, casts, template-argument lists that do and do
+# not end at a '(', nesting and unbalanced brackets.
+SCAN_FRAGMENTS = [
+    "g", "h", "if", "sizeof", "a", "1", "(", "(", ")", ")", "<", ">", "::", "*", ",", ";", "{", "}", "[", "]",
+]
+scan_soups = st.lists(st.sampled_from(SCAN_FRAGMENTS), max_size=18).map(" ".join)
+
+
+@given(scan_soups)
+@example("g<a>(b)")
+@example("g < h < a > ( 1 ) > ( 2 )")
+@example("g<a, * b::c>(h(1), 2)")
+@example("if (g(a)) h(,)")
+@example("g(h(a)")
+@settings(max_examples=300, deadline=None)
+def test_scan_calls_matches_the_token_walk(text):
+    """Over every token range, visiting only the call heads gives the
+    calls of the walk over every token, or its ParseError."""
+    toks = _Tokens(text)
+    n = len(toks.texts)
+    for lo in range(n + 1):
+        for hi in range(lo, n + 1):
+            want = outcome(reference_scan_calls, toks, lo, hi)
+            assert outcome(_scan_calls, toks, lo, hi) == want
+
+
 def reference_render_argument(toks, lo, hi):
     """Argument text as rendered before the collapsed-text slice: the
     argument's own source slice with whitespace runs collapsed."""
@@ -302,13 +555,6 @@ def reference_split_arguments(toks, lo, hi):
     return args
 
 
-def split_outcome(split, toks, lo, hi):
-    try:
-        return split(toks, lo, hi)
-    except ParseError as exc:
-        return (exc.line, exc.column, exc.message)
-
-
 # Call texts with every bracket kind in any order, so that mixed and
 # mismatched brackets, empty arguments and multi-line arguments occur.
 ARGUMENT_FRAGMENTS = [
@@ -331,8 +577,8 @@ def test_split_arguments_matches_token_walk(text):
     toks = _Tokens(text)
     for open_, close in toks.table.items():
         if toks.texts[open_] == "(":
-            want = split_outcome(reference_split_arguments, toks, open_ + 1, close)
-            assert split_outcome(_split_arguments, toks, open_ + 1, close) == want
+            want = outcome(reference_split_arguments, toks, open_ + 1, close)
+            assert outcome(_split_arguments, toks, open_ + 1, close) == want
 
 
 class TestBuildCallGraph:

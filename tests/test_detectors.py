@@ -13,6 +13,7 @@ from conftest import (
     merged_graph_of,
 )
 from test_graph import brute_force_paths, is_valid_path
+from pkgraph.cparse import build_call_graph, extract_translation_unit
 from pkgraph.cypher.eval import execute_query
 from pkgraph.cypher.parser import parse_query
 from pkgraph.detectors import (
@@ -22,6 +23,7 @@ from pkgraph.detectors import (
     DetectorCapability,
     Finding,
     UnsupportedTemplate,
+    _CallGraphIndex,
     detect_banned_calls,
     detect_double_release,
     detect_getlogin_multithreaded,
@@ -575,3 +577,88 @@ class TestTriggers:
         run_all(graph, tu, catalog)
         assert catalog.rows_by_trigger is rows
         assert [catalog[i].cwe_id for i in rows[None]] == ["CWE-401"]
+
+
+def reference_index(graph):
+    """The per-node classification _index replaced: the incoming edges of
+    every CallGraph node for the roots, then the outgoing edges of every
+    node the walk from them reaches."""
+    roots = [
+        n.id
+        for n in graph.find_nodes("CallGraph")
+        if not any(e.type == "CALLS" for e in graph.in_edges(n.id))
+    ]
+    entries, sites = set(roots), set()
+    stack = [(n, True) for n in roots]
+    while stack:
+        node_id, is_entry = stack.pop()
+        for edge in graph.out_edges(node_id):
+            if edge.type != "CALLS":
+                continue
+            bucket = sites if is_entry else entries
+            if edge.target not in bucket:
+                bucket.add(edge.target)
+                stack.append((edge.target, not is_entry))
+    roots.sort(key=lambda n: (graph.node(n).properties.get("Name") != "main", n))
+    by_name = {}
+    for n in sorted(sites):
+        name = graph.node(n).properties.get("Name", "")
+        if isinstance(name, str):
+            by_name.setdefault(name, []).append(n)
+    return _CallGraphIndex(tuple(sorted(entries)), tuple(roots), by_name)
+
+
+class TestIndexMatchesThePerNodeReference:
+    """_index classifies in one pass over the edges what the per-node
+    reference classifies with in_edges and out_edges calls: the same
+    entries, roots (main first) and call sites by name."""
+
+    @pytest.mark.parametrize("program", range(len(CORPUS_PROGRAMS)))
+    def test_bundled_samples(self, program):
+        graph, _ = CORPUS_PROGRAMS[program]
+        assert _index(graph) == reference_index(graph)
+
+    @pytest.mark.parametrize("sample", ["cwe415_double_free_interproc.c", "cwe479_signal_syslog.c"])
+    def test_a_call_graph_over_a_catalog_copy(self, sample):
+        """A query's graph: the catalog's sealed CWE nodes, copied, with
+        the program's call graph added after them."""
+        graph = Catalog(load_catalog()).cwe_graph.copy()
+        tu = extract_translation_unit((DATA / "corpus" / sample).read_text(encoding="utf-8"))
+        build_call_graph(tu, graph)
+        graph.seal()
+        assert graph.find_nodes("CWE")
+        assert _index(graph) == reference_index(graph)
+
+    @given(
+        nodes=st.lists(
+            st.tuples(
+                st.sampled_from(["CallGraph", "CallGraph", "CWE"]),
+                st.sampled_from(["main", "f", "g", "gets", "", 7, None]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        edges=st.lists(
+            st.tuples(st.integers(0, 11), st.integers(0, 11), st.sampled_from(["CALLS", "CALLS", "HAS"])),
+            max_size=24,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs_with_cycles(self, nodes, edges):
+        """Self-calls and other edge types anywhere, plus a mutually
+        recursive pair that no root reaches, which stays unclassified."""
+        graph = PropertyGraph()
+        ids = [
+            graph.add_node(label, {} if name is None else {"Name": name, "ExecOrder": k})
+            for k, (label, name) in enumerate(nodes)
+        ]
+        for source, target, edge_type in edges:
+            graph.add_edge(ids[source % len(ids)], ids[target % len(ids)], edge_type)
+        pair = [graph.add_node("CallGraph", {"Name": name}) for name in ("p", "q")]
+        graph.add_edge(pair[0], pair[1], "CALLS")
+        graph.add_edge(pair[1], pair[0], "CALLS")
+        graph.add_edge(pair[1], pair[1], "CALLS")
+        graph.seal()
+        index = _index(graph)
+        assert index == reference_index(graph)
+        assert not set(pair) & (set(index.entries) | {n for ns in index.by_name.values() for n in ns})
