@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import itemgetter, sub
 
-from .graph import PropertyGraph, Record
+from .graph import GraphError, PropertyGraph, Record
 
 # Keywords that look like calls but are statements/operators we descend
 # into rather than record. sizeof is intentionally absent: it must be a
@@ -470,33 +470,137 @@ def extract_translation_unit(source: str) -> TranslationUnit:
     return tu
 
 
+class _CallGraphIndex(Record):
+    """Which CallGraph nodes are function entries and which are call sites."""
+
+    __slots__ = (
+        "entries",  # function-entry node ids, ascending
+        "roots",  # entries without an incoming CALLS edge, `main` first
+        "by_name",  # call-site Name -> call-site ids, ascending
+    )
+
+
+def _unit(graph: PropertyGraph) -> tuple:
+    """_classify's arguments for the unit build_call_graph added, which it
+    keeps with the graph; this runs only for a graph that holds none. A
+    graph without CallGraph nodes has no unit; one whose CallGraph nodes
+    build_call_graph did not keep a unit for (added by hand, or changed
+    after the build) is refused."""
+    if graph.find_nodes("CallGraph"):
+        raise GraphError(
+            "CallGraph nodes not indexed by build_call_graph: build the call graph"
+            " with build_call_graph and add nothing to the graph after it"
+        )
+    return ()
+
+
+def call_graph_index(graph: PropertyGraph) -> _CallGraphIndex:
+    """The graph's call-graph classification, read as
+    graph.derived(call_graph_index): made from the unit build_call_graph
+    kept with the graph, on the first read, so a command that never reads
+    it never makes it. A graph without CallGraph nodes has an empty one,
+    and one whose CallGraph nodes build_call_graph did not index raises
+    GraphError."""
+    unit = graph.derived(_unit)
+    return _classify(*unit) if unit else _CallGraphIndex((), (), {})
+
+
 def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
     """Materialize a translation unit as CallGraph nodes and CALLS edges.
 
     One node per function entry ({ExecOrder, Name}) and per call site
     ({ExecOrder, Name, Argument1..N}); an edge from each entry to its
     call sites, plus an interprocedural edge from any call site whose
-    callee is defined in this unit to that callee's entry node.
+    callee is defined in this unit to that callee's entry node. The
+    nodes and edges go to the graph as one batch, each node's id known
+    in advance.
+
+    The graph also keeps what classifies these nodes: the functions, their
+    entry ids, the entries each calls and the call sites by name, from
+    which graph.derived(call_graph_index) makes the unit's
+    _CallGraphIndex when detection first reads it. It is made from the
+    functions, not the edges: the roots are the entries no call site
+    calls, and a function is kept, with its entry and call sites, when a
+    root reaches it, so a recursive group that no root reaches stays
+    unclassified. A graph that already held CallGraph nodes keeps
+    nothing, since the unit would not cover them, and a later change to
+    the graph drops what it kept.
 
     Returns a map from function name to entry node id.
     """
-    entries = {}
-    site_nodes = []  # (node_id, callee name)
-    keys = []  # "Argument1", "Argument2", ...: as many as the most arguments so far
-    for fn in tu.functions:
-        entry = graph.add_node("CallGraph", {"ExecOrder": fn.exec_order, "Name": fn.name})
-        entries[fn.name] = entry
-        for site in fn.call_sites:
-            props = {"ExecOrder": site.exec_order, "Name": site.name}
-            args = site.arguments
-            if len(args) > len(keys):
-                keys += [f"Argument{k}" for k in range(len(keys) + 1, len(args) + 1)]
-            for key, arg in zip(keys, args):
-                props[key] = arg
-            node = graph.add_node("CallGraph", props)
-            graph.add_edge(entry, node, "CALLS")
-            site_nodes.append((node, site.name))
-    for node, callee in site_nodes:
-        if callee in tu.defined_names:
-            graph.add_edge(node, entries[callee], "CALLS")
+    indexed = not graph.find_nodes("CallGraph")
+    functions = tu.functions
+    entries = {}  # function name -> entry id
+    entry_ids = []  # per function
+    node_id = graph.node_count  # the last id issued
+    for fn in functions:
+        node_id += 1
+        entries[fn.name] = node_id
+        entry_ids.append(node_id)
+        node_id += len(fn.call_sites)
+
+    def nodes():
+        keys = []  # "Argument1", "Argument2", ...: as many as the most arguments so far
+        for fn in functions:
+            yield "CallGraph", {"ExecOrder": fn.exec_order, "Name": fn.name}
+            for site in fn.call_sites:
+                props = {"ExecOrder": site.exec_order, "Name": site.name}
+                args = site.arguments
+                if len(args) == 1:  # most calls: set without a zip, which costs more than the dict
+                    props["Argument1"] = args[0]
+                elif args:
+                    if len(args) > len(keys):
+                        keys += [f"Argument{k}" for k in range(len(keys) + 1, len(args) + 1)]
+                    for key, arg in zip(keys, args):
+                        props[key] = arg
+                yield "CallGraph", props
+
+    edges = [
+        (entry, site, "CALLS")
+        for entry, fn in zip(entry_ids, functions)
+        for site in range(entry + 1, entry + 1 + len(fn.call_sites))
+    ]
+    callees = {}  # entry id -> entry ids its call sites call
+    by_name = {}  # call-site Name -> call-site ids, of every function
+    for entry, fn in zip(entry_ids, functions):
+        called = callees[entry] = []
+        for site, call in enumerate(fn.call_sites, entry + 1):
+            callee = entries.get(call.name)
+            if callee is not None:
+                edges.append((site, callee, "CALLS"))
+                called.append(callee)
+            sites = by_name.get(call.name)
+            if sites is None:
+                by_name[call.name] = [site]
+            else:
+                sites.append(site)
+    graph.add(nodes(), edges)
+    if indexed:
+        graph.keep(_unit, (functions, entry_ids, callees, by_name))
     return entries
+
+
+def _classify(functions: list, entry_ids: list, callees: dict, by_name: dict) -> _CallGraphIndex:
+    """The _CallGraphIndex of one unit's nodes: the functions a root
+    reaches, and of by_name the call sites in them."""
+    has_caller = set().union(*callees.values())
+    roots = [entry for entry in entry_ids if entry not in has_caller]
+    kept = set(roots)
+    stack = list(roots)
+    while stack:
+        for callee in callees[stack.pop()]:
+            if callee not in kept:
+                kept.add(callee)
+                stack.append(callee)
+    entries = tuple(entry_ids)
+    if len(kept) < len(entry_ids):
+        entries = tuple(sorted(kept))
+        by_name = {  # a site belongs to the last entry before it
+            name: kept_sites
+            for name, sites in by_name.items()
+            if (kept_sites := [s for s in sites if entry_ids[bisect_right(entry_ids, s) - 1] in kept])
+        }
+    if len(roots) > 1:
+        is_main = dict(zip(entry_ids, [fn.name == "main" for fn in functions]))
+        roots.sort(key=lambda entry: not is_main[entry])
+    return _CallGraphIndex(entries, tuple(roots), by_name)

@@ -7,13 +7,21 @@ detection queries for the families that have a pure-query formulation
 (banned calls and double release); the remaining families need
 structural context a query cannot see, and the memory-leak family is a
 declared capability gap because a call graph carries no data flow.
+
+Detectors do not classify the graph by walking its edges. Which
+CallGraph nodes are function entries, which are roots and which call
+sites carry a name comes from the unit build_call_graph built the nodes
+from (cparse.call_graph_index, read through graph.derived). A graph with
+no CallGraph nodes classifies as empty; a graph whose CallGraph nodes
+the builder did not index, because they were added by hand or the graph
+was changed after the build, raises GraphError naming build_call_graph.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .cparse import TranslationUnit
+from .cparse import TranslationUnit, call_graph_index
 from .graph import FrozenRecord, PropertyGraph, Record
 from .vulndata import CweRecord, build_knowledge_graph
 
@@ -40,60 +48,23 @@ class UnsupportedTemplate(Exception):
 # Graph structure helpers
 # ---------------------------------------------------------------------------
 
-class _CallGraphIndex(Record):
-    __slots__ = (
-        "entries",  # function-entry node ids, ascending
-        "roots",  # entries without an incoming CALLS edge, `main` first
-        "by_name",  # call-site Name -> call-site ids, ascending
-    )
-
-
-def _index(graph: PropertyGraph) -> _CallGraphIndex:
-    """Partition CallGraph nodes into function entries and call sites.
-
-    Roots (no incoming CALLS edge) are function entries; an entry's
-    CALLS targets are call sites; a call site's CALLS target is the
-    entry of the function it invokes. Alternating from the roots
-    classifies every node, including recursive cycles; a node no root
-    reaches stays unclassified. One pass over the edges gives each
-    node's CALLS targets. Callers read it through graph.derived, which
-    builds it once per sealed graph.
-    """
-    targets = {}  # node id -> its CALLS targets
-    for edge in graph.edges():
-        if edge.type == "CALLS":
-            targets.setdefault(edge.source, []).append(edge.target)
-    called = {target for ids in targets.values() for target in ids}
-    roots = [n.id for n in graph.find_nodes("CallGraph") if n.id not in called]
-    entries, sites = set(roots), set()
-    stack = [(n, True) for n in roots]
-    while stack:
-        node_id, is_entry = stack.pop()
-        bucket = sites if is_entry else entries
-        for target in targets.get(node_id, ()):
-            if target not in bucket:
-                bucket.add(target)
-                stack.append((target, not is_entry))
-    roots.sort(key=lambda n: (graph.node(n).properties.get("Name") != "main", n))
-    by_name = {}
-    for n in sorted(sites):
-        name = graph.node(n).properties.get("Name", "")
-        if isinstance(name, str):
-            by_name.setdefault(name, []).append(n)
-    return _CallGraphIndex(tuple(sorted(entries)), tuple(roots), by_name)
-
-
 def entry_nodes(graph: PropertyGraph) -> list:
     """CallGraph roots (no incoming CALLS edge), ascending id, with a
-    node named `main` listed first when present."""
-    return list(graph.derived(_index).roots)
+    node named `main` listed first when present.
+
+    They are read from the classification of the unit build_call_graph
+    built the graph from (cparse.call_graph_index). A graph with no
+    CallGraph nodes has no roots; a graph whose CallGraph nodes
+    build_call_graph did not index raises GraphError naming
+    build_call_graph."""
+    return list(graph.derived(call_graph_index).roots)
 
 
 def _call_sites_matching(graph: PropertyGraph, names: list) -> list:
     """Call sites whose Name is one of names, ascending id. Most catalog
     rows name one procedure or none the program calls, so a set and a
     sort are built only when two or more names have call sites."""
-    by_name = graph.derived(_index).by_name
+    by_name = graph.derived(call_graph_index).by_name
     found = [by_name[name] for name in names if name in by_name]
     if len(found) > 1:
         return sorted(set().union(*found))
@@ -195,7 +166,7 @@ def detect_signal_nonreentrant(graph: PropertyGraph, cwe: CweRecord) -> list:
     """A signal handler that reaches a non-reentrant procedure. The
     handler is resolved from the second argument of a signal() call;
     witness paths run from the handler's entry to the offending call."""
-    entries = graph.derived(_index).entries
+    entries = graph.derived(call_graph_index).entries
     offending = _call_sites_matching(graph, cwe.function_events)
     findings = []
     for node_id in _call_sites_matching(graph, ["signal"]):
@@ -379,12 +350,18 @@ def run_all(graph: PropertyGraph, tu: TranslationUnit, catalog):
     lists; capability misses are listed for every row that has one. A
     Catalog brings its name -> rows map; any other sequence of records
     is wrapped in one, which builds the map for this call.
+
+    The graph must be classified by build_call_graph: a graph with no
+    CallGraph nodes (run_all(PropertyGraph(), None, catalog)) finds
+    nothing and lists the capability misses, and a graph whose CallGraph
+    nodes the builder did not index raises GraphError naming
+    build_call_graph.
     """
     if not isinstance(catalog, Catalog):
         catalog = Catalog(catalog)
     rows = catalog.rows_by_trigger
     matched = set(rows.get(None, ()))
-    for name in graph.derived(_index).by_name:
+    for name in graph.derived(call_graph_index).by_name:
         matched.update(rows.get(name, ()))
     findings = []
     capabilities = []

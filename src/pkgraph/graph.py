@@ -6,11 +6,22 @@ edges, a label index, and edge-unique path enumeration. Mutation happens
 in a single-threaded build phase; after seal() the graph is immutable
 and reads are safe from any thread.
 
+Every node and edge enters through one path, add(), which takes a batch
+of nodes and edges, checks it as a whole and adds all of it or nothing;
+add_node and add_edge are one-item batches. The graph issues ids, 1..N
+in the order nodes (or edges) arrive, so a producer knows each id of its
+batch before adding it and can name the batch's own nodes in its edges.
+A batch hands its property dicts over: each becomes its node's own,
+without a copy. Values derived from the graph (derived()) are dropped
+whenever a batch is added, including one a producer handed over with
+keep() along with the nodes it describes.
+
 copy() starts a new, unsealed graph from a sealed one without building
 its nodes again: the copy holds the same Node and Edge records under the
-same ids, and only its indexes are new. A node's adjacency lists are
-created by its first edge, so a node without edges costs neither
-add_node nor copy() any list; a missing list reads as no edges.
+same ids, and only its indexes are new. Records are shared, so no graph
+may change one. A node's adjacency lists are created by its first edge,
+so a node without edges costs neither add nor copy() any list; a
+missing list reads as no edges.
 """
 
 from __future__ import annotations
@@ -139,10 +150,6 @@ class Path(FrozenRecord):
         return len(self.edges)
 
     @property
-    def start(self) -> int:
-        return self.nodes[0]
-
-    @property
     def end(self) -> int:
         return self.nodes[-1]
 
@@ -167,39 +174,88 @@ class PropertyGraph:
         self._by_label: dict = {}
         self._out: dict = {}
         self._in: dict = {}
-        self._next_node_id = 1
-        self._next_edge_id = 1
         self._sealed = False
         self._derived: dict = {}
 
     # -- mutation ----------------------------------------------------------
 
-    def add_node(self, label: str, properties: dict | None = None) -> int:
+    def add(self, nodes: Iterable = (), edges: Iterable = ()) -> None:
+        """Add a batch: nodes, (label, properties) pairs, then edges,
+        (source, target, type) triples, in order.
+
+        The k-th node added to the graph gets id k and the k-th edge id k,
+        so a producer knows each id of its batch in advance, and an edge
+        may name a node of the same batch. Each Node is created as its
+        pair arrives, and its properties dict becomes the node's own: the
+        producer hands it over and must not change it. nodes is read to
+        its end before edges is read, so a generator of nodes may fill an
+        edge list as it goes.
+
+        The batch is checked as a whole before anything is added: a sealed
+        graph raises GraphSealed, an empty label InvalidLabel, an endpoint
+        that is neither in the graph nor in the batch UnknownNode, and an
+        empty edge type GraphError; the graph is then as it was. Adding
+        drops every derived value.
+        """
         if self._sealed:
             raise GraphSealed("graph is sealed")
-        if not label:
-            raise InvalidLabel("node label must be non-empty")
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        self._nodes[node_id] = Node(node_id, label, dict(properties or {}))
-        self._by_label.setdefault(label, []).append(node_id)
-        return node_id
+        graph_nodes = self._nodes
+        first = node_id = len(graph_nodes) + 1
+        groups = {}  # label -> ids of the batch
+        # The nodes go in as they arrive, so the edges can be checked
+        # against the graph alone; a batch that fails takes them out.
+        try:
+            for label, properties in nodes:
+                graph_nodes[node_id] = Node(node_id, label, properties)
+                ids = groups.get(label)
+                if ids is None:
+                    groups[label] = [node_id]
+                else:
+                    ids.append(node_id)
+                node_id += 1
+            if not all(groups):
+                raise InvalidLabel("node label must be non-empty")
+            edges = list(edges)
+            for source, target, edge_type in edges:
+                if source not in graph_nodes:
+                    raise UnknownNode(f"unknown source node {source}")
+                if target not in graph_nodes:
+                    raise UnknownNode(f"unknown target node {target}")
+                if not edge_type:
+                    raise GraphError("edge type must be non-empty")
+        except BaseException:
+            for added in range(first, node_id):
+                del graph_nodes[added]
+            raise
+        self._derived.clear()
+        for label, ids in groups.items():
+            self._by_label.setdefault(label, []).extend(ids)
+        graph_edges = self._edges
+        edge_id = len(graph_edges)
+        out, into = self._out, self._in
+        for source, target, edge_type in edges:
+            edge_id += 1
+            graph_edges[edge_id] = Edge(edge_id, source, target, edge_type)
+            ids = out.get(source)
+            if ids is None:
+                out[source] = [edge_id]
+            else:
+                ids.append(edge_id)
+            ids = into.get(target)
+            if ids is None:
+                into[target] = [edge_id]
+            else:
+                ids.append(edge_id)
+
+    def add_node(self, label: str, properties: dict | None = None) -> int:
+        """Add one node, with a copy of properties; its id."""
+        self.add(((label, dict(properties or {})),))
+        return len(self._nodes)
 
     def add_edge(self, source: int, target: int, edge_type: str) -> int:
-        if self._sealed:
-            raise GraphSealed("graph is sealed")
-        if source not in self._nodes:
-            raise UnknownNode(f"unknown source node {source}")
-        if target not in self._nodes:
-            raise UnknownNode(f"unknown target node {target}")
-        if not edge_type:
-            raise GraphError("edge type must be non-empty")
-        edge_id = self._next_edge_id
-        self._next_edge_id += 1
-        self._edges[edge_id] = Edge(edge_id, source, target, edge_type)
-        self._out.setdefault(source, []).append(edge_id)
-        self._in.setdefault(target, []).append(edge_id)
-        return edge_id
+        """Add one edge; its id."""
+        self.add((), ((source, target, edge_type),))
+        return len(self._edges)
 
     def seal(self) -> None:
         """Freeze the graph. Idempotent; reads are unaffected."""
@@ -221,20 +277,25 @@ class PropertyGraph:
         other._by_label = {label: list(ids) for label, ids in self._by_label.items()}
         other._out = {node_id: list(ids) for node_id, ids in self._out.items()}
         other._in = {node_id: list(ids) for node_id, ids in self._in.items()}
-        other._next_node_id = self._next_node_id
-        other._next_edge_id = self._next_edge_id
         return other
 
     def derived(self, build):
         """build(self), kept with the graph once it is sealed, so it is
         built once and goes away with the graph. An unsealed graph can
-        still change, so there each call builds afresh."""
+        still change, so there each call builds afresh, unless a producer
+        handed the value over with keep()."""
         value = self._derived.get(build)
         if value is None:
             value = build(self)
             if self._sealed:
                 self._derived[build] = value
         return value
+
+    def keep(self, build, value) -> None:
+        """Keep value as what derived(build) returns, sealed or not, until
+        the graph next changes: for a producer that built it along with
+        the nodes and edges it describes."""
+        self._derived[build] = value
 
     # -- lookup ------------------------------------------------------------
 

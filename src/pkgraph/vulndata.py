@@ -135,41 +135,43 @@ def build_knowledge_graph(cwes: list, cves: list, graph: PropertyGraph) -> Inges
     Product nodes are deduplicated per (product, version) pair across
     CVEs; Score nodes are per-CVE. A CVE whose cwe_id is not in the CWE
     list is ingested without a HAS_CVE edge and counted as an orphan.
+    The nodes and edges go to the graph as one batch, the edges listed
+    as the nodes they join are made.
     """
-    stats = IngestStats(0, 0, 0)
-    cwe_nodes = {}
-    for cwe in cwes:
-        node_id = graph.add_node(
-            "CWE",
-            {
+    first = graph.node_count + 1
+    cwe_nodes = {cwe.cwe_id: node_id for node_id, cwe in enumerate(cwes, first)}
+    edges = []
+    orphans = 0
+
+    def nodes():
+        nonlocal orphans
+        for cwe in cwes:
+            yield "CWE", {
                 "CWE-ID": cwe.cwe_id,
                 "Name": cwe.name,
                 "Description": cwe.description,
                 "Function Events": list(cwe.function_events),
-            },
-        )
-        cwe_nodes[cwe.cwe_id] = node_id
-        stats.nodes_created += 1
+            }
+        node_id = first + len(cwes)
+        product_nodes = {}
+        for cve in cves:
+            cve_node = node_id
+            yield "CVE", {"CVE-ID": cve.cve_id, "Description": cve.description}
+            yield "Score", {"CVSS2": cve.cvss2_score}
+            node_id += 2
+            edges.append((cve_node, cve_node + 1, "SCORED"))
+            if cve.cwe_id in cwe_nodes:
+                edges.append((cwe_nodes[cve.cwe_id], cve_node, "HAS_CVE"))
+            else:
+                orphans += 1
+            for version in cve.affected_versions:
+                key = (cve.product, version)
+                product = product_nodes.get(key)
+                if product is None:
+                    product = product_nodes[key] = node_id
+                    yield "Product", {"Name": cve.product, "Version": version}
+                    node_id += 1
+                edges.append((cve_node, product, "AFFECTS"))
 
-    product_nodes = {}
-    for cve in cves:
-        cve_node = graph.add_node("CVE", {"CVE-ID": cve.cve_id, "Description": cve.description})
-        score_node = graph.add_node("Score", {"CVSS2": cve.cvss2_score})
-        stats.nodes_created += 2
-        graph.add_edge(cve_node, score_node, "SCORED")
-        stats.edges_created += 1
-        if cve.cwe_id in cwe_nodes:
-            graph.add_edge(cwe_nodes[cve.cwe_id], cve_node, "HAS_CVE")
-            stats.edges_created += 1
-        else:
-            stats.orphan_cves += 1
-        for version in cve.affected_versions:
-            key = (cve.product, version)
-            if key not in product_nodes:
-                product_nodes[key] = graph.add_node(
-                    "Product", {"Name": cve.product, "Version": version}
-                )
-                stats.nodes_created += 1
-            graph.add_edge(cve_node, product_nodes[key], "AFFECTS")
-            stats.edges_created += 1
-    return stats
+    graph.add(nodes(), edges)
+    return IngestStats(graph.node_count + 1 - first, len(edges), orphans)

@@ -13,7 +13,12 @@ from conftest import (
     merged_graph_of,
 )
 from test_graph import brute_force_paths, is_valid_path
-from pkgraph.cparse import build_call_graph, extract_translation_unit
+from pkgraph.cparse import (
+    _CallGraphIndex,
+    build_call_graph,
+    call_graph_index,
+    extract_translation_unit,
+)
 from pkgraph.cypher.eval import execute_query
 from pkgraph.cypher.parser import parse_query
 from pkgraph.detectors import (
@@ -23,20 +28,18 @@ from pkgraph.detectors import (
     DetectorCapability,
     Finding,
     UnsupportedTemplate,
-    _CallGraphIndex,
     detect_banned_calls,
     detect_double_release,
     detect_getlogin_multithreaded,
     detect_signal_nonreentrant,
     detect_sizeof_on_pointer,
     _call_sites_matching,
-    _index,
     _witness_paths,
     entry_nodes,
     generate_detection_query,
     run_all,
 )
-from pkgraph.graph import PropertyGraph, values_equal
+from pkgraph.graph import GraphError, PropertyGraph, values_equal
 from pkgraph.render import render_node
 from pkgraph.vulndata import CweRecord
 
@@ -64,26 +67,44 @@ class TestEntryNodes:
         assert names_of(graph, entry_nodes(graph)) == ["main", "aux"]
 
     def test_unsealed_graph_is_reclassified(self):
-        graph = PropertyGraph()
-        aux = graph.add_node("CallGraph", {"Name": "aux"})
-        assert entry_nodes(graph) == [aux]
-        main = graph.add_node("CallGraph", {"Name": "main"})
-        assert entry_nodes(graph) == [main, aux]
-        graph.add_edge(main, aux, "CALLS")
-        graph.seal()
-        assert entry_nodes(graph) == [main]
+        """The builder's classification is read before the graph is
+        sealed, one program at a time."""
+        for source, want in (
+            ("void aux() { }", ["aux"]),
+            ("void aux() { }\nvoid main() { }", ["main", "aux"]),
+            ("void aux() { }\nvoid main() { aux(); }", ["main"]),
+        ):
+            graph = PropertyGraph()
+            build_call_graph(extract_translation_unit(source), graph)
+            assert not graph.sealed
+            assert names_of(graph, entry_nodes(graph)) == want
 
     def test_index_is_per_graph(self):
-        first = PropertyGraph()
-        foo = first.add_node("CallGraph", {"Name": "foo"})
-        first.seal()
-        second = PropertyGraph()
-        aux = second.add_node("CallGraph", {"Name": "aux"})
-        main = second.add_node("CallGraph", {"Name": "main"})
-        second.seal()
-        assert entry_nodes(first) == [foo]
-        assert entry_nodes(second) == [main, aux]
-        assert entry_nodes(first) == [foo]
+        first, _ = call_graph_of("void foo() { }")
+        second, _ = call_graph_of("void aux() { }\nvoid main() { }")
+        assert names_of(first, entry_nodes(first)) == ["foo"]
+        assert names_of(second, entry_nodes(second)) == ["main", "aux"]
+        assert names_of(first, entry_nodes(first)) == ["foo"]
+
+    def test_a_call_graph_the_builder_did_not_index_is_refused(self):
+        """CallGraph nodes added by hand, or added after the build, are
+        refused by every reader of the classification, sealed or not."""
+        by_hand = PropertyGraph()
+        by_hand.add_node("CallGraph", {"Name": "main"})
+        changed, tu = call_graph_of("void main() { gets(b); }")
+        changed = changed.copy()
+        changed.add_node("CWE", {"CWE-ID": "CWE-242"})
+        twice = PropertyGraph()
+        build_call_graph(tu, twice)
+        build_call_graph(tu, twice)
+        for graph in (by_hand, changed, twice):
+            with pytest.raises(GraphError, match="build_call_graph"):
+                entry_nodes(graph)
+            with pytest.raises(GraphError, match="build_call_graph"):
+                run_all(graph, tu, [catalog_entry("CWE-242")])
+            graph.seal()
+            with pytest.raises(GraphError, match="build_call_graph"):
+                entry_nodes(graph)
 
 
 class TestBannedCalls:
@@ -382,7 +403,7 @@ def test_call_sites_matching_equals_name_filter(seed):
     graph, _ = call_graph_of(source)
     names = rng.choices(EVENT_POOL, k=rng.randint(0, 5)) + [defined[1], defined[1], "absent"]
     rng.shuffle(names)
-    entries = _index(graph).entries
+    entries = graph.derived(call_graph_index).entries
     sites = {e.target for n in entries for e in graph.out_edges(n) if e.type == "CALLS"}
     want = [
         n
@@ -414,7 +435,7 @@ def test_call_sites_matching_equals_a_set_union(graph, names):
     """Over the bundled samples' graphs, with repeated, unknown and no
     names, the lookup gives the sorted union of the names' call sites,
     as a list of its own that the caller may change."""
-    by_name = _index(graph).by_name
+    by_name = graph.derived(call_graph_index).by_name
     want = sorted(set().union(*(by_name.get(name, ()) for name in names)))
     got = _call_sites_matching(graph, names)
     assert got == want
@@ -528,7 +549,7 @@ def test_run_all_equals_the_row_by_row_reference(seed, caplog):
     twice with other names pin the stable sort's tie order."""
     rng = random.Random(seed)
     for graph, tu in CORPUS_PROGRAMS:
-        called = sorted(_index(graph).by_name)
+        called = sorted(graph.derived(call_graph_index).by_name)
         for _ in range(3):
             catalog = random_catalog(rng, called)
             want = logged_run(reference_run_all, caplog, graph, tu, catalog)
@@ -580,25 +601,28 @@ class TestTriggers:
 
 
 def reference_index(graph):
-    """The per-node classification _index replaced: the incoming edges of
-    every CallGraph node for the roots, then the outgoing edges of every
-    node the walk from them reaches."""
-    roots = [
-        n.id
-        for n in graph.find_nodes("CallGraph")
-        if not any(e.type == "CALLS" for e in graph.in_edges(n.id))
-    ]
+    """The classification by an edge walk, which detection ran before the
+    builder handed it over: roots are the CallGraph nodes without an
+    incoming CALLS edge and are function entries; an entry's CALLS
+    targets are call sites; a call site's CALLS target is the entry of
+    the function it invokes. Alternating from the roots classifies every
+    node, recursive cycles included; a node no root reaches stays
+    unclassified."""
+    targets = {}  # node id -> its CALLS targets
+    for edge in graph.edges():
+        if edge.type == "CALLS":
+            targets.setdefault(edge.source, []).append(edge.target)
+    called = {target for ids in targets.values() for target in ids}
+    roots = [n.id for n in graph.find_nodes("CallGraph") if n.id not in called]
     entries, sites = set(roots), set()
     stack = [(n, True) for n in roots]
     while stack:
         node_id, is_entry = stack.pop()
-        for edge in graph.out_edges(node_id):
-            if edge.type != "CALLS":
-                continue
-            bucket = sites if is_entry else entries
-            if edge.target not in bucket:
-                bucket.add(edge.target)
-                stack.append((edge.target, not is_entry))
+        bucket = sites if is_entry else entries
+        for target in targets.get(node_id, ()):
+            if target not in bucket:
+                bucket.add(target)
+                stack.append((target, not is_entry))
     roots.sort(key=lambda n: (graph.node(n).properties.get("Name") != "main", n))
     by_name = {}
     for n in sorted(sites):
@@ -608,57 +632,80 @@ def reference_index(graph):
     return _CallGraphIndex(tuple(sorted(entries)), tuple(roots), by_name)
 
 
+CATALOG = Catalog(load_catalog())
+
+
+@st.composite
+def recursive_programs(draw):
+    """A C program whose functions call each other, themselves, names the
+    unit does not define and one name several times, with `main` often
+    defined last, and sometimes a mutually recursive pair p <-> q; and the
+    names of the pair when no other function calls it, so no root
+    reaches it."""
+    names = draw(st.lists(st.sampled_from(["main", "f", "g", "h", "k"]), unique=True, max_size=5))
+    if "main" in names and draw(st.booleans()):
+        names.remove("main")
+        names.append("main")
+    callees = names + ["gets", "free", "atoi"] + (["p"] if draw(st.booleans()) else [])
+    arguments = st.sampled_from(["", "x", "x, 1"])
+    functions = [(name, draw(st.lists(st.sampled_from(callees), max_size=6))) for name in names]
+    pair_called = any("p" in body for _, body in functions)
+    pair = draw(st.booleans())
+    if pair:
+        functions.insert(draw(st.integers(0, len(functions))), ("p", ["q", "gets"]))
+        functions.insert(draw(st.integers(0, len(functions))), ("q", ["p", "q", "free"]))
+    source = "\n".join(
+        f"void {name}(char *x) {{ " + "".join(f"{callee}({draw(arguments)}); " for callee in body) + "}"
+        for name, body in functions
+    )
+    return source, {"p", "q"} if pair and not pair_called else set()
+
+
+def builder_index(source, graph):
+    """The index build_call_graph hands graph for source, and graph."""
+    build_call_graph(extract_translation_unit(source), graph)
+    return graph.derived(call_graph_index), graph
+
+
 class TestIndexMatchesThePerNodeReference:
-    """_index classifies in one pass over the edges what the per-node
-    reference classifies with in_edges and out_edges calls: the same
+    """The index build_call_graph hands the graph, made from the unit's
+    functions, classifies as the reference edge walk does: the same
     entries, roots (main first) and call sites by name."""
 
     @pytest.mark.parametrize("program", range(len(CORPUS_PROGRAMS)))
     def test_bundled_samples(self, program):
         graph, _ = CORPUS_PROGRAMS[program]
-        assert _index(graph) == reference_index(graph)
+        assert graph.derived(call_graph_index) == reference_index(graph)
 
     @pytest.mark.parametrize("sample", ["cwe415_double_free_interproc.c", "cwe479_signal_syslog.c"])
     def test_a_call_graph_over_a_catalog_copy(self, sample):
         """A query's graph: the catalog's sealed CWE nodes, copied, with
         the program's call graph added after them."""
-        graph = Catalog(load_catalog()).cwe_graph.copy()
-        tu = extract_translation_unit((DATA / "corpus" / sample).read_text(encoding="utf-8"))
-        build_call_graph(tu, graph)
+        source = (DATA / "corpus" / sample).read_text(encoding="utf-8")
+        index, graph = builder_index(source, CATALOG.cwe_graph.copy())
         graph.seal()
         assert graph.find_nodes("CWE")
-        assert _index(graph) == reference_index(graph)
-
-    @given(
-        nodes=st.lists(
-            st.tuples(
-                st.sampled_from(["CallGraph", "CallGraph", "CWE"]),
-                st.sampled_from(["main", "f", "g", "gets", "", 7, None]),
-            ),
-            min_size=1,
-            max_size=12,
-        ),
-        edges=st.lists(
-            st.tuples(st.integers(0, 11), st.integers(0, 11), st.sampled_from(["CALLS", "CALLS", "HAS"])),
-            max_size=24,
-        ),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_random_graphs_with_cycles(self, nodes, edges):
-        """Self-calls and other edge types anywhere, plus a mutually
-        recursive pair that no root reaches, which stays unclassified."""
-        graph = PropertyGraph()
-        ids = [
-            graph.add_node(label, {} if name is None else {"Name": name, "ExecOrder": k})
-            for k, (label, name) in enumerate(nodes)
-        ]
-        for source, target, edge_type in edges:
-            graph.add_edge(ids[source % len(ids)], ids[target % len(ids)], edge_type)
-        pair = [graph.add_node("CallGraph", {"Name": name}) for name in ("p", "q")]
-        graph.add_edge(pair[0], pair[1], "CALLS")
-        graph.add_edge(pair[1], pair[0], "CALLS")
-        graph.add_edge(pair[1], pair[1], "CALLS")
-        graph.seal()
-        index = _index(graph)
+        assert min(index.entries) > len(CATALOG)
+        assert graph.derived(call_graph_index) is graph.derived(call_graph_index) == index
         assert index == reference_index(graph)
-        assert not set(pair) & (set(index.entries) | {n for ns in index.by_name.values() for n in ns})
+
+    @given(program=recursive_programs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs_with_cycles(self, program):
+        """Self-calls, repeated callees, main defined last and a recursive
+        pair that no root may reach, which stays unclassified; on a fresh
+        graph and after the catalog's CWE nodes, where every id is offset."""
+        source, unreached = program
+        fresh, graph = builder_index(source, PropertyGraph())
+        assert fresh == reference_index(graph)
+        offset, graph = builder_index(source, CATALOG.cwe_graph.copy())
+        assert offset == reference_index(graph)
+        shift = len(CATALOG)
+        assert offset.entries == tuple(n + shift for n in fresh.entries)
+        assert offset.roots == tuple(n + shift for n in fresh.roots)
+        assert offset.by_name == {k: [n + shift for n in v] for k, v in fresh.by_name.items()}
+        tu = extract_translation_unit(source)
+        kept = set(offset.entries).union(*offset.by_name.values())
+        for node in graph.find_nodes("CallGraph"):
+            if tu.enclosing_function(node.properties["ExecOrder"]).name in unreached:
+                assert node.id not in kept

@@ -4,14 +4,15 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pkgraph.cparse import CallSite, FunctionDef, TranslationUnit
+from pkgraph.cparse import CallSite, FunctionDef, TranslationUnit, _CallGraphIndex
 from pkgraph.cypher import ast
 from pkgraph.cypher.eval import ResultTable
 from pkgraph.cypher.parser import _Tok
-from pkgraph.detectors import DetectorCapability, Finding, _CallGraphIndex, _Family
+from pkgraph.detectors import DetectorCapability, Finding, _Family
 from pkgraph.graph import (
     Edge,
     FrozenRecord,
+    GraphError,
     GraphSealed,
     InvalidLabel,
     Node,
@@ -200,6 +201,161 @@ class TestFindNodesOracle:
         found = graph.find_nodes(label, filters)
         assert found == brute_force_find(graph, label, filters)
         assert [node.id for node in found] == sorted({node.id for node in found})
+
+
+def graph_state(graph):
+    """Everything a reader of the graph can see, the derived values too."""
+    return (
+        [(n.id, n.label, n.properties) for n in graph.nodes()],
+        [(e.id, e.source, e.target, e.type) for e in graph.edges()],
+        {n.id: ([e.id for e in graph.out_edges(n.id)], [e.id for e in graph.in_edges(n.id)])
+         for n in graph.nodes()},
+        {label: [n.id for n in graph.find_nodes(label)] for label in ("A", "B", "")},
+        graph.node_count,
+        graph.edge_count,
+        dict(graph._derived),
+    )
+
+
+def one_at_a_time(graph, nodes, edges):
+    """The batch as one-item calls, stopping at the first that raises."""
+    for label, properties in nodes:
+        graph.add_node(label, properties)
+    for source, target, edge_type in edges:
+        graph.add_edge(source, target, edge_type)
+
+
+def labels(graph):
+    return [node.label for node in graph.nodes()]
+
+
+class TestAdd:
+    """add() takes a batch of nodes and edges; add_node and add_edge are
+    one-item batches."""
+
+    def test_ids_are_known_in_advance(self):
+        g = PropertyGraph()
+        g.add_node("A", {})
+        g.add([("A", {"k": 1}), ("B", {})], [(2, 3, "T"), (1, 2, "T"), (3, 3, "U")])
+        assert [(n.id, n.label) for n in g.nodes()] == [(1, "A"), (2, "A"), (3, "B")]
+        assert [(e.id, e.source, e.target) for e in g.edges()] == [(1, 2, 3), (2, 1, 2), (3, 3, 3)]
+        assert [n.id for n in g.find_nodes("A")] == [1, 2]
+        assert [e.id for e in g.out_edges(3)] == [3]
+        assert [e.id for e in g.in_edges(3)] == [1, 3]
+
+    def test_nodes_are_read_before_edges(self):
+        g = PropertyGraph()
+        edges = []
+
+        def nodes():
+            for k in range(1, 4):
+                yield "A", {}
+                edges.append((k, 1, "T"))
+
+        g.add(nodes(), edges)
+        assert [(e.source, e.target) for e in g.edges()] == [(1, 1), (2, 1), (3, 1)]
+
+    def test_a_batch_keeps_its_dicts_and_add_node_copies(self):
+        g = PropertyGraph()
+        handed, given = {"k": 1}, {"k": 1}
+        g.add([("A", handed)])
+        g.add_node("A", given)
+        assert g.node(1).properties is handed
+        assert g.node(2).properties == given and g.node(2).properties is not given
+
+    @pytest.mark.parametrize(
+        "nodes, edges, one_item, error",
+        [
+            ([("A", {}), ("A", {})], [(1, 2, "T"), (2, 9, "T")],
+             lambda g: g.add_edge(1, 9, "T"), UnknownNode),
+            ([("A", {})], [(0, 1, "T")], lambda g: g.add_edge(0, 1, "T"), UnknownNode),
+            ([("A", {}), ("", {}), ("B", {})], [], lambda g: g.add_node("", {}), InvalidLabel),
+            ([("A", {})], [(1, 1, "T"), (1, 1, "")], lambda g: g.add_edge(1, 1, ""), GraphError),
+        ],
+        ids=["unknown target", "unknown source", "empty label", "empty edge type"],
+    )
+    def test_a_bad_batch_adds_nothing(self, nodes, edges, one_item, error):
+        g = PropertyGraph()
+        g.add_node("A", {})
+        g.keep(labels, ["kept"])
+        before = graph_state(g)
+        with pytest.raises(error) as batch:
+            g.add(nodes, edges)
+        assert graph_state(g) == before
+        with pytest.raises(error) as single:
+            one_item(g)
+        assert type(batch.value) is type(single.value) is error
+        assert graph_state(g) == before
+        assert g.add_node("B", {}) == 2
+
+    def test_a_sealed_graph_refuses_a_batch(self):
+        g = PropertyGraph()
+        g.add_node("A", {})
+        g.seal()
+        before = graph_state(g)
+        for call in (lambda: g.add([("A", {})], [(1, 2, "T")]), lambda: g.add_node("A", {}),
+                     lambda: g.add_edge(1, 1, "T")):
+            with pytest.raises(GraphSealed):
+                call()
+        assert graph_state(g) == before
+
+    def test_a_producer_that_raises_adds_nothing(self):
+        g = PropertyGraph()
+        g.add_node("A", {})
+        before = graph_state(g)
+
+        def nodes():
+            yield "A", {}
+            raise KeyError("producer")
+
+        with pytest.raises(KeyError):
+            g.add(nodes(), [(1, 2, "T")])
+        assert graph_state(g) == before
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        start=st.integers(0, 3),
+        nodes=st.lists(st.tuples(st.sampled_from(["A", "A", "B", ""]), PROPERTIES), max_size=5),
+        edges=st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from(["T", "T", "U", ""])),
+            max_size=6,
+        ),
+    )
+    def test_a_batch_is_its_one_item_calls_or_nothing(self, start, nodes, edges):
+        """A batch adds what its one-item calls add in order, or, when one of
+        them would raise, raises the same error class and message and adds
+        nothing."""
+        batch, single = PropertyGraph(), PropertyGraph()
+        for g in (batch, single):
+            for _ in range(start):
+                g.add_node("A", {})
+        before = graph_state(batch)
+        try:
+            one_at_a_time(single, [(label, dict(p)) for label, p in nodes], edges)
+        except GraphError as exc:
+            with pytest.raises(type(exc), match=f"^{exc}$"):
+                batch.add(nodes, edges)
+            assert graph_state(batch) == before
+        else:
+            batch.add(nodes, edges)
+            assert graph_state(batch) == graph_state(single)
+
+
+class TestDerived:
+    def test_a_kept_value_is_read_until_the_graph_changes(self):
+        for seal in (False, True):
+            g = PropertyGraph()
+            g.add_node("A", {})
+            g.keep(labels, ["handed"])
+            assert g.derived(labels) == ["handed"]
+            if seal:
+                g.seal()
+                assert g.derived(labels) == ["handed"]
+                g = g.copy()
+                assert g.derived(labels) == ["A"]
+            else:
+                g.add([("B", {})])
+                assert g.derived(labels) == ["A", "B"]
 
 
 class TestCopy:
