@@ -132,16 +132,19 @@ def _load_catalog(path) -> Catalog:
     return _kept_catalog[1]
 
 
-def _read_text(path: str) -> str:
-    """A UTF-8 file's text with universal newlines, as open() reads it;
-    a decode error names the file and line."""
-    data = _read_bytes(path)
+def _decode(data: bytes, name: str) -> str:
+    """UTF-8 bytes as text with universal newlines, as open() reads them;
+    a decode error names the input and line."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise _InputError(f"{_fs_path(path)}: line {line}: not UTF-8: {exc.reason}") from None
+        raise _InputError(f"{name}: line {line}: not UTF-8: {exc.reason}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_text(path: str) -> str:
+    return _decode(_read_bytes(path), _fs_path(path))
 
 
 def _merged_graph(source_path: str, catalog: Catalog | None = None):
@@ -224,6 +227,9 @@ def _cmd_query(args, stdin, stdout) -> int:
 
     if args.query_file:
         text = _read_text(args.query_file)
+    elif hasattr(stdin, "buffer"):
+        # A process's stdin: its bytes, read as a query file is, whatever the locale.
+        text = _decode(stdin.buffer.read(), "<stdin>")
     else:
         text = stdin.read()
     try:
@@ -266,6 +272,9 @@ def run_cli(argv, stdin=None, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
+    # Output is UTF-8 whatever the locale. Arguments decode with
+    # surrogateescape, so a path written back is written as it was typed.
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     sys.exit(run_cli(sys.argv[1:]))
 
 

@@ -38,6 +38,21 @@ class AlreadyBound(EvalError):
     """A path variable names a variable that is already bound."""
 
 
+class DuplicateColumn(EvalError):
+    """A WITH or RETURN list names one column twice."""
+
+
+def _distinct_columns(items) -> list:
+    """The column names of a WITH or RETURN list, which must differ."""
+    columns = [alias for _, alias in items]
+    seen = set()
+    for column in columns:
+        if column in seen:
+            raise DuplicateColumn(f"column {column!r} is named more than once")
+        seen.add(column)
+    return columns
+
+
 class ResultTable(Record):
     __slots__ = (
         "columns",
@@ -399,8 +414,8 @@ class _Evaluator:
             if isinstance(clause, ast.MatchClause):
                 columns, rows = self.apply_match(clause, columns, rows)
             elif isinstance(clause, ast.WithClause):
+                columns = _distinct_columns(clause.items)
                 rows = self.project(clause.items, rows)
-                columns = [alias for _, alias in clause.items]
             elif isinstance(clause, ast.WhereClause):
                 rows = [r for r in rows if self.scalar(clause.expr, r) is True]
             elif isinstance(clause, ast.UnwindClause):
@@ -419,8 +434,8 @@ class _Evaluator:
                 items = [
                     (expr, alias or ast.expr_text(expr)) for expr, alias in clause.items
                 ]
+                out_columns = _distinct_columns(items)
                 projected = self.project(items, rows)
-                out_columns = [alias for _, alias in items]
                 try:
                     rendered = [
                         tuple(render_value(row[c], self.graph) for c in out_columns)

@@ -42,6 +42,31 @@ def double_free_file(tmp_path):
     return str(target)
 
 
+def reindented(report):
+    """A JSON report as json.dumps(indent=2) writes it."""
+    return json.dumps(json.loads(report), indent=2, ensure_ascii=False) + "\n"
+
+
+# Sources written for a test, by name; other names are bundled samples.
+WRITTEN_SOURCES = {
+    "diamond10.c": (
+        "void main() { d1(); d1(); }\n"
+        + "".join(f"void d{i}() {{ d{i + 1}(); d{i + 1}(); }}\n" for i in range(1, 10))
+        + "void d10() { gets(buf); }\n"
+    ).encode(),
+    "latin1.c": b"void f() { /* \xe9 */ }",
+}
+
+
+def scan_source(tmp_path, name):
+    """The path of the source named, written under tmp_path if it is not bundled."""
+    if name not in WRITTEN_SOURCES:
+        return str(DATA / name)
+    path = tmp_path / name
+    path.write_bytes(WRITTEN_SOURCES[name])
+    return str(path)
+
+
 class TestScan:
     def test_table_format_and_exit_code(self, double_free_file):
         code, out, _ = cli("scan", double_free_file, "--format", "table")
@@ -61,6 +86,24 @@ class TestScan:
         clean.write_text("void main() { puts(\"ok\"); }\n")
         code, out, _ = cli("scan", str(clean))
         assert code == 0
+
+    @pytest.mark.parametrize("name, code", [
+        ("corpus/cwe242_gets.c", 1),
+        ("corpus/cwe415_double_free_interproc.c", 1),
+        ("corpus/cwe401_malloc_leak.c", 0),
+        ("clean/fgets_input.c", 0),
+        ("diamond10.c", 1),
+        ("latin1.c", 3),
+    ])
+    def test_exit_code_and_json_report(self, tmp_path, name, code):
+        """Both formats exit with the source's code, and a JSON report is
+        written as json.dumps(indent=2) writes it."""
+        source = scan_source(tmp_path, name)
+        assert cli("scan", source)[0] == code
+        got, out, _ = cli("scan", source, "--format", "json")
+        assert got == code
+        if code < 2:
+            assert out == reindented(out)
 
     def test_json_idempotent(self, double_free_file):
         first = cli("scan", double_free_file, "--format", "json")
@@ -574,6 +617,29 @@ class TestByteOrderMark:
             assert cli(*argv, "--catalog", str(catalog), stdin_text=query) == want
 
 
+class TestCatalogFiles:
+    """A scan and a query exit 3 with one error line on a malformed or
+    missing catalog, and as with the bundled one on a byte-order-marked copy."""
+
+    @pytest.mark.parametrize("catalog, codes", [
+        (CWE_HEADER + b"CWE-x,n,d,gets\n", [3, 3]),
+        (None, [3, 3]),
+        (BOM + (DATA / "cwe-catalog.csv").read_bytes(), [1, 0]),
+    ], ids=["malformed", "missing", "bom"])
+    def test_exit_codes(self, tmp_path, catalog, codes):
+        path = tmp_path / "catalog.csv"
+        if catalog is not None:
+            path.write_bytes(catalog)
+        query = tmp_path / "count.cypher"
+        query.write_text("MATCH (c:CWE) RETURN COUNT(c)\n")
+        source = str(CORPUS / "cwe242_gets.c")
+        for argv, want in zip([["scan", source], ["query", source, "--query-file", str(query)]], codes):
+            code, _, err = cli(*argv, "--catalog", str(path))
+            assert code == want
+            if code == 3:
+                assert err.startswith("pkgraph: error: ") and err.count("\n") == 1
+
+
 DETECTION_415 = generate_detection_query(catalog_entry("CWE-415"), "foo")
 
 
@@ -592,6 +658,18 @@ def catalog_with_uncalled_rows(tmp_path, rows):
 SAMPLES = sorted(
     str(sample) for folder in ("corpus", "clean") for sample in (DATA / folder).iterdir()
 )
+UNRESOLVED_HANDLER = "void main() { signal(2, missing_handler); }\n"
+
+
+def write_templates(folder):
+    """{cwe id: path} of the CWE-242 and CWE-415 detection templates from
+    main, written under folder."""
+    paths = {}
+    for cwe_id in ("CWE-242", "CWE-415"):
+        path = folder / f"{cwe_id}.cypher"
+        path.write_text(generate_detection_query(catalog_entry(cwe_id), "main"))
+        paths[cwe_id] = str(path)
+    return paths
 
 
 class TestScanCostsWhatTheProgramCalls:
@@ -606,6 +684,31 @@ class TestScanCostsWhatTheProgramCalls:
             with_rows = [cli("scan", sample, *extra, "--catalog", catalog) for sample in SAMPLES]
             assert with_rows == bundled
             assert {code for code, _, _ in bundled} == {0, 1}
+
+    def test_uncalled_rows_change_no_query_or_warning(self, tmp_path, caplog):
+        """Scans and both detection templates answer with the same output,
+        exit code and warnings, an unresolvable signal handler's included."""
+        catalog = catalog_with_uncalled_rows(tmp_path, 300)
+        unresolved = tmp_path / "unresolved.c"
+        unresolved.write_text(UNRESOLVED_HANDLER)
+        prefixes = ("cwe242_", "cwe415_", "cwe467_", "cwe479_", "cwe558_")
+        sources = [s for s in SAMPLES if Path(s).name.startswith(prefixes)] + [str(unresolved)]
+        templates = write_templates(tmp_path)
+
+        def logged(*argv):
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                result = cli(*argv)
+            return result, [record.getMessage() for record in caplog.records]
+
+        for source in sources:
+            argvs = [["scan", source], ["scan", source, "--format", "json"]]
+            argvs += [["query", source, "--query-file", path] for path in templates.values()]
+            for argv in argvs:
+                assert logged(*argv, "--catalog", catalog) == logged(*argv)
+        assert logged("scan", str(unresolved))[1] == [
+            "signal handler 'missing_handler' cannot be resolved to a function"
+        ]
 
     def test_only_a_query_builds_cwe_nodes(self, monkeypatch, tmp_path):
         """Counted as the benchmark's tracer wraps it: in every pkgraph
@@ -705,10 +808,30 @@ class TestKeptCweGraph:
             assert labels == sorted(labels, key=lambda label: label != "CWE")
 
 
+def fresh_cli(*argv):
+    """cli as the first call of a fresh process answers: with no query
+    parse, catalog or argument parser kept from an earlier call."""
+    pkgraph.cypher.parser.parse_query.cache_clear()
+    pkgraph.cli._build_parser.cache_clear()
+    pkgraph.cli._kept_catalog = (None, Catalog())
+    return cli(*argv)
+
+
+class TestKeptQueryParse:
+    """A detection template parsed once per process answers every sample,
+    call after call, as a process that keeps nothing does."""
+
+    def test_templates_over_every_sample(self, tmp_path):
+        for path in write_templates(tmp_path).values():
+            for source in SAMPLES:
+                argv = ["query", source, "--query-file", path]
+                assert [cli(*argv), cli(*argv)] == [fresh_cli(*argv)] * 2
+
+
 class TestUnreadableInput:
     """A file that is not UTF-8, a catalog the csv module cannot read, or
-    a C source or query that starts with a byte-order mark exits 3 with
-    one error line and writes nothing to stdout."""
+    a C source or query that starts with a byte-order mark or does not
+    parse exits 3 with one error line and writes nothing to stdout."""
 
     @pytest.mark.parametrize(
         "files, message",
@@ -734,6 +857,24 @@ class TestUnreadableInput:
             ),
             pytest.param(
                 {"source": BOM + GETS_SRC}, "1:1: unexpected character '\\ufeff'", id="source-bom"
+            ),
+            pytest.param(
+                {"source": b'void f() {\n  g("oops);\n}\n'},
+                "2:5: unterminated literal",
+                id="source-unterminated-literal",
+            ),
+            pytest.param(
+                {"source": b"void f() {\n  g(a); @\n}\n"},
+                "2:9: unexpected character '@'",
+                id="source-stray-character",
+            ),
+            pytest.param(
+                {
+                    "source": (CORPUS / "cwe415_double_free.c").read_bytes(),
+                    "query": b"MATCH (n)\nRETURN ,\n",
+                },
+                "2:8: expected an expression, found ','",
+                id="query-syntax-error",
             ),
             pytest.param(
                 {"query": BOM + b"MATCH (n) RETURN n"},
