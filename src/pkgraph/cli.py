@@ -41,7 +41,7 @@ class _Exit(Exception):
 
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
     def print_help(self, file=None):
         raise _Exit(self.format_help())
@@ -155,10 +155,9 @@ def _merged_graph(source_path: str, catalog: Catalog | None = None):
     catalog's graph of them, built once per kept catalog."""
     source = _read_text(source_path)
     graph = catalog.cwe_graph.copy() if catalog is not None else PropertyGraph()
-    tu = extract_translation_unit(source)
-    build_call_graph(tu, graph)
+    build_call_graph(extract_translation_unit(source), graph)
     graph.seal()
-    return graph, tu
+    return graph
 
 
 def _write(path: str, data: bytes) -> None:
@@ -199,15 +198,15 @@ def _node_table(graph) -> str:
 
 
 def _cmd_extract(args, stdin, stdout) -> int:
-    graph, _ = _merged_graph(args.source)
+    graph = _merged_graph(args.source)
     stdout.write(_node_table(graph))
     return 0
 
 
 def _cmd_scan(args, stdin, stdout) -> int:
     catalog = _load_catalog(args.catalog)
-    graph, tu = _merged_graph(args.source)
-    findings, capabilities = run_all(graph, tu, catalog)
+    graph = _merged_graph(args.source)
+    findings, capabilities = run_all(graph, catalog)
     if args.format == "json":
         stdout.write(findings_to_json(findings, capabilities, graph))
     else:
@@ -234,7 +233,7 @@ def _cmd_query(args, stdin, stdout) -> int:
         text = stdin.read()
     try:
         query = parse_query(text)
-        graph, _ = _merged_graph(args.source, _load_catalog(args.catalog))
+        graph = _merged_graph(args.source, _load_catalog(args.catalog))
         stdout.write(format_result_table(execute_query(query, graph)))
     except (QuerySyntaxError, EvalError) as exc:
         raise _InputError(str(exc)) from exc
@@ -242,7 +241,7 @@ def _cmd_query(args, stdin, stdout) -> int:
 
 
 def _cmd_export(args, stdin, stdout) -> int:
-    graph, _ = _merged_graph(args.source)
+    graph = _merged_graph(args.source)
     out = _fs_path(args.out)
     _write_import_csv(graph, out)
     _write(os.path.join(out, "graph.dot"), export_dot(graph).encode("utf-8"))
@@ -273,8 +272,10 @@ def run_cli(argv, stdin=None, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     # Output is UTF-8 whatever the locale. Arguments decode with
-    # surrogateescape, so a path written back is written as it was typed.
+    # surrogateescape, so a path written back is written as it was typed;
+    # stderr keeps its backslashreplace, as under a UTF-8 locale.
     sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.exit(run_cli(sys.argv[1:]))
 
 

@@ -107,20 +107,9 @@ class CallSite(Record):
 class FunctionDef(Record):
     __slots__ = ("name", "exec_order", "call_sites", "pointer_locals")
 
-    @property
-    def max_exec_order(self) -> int:
-        return self.call_sites[-1].exec_order if self.call_sites else self.exec_order
-
 
 class TranslationUnit(Record):
-    __slots__ = ("functions", "defined_names")
-
-    def enclosing_function(self, exec_order: int):
-        """The function whose entry/call-site range covers exec_order."""
-        for fn in self.functions:
-            if fn.exec_order <= exec_order <= fn.max_exec_order:
-                return fn
-        return None
+    __slots__ = ("functions",)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +401,8 @@ def extract_translation_unit(source: str) -> TranslationUnit:
     blanked = _blank_comments(source)
     toks = _Tokens(blanked)
     kinds, texts = toks.kinds, toks.texts
-    tu = TranslationUnit([], set())
+    tu = TranslationUnit([])
+    defined = set()
     counter = 0
     i = 0
     n = len(texts)
@@ -422,7 +412,7 @@ def extract_translation_unit(source: str) -> TranslationUnit:
             close = toks.closing(i + 1)
             if close + 1 < n and texts[close + 1] == "{":
                 body_close = toks.closing(close + 1)
-                if text in tu.defined_names:
+                if text in defined:
                     raise toks.error(i, f"duplicate definition of {text!r}")
                 counter += 1
                 pointer_locals = _pointer_decls(toks, i + 2, close) | _pointer_decls(
@@ -433,7 +423,7 @@ def extract_translation_unit(source: str) -> TranslationUnit:
                     counter += 1
                     fn.call_sites.append(CallSite(counter, callee, args))
                 tu.functions.append(fn)
-                tu.defined_names.add(text)
+                defined.add(text)
                 i = body_close + 1
                 continue
             # declaration/prototype: skip past the terminating ';'
@@ -477,32 +467,23 @@ class _CallGraphIndex(Record):
         "entries",  # function-entry node ids, ascending
         "roots",  # entries without an incoming CALLS edge, `main` first
         "by_name",  # call-site Name -> call-site ids, ascending
+        "pointer_locals",  # per entry, the names its function declares as pointers
     )
 
 
-def _unit(graph: PropertyGraph) -> tuple:
-    """_classify's arguments for the unit build_call_graph added, which it
-    keeps with the graph; this runs only for a graph that holds none. A
-    graph without CallGraph nodes has no unit; one whose CallGraph nodes
-    build_call_graph did not keep a unit for (added by hand, or changed
-    after the build) is refused."""
+def call_graph_index(graph: PropertyGraph) -> _CallGraphIndex:
+    """The graph's call-graph classification, read as
+    graph.derived(call_graph_index). build_call_graph keeps it with the
+    graph it builds, so this runs only for a graph that holds none: one
+    without CallGraph nodes has an empty index, and one whose CallGraph
+    nodes build_call_graph did not index (added by hand, or changed after
+    the build) is refused with GraphError."""
     if graph.find_nodes("CallGraph"):
         raise GraphError(
             "CallGraph nodes not indexed by build_call_graph: build the call graph"
             " with build_call_graph and add nothing to the graph after it"
         )
-    return ()
-
-
-def call_graph_index(graph: PropertyGraph) -> _CallGraphIndex:
-    """The graph's call-graph classification, read as
-    graph.derived(call_graph_index): made from the unit build_call_graph
-    kept with the graph, on the first read, so a command that never reads
-    it never makes it. A graph without CallGraph nodes has an empty one,
-    and one whose CallGraph nodes build_call_graph did not index raises
-    GraphError."""
-    unit = graph.derived(_unit)
-    return _classify(*unit) if unit else _CallGraphIndex((), (), {})
+    return _CallGraphIndex((), (), {}, ())
 
 
 def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
@@ -515,16 +496,14 @@ def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
     nodes and edges go to the graph as one batch, each node's id known
     in advance.
 
-    The graph also keeps what classifies these nodes: the functions, their
-    entry ids, the entries each calls and the call sites by name, from
-    which graph.derived(call_graph_index) makes the unit's
-    _CallGraphIndex when detection first reads it. It is made from the
+    The graph also keeps the unit's _CallGraphIndex, which detection
+    reads as graph.derived(call_graph_index). It is made from the
     functions, not the edges: the roots are the entries no call site
-    calls, and a function is kept, with its entry and call sites, when a
-    root reaches it, so a recursive group that no root reaches stays
-    unclassified. A graph that already held CallGraph nodes keeps
-    nothing, since the unit would not cover them, and a later change to
-    the graph drops what it kept.
+    calls, and a function is kept, with its entry, call sites and pointer
+    locals, when a root reaches it, so a recursive group that no root
+    reaches stays unclassified. A graph that already held CallGraph nodes
+    keeps nothing, since the index would not cover them, and a later
+    change to the graph drops what it kept.
 
     Returns a map from function name to entry node id.
     """
@@ -576,13 +555,14 @@ def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
                 sites.append(site)
     graph.add(nodes(), edges)
     if indexed:
-        graph.keep(_unit, (functions, entry_ids, callees, by_name))
+        graph.keep(call_graph_index, _classify(functions, entry_ids, callees, by_name))
     return entries
 
 
 def _classify(functions: list, entry_ids: list, callees: dict, by_name: dict) -> _CallGraphIndex:
     """The _CallGraphIndex of one unit's nodes: the functions a root
-    reaches, and of by_name the call sites in them."""
+    reaches, their pointer locals, and of by_name the call sites in
+    them."""
     has_caller = set().union(*callees.values())
     roots = [entry for entry in entry_ids if entry not in has_caller]
     kept = set(roots)
@@ -592,9 +572,11 @@ def _classify(functions: list, entry_ids: list, callees: dict, by_name: dict) ->
             if callee not in kept:
                 kept.add(callee)
                 stack.append(callee)
-    entries = tuple(entry_ids)
+    pointer_locals = [fn.pointer_locals for fn in functions]
+    entries = entry_ids
     if len(kept) < len(entry_ids):
-        entries = tuple(sorted(kept))
+        pointer_locals = [names for entry, names in zip(entry_ids, pointer_locals) if entry in kept]
+        entries = [entry for entry in entry_ids if entry in kept]
         by_name = {  # a site belongs to the last entry before it
             name: kept_sites
             for name, sites in by_name.items()
@@ -603,4 +585,4 @@ def _classify(functions: list, entry_ids: list, callees: dict, by_name: dict) ->
     if len(roots) > 1:
         is_main = dict(zip(entry_ids, [fn.name == "main" for fn in functions]))
         roots.sort(key=lambda entry: not is_main[entry])
-    return _CallGraphIndex(entries, tuple(roots), by_name)
+    return _CallGraphIndex(tuple(entries), tuple(roots), by_name, tuple(pointer_locals))

@@ -8,20 +8,22 @@ detection queries for the families that have a pure-query formulation
 structural context a query cannot see, and the memory-leak family is a
 declared capability gap because a call graph carries no data flow.
 
-Detectors do not classify the graph by walking its edges. Which
-CallGraph nodes are function entries, which are roots and which call
-sites carry a name comes from the unit build_call_graph built the nodes
-from (cparse.call_graph_index, read through graph.derived). A graph with
-no CallGraph nodes classifies as empty; a graph whose CallGraph nodes
-the builder did not index, because they were added by hand or the graph
-was changed after the build, raises GraphError naming build_call_graph.
+Detectors read the program from its graph alone. Which CallGraph nodes
+are function entries, which are roots, which call sites carry a name
+and which names each function declares as pointers comes from the index
+build_call_graph keeps with the graph (cparse.call_graph_index, read
+through graph.derived), not from a walk over the edges. A graph with no
+CallGraph nodes classifies as empty; a graph whose CallGraph nodes the
+builder did not index, because they were added by hand or the graph was
+changed after the build, raises GraphError naming build_call_graph.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 
-from .cparse import TranslationUnit, call_graph_index
+from .cparse import call_graph_index
 from .graph import FrozenRecord, PropertyGraph, Record
 from .vulndata import CweRecord, build_knowledge_graph
 
@@ -52,11 +54,10 @@ def entry_nodes(graph: PropertyGraph) -> list:
     """CallGraph roots (no incoming CALLS edge), ascending id, with a
     node named `main` listed first when present.
 
-    They are read from the classification of the unit build_call_graph
-    built the graph from (cparse.call_graph_index). A graph with no
-    CallGraph nodes has no roots; a graph whose CallGraph nodes
-    build_call_graph did not index raises GraphError naming
-    build_call_graph."""
+    They are read from the index build_call_graph keeps with the graph
+    (cparse.call_graph_index). A graph with no CallGraph nodes has no
+    roots; a graph whose CallGraph nodes build_call_graph did not index
+    raises GraphError naming build_call_graph."""
     return list(graph.derived(call_graph_index).roots)
 
 
@@ -146,19 +147,16 @@ def detect_double_release(graph: PropertyGraph, cwe: CweRecord) -> list:
     return _findings(graph, cwe, groups)
 
 
-def detect_sizeof_on_pointer(graph: PropertyGraph, tu: TranslationUnit, cwe: CweRecord) -> list:
-    """sizeof applied to a pointer-typed local, with the pointer locals
-    of each function taken from the translation unit."""
+def detect_sizeof_on_pointer(graph: PropertyGraph, cwe: CweRecord) -> list:
+    """sizeof applied to a name its function declares as a pointer, a
+    parameter or a body local. A call site is in the function of the
+    last entry before it."""
+    index = graph.derived(call_graph_index)
     groups = {}
     for node_id in _call_sites_matching(graph, ["sizeof"]):
-        node = graph.node(node_id)
-        argument = node.properties.get("Argument1")
-        if not isinstance(argument, str) or not argument.isidentifier():
-            continue
-        fn = tu.enclosing_function(node.properties["ExecOrder"])
-        if fn is None or argument not in fn.pointer_locals:
-            continue
-        groups[(node_id,)] = f"sizeof applied to pointer {argument!r}"
+        argument = graph.node(node_id).properties.get("Argument1")
+        if argument in index.pointer_locals[bisect_right(index.entries, node_id) - 1]:
+            groups[(node_id,)] = f"sizeof applied to pointer {argument!r}"
     return _findings(graph, cwe, groups)
 
 
@@ -254,7 +252,7 @@ def generate_detection_query(cwe: CweRecord, entry_name: str) -> str:
 
 class _Family(FrozenRecord):
     __slots__ = (
-        "detect",  # (graph, tu, cwe) -> findings; None: a capability miss
+        "detect",  # (graph, cwe) -> findings; None: a capability miss
         "template",  # detection query; None: no pure-query formulation
         "unsupported",  # why the family is a capability miss
         "triggers",  # names of which detect needs one called; None: the row's events
@@ -265,10 +263,10 @@ class _Family(FrozenRecord):
 # perfbench/tracer.py wraps module attributes, so a stored function
 # object would hide every detectors.detect_* span.
 _BANNED_CALL = _Family(
-    lambda g, tu, cwe: detect_banned_calls(g, cwe), _BANNED_CALL_TEMPLATE, "", None
+    lambda g, cwe: detect_banned_calls(g, cwe), _BANNED_CALL_TEMPLATE, "", None
 )
 _DOUBLE_RELEASE = _Family(
-    lambda g, tu, cwe: detect_double_release(g, cwe), _DOUBLE_RELEASE_TEMPLATE, "", None
+    lambda g, cwe: detect_double_release(g, cwe), _DOUBLE_RELEASE_TEMPLATE, "", None
 )
 
 #: Family per weakness id; an id not listed is a banned-call weakness.
@@ -278,16 +276,16 @@ _FAMILIES = {
     "CWE-415": _DOUBLE_RELEASE,
     "CWE-1341": _DOUBLE_RELEASE,
     "CWE-467": _Family(
-        lambda g, tu, cwe: detect_sizeof_on_pointer(g, tu, cwe), None, "", ("sizeof",)
+        lambda g, cwe: detect_sizeof_on_pointer(g, cwe), None, "", ("sizeof",)
     ),
     # Runs whenever signal is called, even if no event is: an unresolved
     # handler is warned of before the events are looked at.
     "CWE-479": _Family(
-        lambda g, tu, cwe: detect_signal_nonreentrant(g, cwe), None, "", ("signal",)
+        lambda g, cwe: detect_signal_nonreentrant(g, cwe), None, "", ("signal",)
     ),
     # Its events, not pthread_create: threads without getlogin find nothing.
     "CWE-558": _Family(
-        lambda g, tu, cwe: detect_getlogin_multithreaded(g, cwe), None, "", None
+        lambda g, cwe: detect_getlogin_multithreaded(g, cwe), None, "", None
     ),
     "CWE-401": _Family(
         None,
@@ -335,12 +333,14 @@ class Catalog(tuple):
         return rows
 
 
-def run_all(graph: PropertyGraph, tu: TranslationUnit, catalog):
+def run_all(graph: PropertyGraph, catalog):
     """Run the catalog's rows through their detector families.
 
     Unknown weakness ids fall back to the banned-call rule over their
     function events. Returns (findings, capability misses); findings
-    are sorted by (cwe_id, smallest terminal ExecOrder).
+    are sorted by (cwe_id, smallest terminal id), which is the order of
+    their smallest terminal ExecOrder: build_call_graph issues call-site
+    ids in ExecOrder, one offset apart.
 
     A row runs only if the program calls one of its trigger names: its
     function events, or the one name its family needs (sizeof for
@@ -352,7 +352,7 @@ def run_all(graph: PropertyGraph, tu: TranslationUnit, catalog):
     is wrapped in one, which builds the map for this call.
 
     The graph must be classified by build_call_graph: a graph with no
-    CallGraph nodes (run_all(PropertyGraph(), None, catalog)) finds
+    CallGraph nodes (run_all(PropertyGraph(), catalog)) finds
     nothing and lists the capability misses, and a graph whose CallGraph
     nodes the builder did not index raises GraphError naming
     build_call_graph.
@@ -373,14 +373,6 @@ def run_all(graph: PropertyGraph, tu: TranslationUnit, catalog):
                 DetectorCapability(cwe.cwe_id, supported=False, reason=family.unsupported)
             )
         else:
-            findings.extend(family.detect(graph, tu, cwe))
-
-    def order(f: Finding):
-        min_exec = min(
-            (graph.node(t).properties.get("ExecOrder", 0) for t in f.terminal_nodes),
-            default=0,
-        )
-        return (f.cwe_id, min_exec)
-
-    findings.sort(key=order)
+            findings.extend(family.detect(graph, cwe))
+    findings.sort(key=lambda f: (f.cwe_id, min(f.terminal_nodes)))
     return findings, capabilities

@@ -104,8 +104,8 @@ def test_extraction_golden():
 def test_scan_witness_paths_golden():
     with report("double-release witness paths"):
         start = time.perf_counter()
-        graph, tu, catalog = merged_graph_of(DOUBLE_FREE_SRC)
-        findings, _ = run_all(graph, tu, catalog)
+        graph, _, catalog = merged_graph_of(DOUBLE_FREE_SRC)
+        findings, _ = run_all(graph, catalog)
         (finding,) = [f for f in findings if f.cwe_id == "CWE-415"]
         rendered = [render_path(graph, p) for p in finding.witness_paths]
         assert rendered == EXPECTED_WITNESS_PATHS
@@ -148,8 +148,8 @@ def _query_terminals(graph, cwe, entry_name):
     return terminals
 
 
-def _detector_terminals(graph, tu, catalog, cwe_id):
-    findings, _ = run_all(graph, tu, catalog)
+def _detector_terminals(graph, catalog, cwe_id):
+    findings, _ = run_all(graph, catalog)
     return {
         render_node(graph.node(t))
         for f in findings
@@ -168,11 +168,11 @@ def test_query_detector_equivalence():
         rng = random.Random(20260825)
         cases += [(_random_source(rng), "main") for _ in range(100)]
         for source, entry in cases:
-            graph, tu, _ = merged_graph_of(source, catalog)
+            graph, _, _ = merged_graph_of(source, catalog)
             for cwe_id in ("CWE-242", "CWE-415", "CWE-1341"):
                 cwe = catalog_entry(cwe_id)
                 assert _query_terminals(graph, cwe, entry) == _detector_terminals(
-                    graph, tu, catalog, cwe_id
+                    graph, catalog, cwe_id
                 )
 
 
@@ -188,8 +188,8 @@ def test_benchmark_corpus():
         capability_misses = 0
         for sample in corpus:
             expected_cwe = "CWE-" + sample.name.split("_")[0][3:]
-            graph, tu, _ = merged_graph_of(sample.read_text(), catalog)
-            findings, capabilities = run_all(graph, tu, catalog)
+            graph, _, _ = merged_graph_of(sample.read_text(), catalog)
+            findings, capabilities = run_all(graph, catalog)
             if expected_cwe == "CWE-401":
                 assert not any(f.cwe_id == "CWE-401" for f in findings)
                 (miss,) = [c for c in capabilities if c.cwe_id == "CWE-401"]
@@ -210,8 +210,8 @@ def test_clean_corpus_no_findings():
         )
         assert len(clean) == 8
         for sample in clean:
-            graph, tu, _ = merged_graph_of(sample.read_text(), catalog)
-            findings, _ = run_all(graph, tu, catalog)
+            graph, _, _ = merged_graph_of(sample.read_text(), catalog)
+            findings, _ = run_all(graph, catalog)
             assert findings == []
 
 

@@ -335,6 +335,18 @@ class TestUsage:
         assert (code, err) == (0, "")
         assert out.startswith(head) and out.endswith("\n")
 
+    def test_a_usage_error_is_the_usage_then_one_error_line(self, monkeypatch):
+        """As argparse writes it: the usage line, then the error, and no
+        empty line after."""
+        monkeypatch.setenv("COLUMNS", "200")
+        assert cli("frobnicate") == (
+            2,
+            "",
+            "usage: pkgraph [-h] [--version] {ingest,extract,scan,query,export} ...\n"
+            "pkgraph: error: argument subcommand: invalid choice: 'frobnicate'"
+            " (choose from 'ingest', 'extract', 'scan', 'query', 'export')\n",
+        )
+
 
 SRC = Path(pkgraph.__file__).parent.parent
 
@@ -521,11 +533,24 @@ def sequence_run(*commands):
     return json.loads(proc.stdout)
 
 
+def first_call_answers(monkeypatch, commands):
+    """[exit code, stdout, stderr] per command of sequence_run's list, each
+    as the first call of a fresh process answers it (fresh_cli), with
+    COLUMNS set and the files written as sequence_run does."""
+    answers = []
+    for columns, argv, *files in commands:
+        for path, text in (files[0] if files else {}).items():
+            Path(path).write_text(text, encoding="utf-8")
+        monkeypatch.setenv("COLUMNS", str(columns))
+        answers.append(list(fresh_cli(*argv)))
+    return answers
+
+
 class TestParserReuse:
     """run_cli builds its parser once per process, and a reused parser
     answers every argv as a freshly built one does."""
 
-    def test_each_call_answers_as_the_first_call_of_a_fresh_process(self, tmp_path):
+    def test_each_call_answers_as_the_first_call_of_a_fresh_process(self, tmp_path, monkeypatch):
         query = tmp_path / "q.cypher"
         query.write_text('MATCH (n:CallGraph {Name: "free"}) RETURN n.Name')
         source = str(CORPUS / "cwe415_double_free.c")
@@ -551,7 +576,7 @@ class TestParserReuse:
             "pkgraph", "pkgraph ingest", "pkgraph extract", "pkgraph scan", "pkgraph query",
             "pkgraph export",
         ]
-        assert results == [sequence_run(command)[0][0] for command in commands]
+        assert results == first_call_answers(monkeypatch, commands)
 
 
 CWE_HEADER = b"cwe_id,name,description,function_events\n"
@@ -563,7 +588,7 @@ class TestCatalogReuse:
     """run_cli parses a catalog once per process and again only when its
     bytes change, and a kept catalog answers as a freshly parsed one."""
 
-    def test_each_call_answers_as_the_first_call_of_a_fresh_process(self, tmp_path):
+    def test_each_call_answers_as_the_first_call_of_a_fresh_process(self, tmp_path, monkeypatch):
         catalog, bad = str(tmp_path / "a.csv"), tmp_path / "bad.csv"
         first = CWE_HEADER.decode() + "CWE-415,Double free,d,free\nCWE-676,Risky,d,printf\n"
         second = first + "CWE-9999,Custom,d,gets\n"
@@ -599,7 +624,7 @@ class TestCatalogReuse:
         assert results[5][2] == results[6][2] == message
         assert "(0 orphan CVEs)" in results[7][1]  # CVE-2020-0001 found CWE-9999
         assert kept_as_parsed
-        assert results == [sequence_run(command)[0][0] for command in commands]
+        assert results == first_call_answers(monkeypatch, commands)
 
 
 class TestByteOrderMark:

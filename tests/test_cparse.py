@@ -43,12 +43,11 @@ class TestExtractTranslationUnit:
     def test_empty_source(self):
         tu = extract_translation_unit("")
         assert tu.functions == []
-        assert tu.defined_names == set()
 
     def test_interprocedural_example(self):
         tu = extract_translation_unit(DOUBLE_FREE_INTERPROC_SRC)
-        assert tu.defined_names == {"main", "printString"}
         main, print_string = tu.functions
+        assert (main.name, print_string.name) == ("main", "printString")
         assert main.exec_order == 1
         assert [(c.exec_order, c.name) for c in main.call_sites] == [
             (2, "malloc"),

@@ -101,7 +101,7 @@ class TestEntryNodes:
             with pytest.raises(GraphError, match="build_call_graph"):
                 entry_nodes(graph)
             with pytest.raises(GraphError, match="build_call_graph"):
-                run_all(graph, tu, [catalog_entry("CWE-242")])
+                run_all(graph, [catalog_entry("CWE-242")])
             graph.seal()
             with pytest.raises(GraphError, match="build_call_graph"):
                 entry_nodes(graph)
@@ -162,17 +162,28 @@ class TestDoubleRelease:
 
 class TestSizeofOnPointer:
     def test_pointer_local_flagged(self):
-        graph, tu = call_graph_of("void f() { char* p; int n = sizeof(p); }")
-        findings = detect_sizeof_on_pointer(graph, tu, catalog_entry("CWE-467"))
+        graph, _ = call_graph_of("void f() { char* p; int n = sizeof(p); }")
+        findings = detect_sizeof_on_pointer(graph, catalog_entry("CWE-467"))
         assert len(findings) == 1
 
     def test_array_not_flagged(self):
-        graph, tu = call_graph_of("void f() { int a[4]; int n = sizeof(a); }")
-        assert detect_sizeof_on_pointer(graph, tu, catalog_entry("CWE-467")) == []
+        graph, _ = call_graph_of("void f() { int a[4]; int n = sizeof(a); }")
+        assert detect_sizeof_on_pointer(graph, catalog_entry("CWE-467")) == []
+
+    def test_pointer_parameter_flagged(self):
+        graph, _ = call_graph_of("void f(char *p) { int n = sizeof(p); }")
+        (finding,) = detect_sizeof_on_pointer(graph, catalog_entry("CWE-467"))
+        assert finding.message == "sizeof applied to pointer 'p'"
+
+    def test_a_pointer_of_another_function_not_flagged(self):
+        graph, _ = call_graph_of(
+            "void main() { char *p; g(p); }\nvoid g(int n) { int p[4]; n = sizeof(p); }"
+        )
+        assert detect_sizeof_on_pointer(graph, catalog_entry("CWE-467")) == []
 
     def test_no_sizeof_nodes(self):
-        graph, tu = call_graph_of("void f() { g(); }")
-        assert detect_sizeof_on_pointer(graph, tu, catalog_entry("CWE-467")) == []
+        graph, _ = call_graph_of("void f() { g(); }")
+        assert detect_sizeof_on_pointer(graph, catalog_entry("CWE-467")) == []
 
 
 class TestSignalNonreentrant:
@@ -221,8 +232,8 @@ class TestGetloginMultithreaded:
 class TestMissingRelease:
     def test_always_a_capability_miss(self):
         for src in ("void main() { malloc(8); }", "", "void main() { malloc(8); free(p); }"):
-            graph, tu = call_graph_of(src)
-            findings, (capability,) = run_all(graph, tu, [catalog_entry("CWE-401")])
+            graph, _ = call_graph_of(src)
+            findings, (capability,) = run_all(graph, [catalog_entry("CWE-401")])
             assert findings == []
             assert capability.cwe_id == "CWE-401"
             assert not capability.supported
@@ -261,19 +272,19 @@ def query_terminals(graph, cwe, entry_name):
     return terminals
 
 
-def detector_terminals(graph, tu, cwe):
-    findings, _ = run_all(graph, tu, [cwe])
+def detector_terminals(graph, cwe):
+    findings, _ = run_all(graph, [cwe])
     return {render_node(graph.node(t)) for f in findings for t in f.terminal_nodes}
 
 
-def assert_query_matches_rule(graph, tu, cwe, entry_name):
+def assert_query_matches_rule(graph, cwe, entry_name):
     """The row has no query template, or its query finds the terminals
     its detector rule finds."""
     if cwe.cwe_id in NO_TEMPLATE:
         with pytest.raises(UnsupportedTemplate):
             generate_detection_query(cwe, entry_name)
     else:
-        assert query_terminals(graph, cwe, entry_name) == detector_terminals(graph, tu, cwe)
+        assert query_terminals(graph, cwe, entry_name) == detector_terminals(graph, cwe)
 
 
 EVENT_POOL = ["free", "gets", "atoi", "fclose", "work", "log_it", "step"]
@@ -295,8 +306,8 @@ def random_merged_graph(rng, catalog, pool=EVENT_POOL):
         for _ in range(rng.randint(1, 12))
     )
     source = "void main() {\n    " + calls + "\n}\n"
-    graph, tu, _ = merged_graph_of(source, catalog)
-    return graph, tu
+    graph, _, _ = merged_graph_of(source, catalog)
+    return graph
 
 
 class TestQueryRuleEquivalence:
@@ -306,8 +317,8 @@ class TestQueryRuleEquivalence:
             (DOUBLE_FREE_SRC, "foo"),
             (DOUBLE_FREE_INTERPROC_SRC, "main"),
         ):
-            graph, tu, _ = merged_graph_of(source, catalog_with(cwe))
-            assert_query_matches_rule(graph, tu, cwe, entry)
+            graph, _, _ = merged_graph_of(source, catalog_with(cwe))
+            assert_query_matches_rule(graph, cwe, entry)
 
     @pytest.mark.parametrize("cwe", CATALOG_ROWS, ids=lambda cwe: cwe.cwe_id)
     def test_random_graphs(self, cwe):
@@ -315,27 +326,27 @@ class TestQueryRuleEquivalence:
         rng = random.Random(4100 + len(cwe.cwe_id))
         pool = EVENT_POOL + [e for e in cwe.function_events if e not in EVENT_POOL]
         for _ in range(25):
-            graph, tu = random_merged_graph(rng, catalog_with(cwe), pool)
-            assert_query_matches_rule(graph, tu, cwe, "main")
+            graph = random_merged_graph(rng, catalog_with(cwe), pool)
+            assert_query_matches_rule(graph, cwe, "main")
 
 
 class TestRunAll:
     def test_double_free_example_findings(self, catalog):
-        graph, tu, _ = merged_graph_of(DOUBLE_FREE_SRC)
-        findings, capabilities = run_all(graph, tu, catalog)
+        graph, _, _ = merged_graph_of(DOUBLE_FREE_SRC)
+        findings, capabilities = run_all(graph, catalog)
         assert {f.cwe_id for f in findings} == {"CWE-242", "CWE-415", "CWE-1341"}
         assert [c.cwe_id for c in capabilities] == ["CWE-401"]
 
     def test_empty_graph(self, catalog):
         graph = PropertyGraph()
         graph.seal()
-        findings, capabilities = run_all(graph, None, catalog)
+        findings, capabilities = run_all(graph, catalog)
         assert findings == []
         assert len(capabilities) == 1
 
     def test_witness_paths_are_sound(self, catalog):
-        graph, tu, _ = merged_graph_of(DOUBLE_FREE_INTERPROC_SRC)
-        findings, _ = run_all(graph, tu, catalog)
+        graph, _, _ = merged_graph_of(DOUBLE_FREE_INTERPROC_SRC)
+        findings, _ = run_all(graph, catalog)
         for finding in findings:
             cwe = next(c for c in catalog if c.cwe_id == finding.cwe_id)
             assert finding.witness_paths
@@ -347,15 +358,23 @@ class TestRunAll:
                 assert any(p.end == terminal for p in finding.witness_paths)
 
     def test_unknown_cwe_falls_back_to_banned(self):
-        graph, tu = call_graph_of("void main() { dangerous(); }")
+        graph, _ = call_graph_of("void main() { dangerous(); }")
         extra = CweRecord("CWE-9999", "Custom", "", ["dangerous"])
-        findings, _ = run_all(graph, tu, [extra])
+        findings, _ = run_all(graph, [extra])
         assert len(findings) == 1
 
+    def test_findings_of_one_weakness_follow_their_first_terminal(self, catalog):
+        """Two double releases, q's around p's: q's finding comes first
+        because its first release does, though its last comes after p's."""
+        graph, _ = call_graph_of("void main() { free(q); free(p); free(p); free(q); }")
+        findings, _ = run_all(graph, [catalog_entry("CWE-415")])
+        assert [f.message for f in findings] == ["released 'q' 2 times", "released 'p' 2 times"]
+        assert (findings, []) == reference_run_all(graph, [catalog_entry("CWE-415")])
+
     def test_output_order_stable(self, catalog):
-        graph, tu, _ = merged_graph_of(DOUBLE_FREE_SRC)
-        first, _ = run_all(graph, tu, catalog)
-        second, _ = run_all(graph, tu, catalog)
+        graph, _, _ = merged_graph_of(DOUBLE_FREE_SRC)
+        first, _ = run_all(graph, catalog)
+        second, _ = run_all(graph, catalog)
         assert [(f.cwe_id, f.terminal_nodes) for f in first] == [
             (f.cwe_id, f.terminal_nodes) for f in second
         ]
@@ -461,12 +480,12 @@ def test_site_findings_match_per_site_search(seed):
         + "}"
         for fn in functions
     )
-    graph, tu = call_graph_of(source)
+    graph, _ = call_graph_of(source)
     entries = entry_nodes(graph)
     banned = catalog_entry("CWE-242")
     results = [
         (detect_banned_calls(graph, banned), _call_sites_matching(graph, banned.function_events)),
-        (detect_sizeof_on_pointer(graph, tu, catalog_entry("CWE-467")), None),
+        (detect_sizeof_on_pointer(graph, catalog_entry("CWE-467")), None),
         (
             detect_getlogin_multithreaded(graph, catalog_entry("CWE-558")),
             _call_sites_matching(graph, ["getlogin"])
@@ -484,9 +503,11 @@ def test_site_findings_match_per_site_search(seed):
         assert finding.witness_paths == _witness_paths(graph, entries, finding.terminal_nodes)
 
 
-def reference_run_all(graph, tu, catalog):
+def reference_run_all(graph, catalog):
     """run_all walking every catalog row in order, as it did before it
-    walked the program's called names: the oracle for that inversion."""
+    walked the program's called names, and sorting by the terminals'
+    ExecOrder, as it did before it sorted by their ids: the oracle for
+    both."""
     findings = []
     capabilities = []
     for cwe in catalog:
@@ -496,7 +517,7 @@ def reference_run_all(graph, tu, catalog):
                 DetectorCapability(cwe.cwe_id, supported=False, reason=family.unsupported)
             )
         else:
-            findings.extend(family.detect(graph, tu, cwe))
+            findings.extend(family.detect(graph, cwe))
 
     def order(f: Finding):
         min_exec = min(
@@ -548,13 +569,13 @@ def test_run_all_equals_the_row_by_row_reference(seed, caplog):
     every row, in the same order, and logs the same warnings. Ids listed
     twice with other names pin the stable sort's tie order."""
     rng = random.Random(seed)
-    for graph, tu in CORPUS_PROGRAMS:
+    for graph, _ in CORPUS_PROGRAMS:
         called = sorted(graph.derived(call_graph_index).by_name)
         for _ in range(3):
             catalog = random_catalog(rng, called)
-            want = logged_run(reference_run_all, caplog, graph, tu, catalog)
-            assert logged_run(run_all, caplog, graph, tu, catalog) == want
-            assert logged_run(run_all, caplog, graph, tu, Catalog(catalog)) == want
+            want = logged_run(reference_run_all, caplog, graph, catalog)
+            assert logged_run(run_all, caplog, graph, catalog) == want
+            assert logged_run(run_all, caplog, graph, Catalog(catalog)) == want
 
 
 class TestTriggers:
@@ -562,52 +583,65 @@ class TestTriggers:
     name one called procedure more than once."""
 
     def test_signal_row_runs_without_its_events_called(self, caplog):
-        graph, tu = call_graph_of("void main() { signal(2, missing_handler); pause(); }")
-        result, _ = logged_run(run_all, caplog, graph, tu, [catalog_entry("CWE-479")])
+        graph, _ = call_graph_of("void main() { signal(2, missing_handler); pause(); }")
+        result, _ = logged_run(run_all, caplog, graph, [catalog_entry("CWE-479")])
         assert result == ([], [])
         assert "syslog" in catalog_entry("CWE-479").function_events
         assert any("cannot be resolved" in r.message for r in caplog.records)
 
     def test_getlogin_without_threads_finds_nothing(self):
-        graph, tu = call_graph_of("void main() { getlogin(); }")
-        assert run_all(graph, tu, [catalog_entry("CWE-558")]) == ([], [])
+        graph, _ = call_graph_of("void main() { getlogin(); }")
+        assert run_all(graph, [catalog_entry("CWE-558")]) == ([], [])
 
     @pytest.mark.parametrize(
         "events", [["gets", "atoi"], ["gets", "gets"], ["atoi", "gets", "atoi"]]
     )
     def test_each_finding_once(self, events):
-        graph, tu = call_graph_of("void main() { gets(b); atoi(b); gets(c); }")
-        findings, _ = run_all(graph, tu, [CweRecord("CWE-9999", "Custom", "", events)])
+        graph, _ = call_graph_of("void main() { gets(b); atoi(b); gets(c); }")
+        findings, _ = run_all(graph, [CweRecord("CWE-9999", "Custom", "", events)])
         terminals = [t for f in findings for t in f.terminal_nodes]
         assert sorted(terminals) == sorted(set(terminals))
         assert len(terminals) == len(_call_sites_matching(graph, events))
 
     def test_an_id_listed_twice_keeps_catalog_order(self):
-        graph, tu = call_graph_of("void main() { gets(b); }")
+        graph, _ = call_graph_of("void main() { gets(b); }")
         first = CweRecord("CWE-242", "first", "", ["gets"])
         second = CweRecord("CWE-242", "second", "", ["absent", "gets"])
         for catalog in ([first, second], [second, first]):
-            findings, _ = run_all(graph, tu, catalog)
+            findings, _ = run_all(graph, catalog)
             assert [f.cwe_name for f in findings] == [c.name for c in catalog]
 
     def test_a_catalog_keeps_its_map(self):
         catalog = Catalog(load_catalog())
-        graph, tu = call_graph_of("void main() { gets(b); }")
-        run_all(graph, tu, catalog)
+        graph, _ = call_graph_of("void main() { gets(b); }")
+        run_all(graph, catalog)
         rows = catalog.rows_by_trigger
-        run_all(graph, tu, catalog)
+        run_all(graph, catalog)
         assert catalog.rows_by_trigger is rows
         assert [catalog[i].cwe_id for i in rows[None]] == ["CWE-401"]
 
 
-def reference_index(graph):
+def reference_enclosing_function(tu, exec_order):
+    """The function whose ExecOrders, from its entry to its last call
+    site, cover exec_order, found by a scan over the unit: the site ->
+    function rule detection used before the builder's index kept each
+    function's pointer locals, where detection bisects the entry ids."""
+    for fn in tu.functions:
+        last = fn.call_sites[-1].exec_order if fn.call_sites else fn.exec_order
+        if fn.exec_order <= exec_order <= last:
+            return fn
+    return None
+
+
+def reference_index(graph, tu):
     """The classification by an edge walk, which detection ran before the
     builder handed it over: roots are the CallGraph nodes without an
     incoming CALLS edge and are function entries; an entry's CALLS
     targets are call sites; a call site's CALLS target is the entry of
     the function it invokes. Alternating from the roots classifies every
     node, recursive cycles included; a node no root reaches stays
-    unclassified."""
+    unclassified. An entry's pointer locals are those of the function of
+    tu whose ExecOrders cover the entry's."""
     targets = {}  # node id -> its CALLS targets
     for edge in graph.edges():
         if edge.type == "CALLS":
@@ -629,7 +663,12 @@ def reference_index(graph):
         name = graph.node(n).properties.get("Name", "")
         if isinstance(name, str):
             by_name.setdefault(name, []).append(n)
-    return _CallGraphIndex(tuple(sorted(entries)), tuple(roots), by_name)
+    entries = sorted(entries)
+    pointer_locals = tuple(
+        reference_enclosing_function(tu, graph.node(n).properties["ExecOrder"]).pointer_locals
+        for n in entries
+    )
+    return _CallGraphIndex(tuple(entries), tuple(roots), by_name, pointer_locals)
 
 
 CATALOG = Catalog(load_catalog())
@@ -674,8 +713,8 @@ class TestIndexMatchesThePerNodeReference:
 
     @pytest.mark.parametrize("program", range(len(CORPUS_PROGRAMS)))
     def test_bundled_samples(self, program):
-        graph, _ = CORPUS_PROGRAMS[program]
-        assert graph.derived(call_graph_index) == reference_index(graph)
+        graph, tu = CORPUS_PROGRAMS[program]
+        assert graph.derived(call_graph_index) == reference_index(graph, tu)
 
     @pytest.mark.parametrize("sample", ["cwe415_double_free_interproc.c", "cwe479_signal_syslog.c"])
     def test_a_call_graph_over_a_catalog_copy(self, sample):
@@ -687,7 +726,7 @@ class TestIndexMatchesThePerNodeReference:
         assert graph.find_nodes("CWE")
         assert min(index.entries) > len(CATALOG)
         assert graph.derived(call_graph_index) is graph.derived(call_graph_index) == index
-        assert index == reference_index(graph)
+        assert index == reference_index(graph, extract_translation_unit(source))
 
     @given(program=recursive_programs())
     @settings(max_examples=300, deadline=None)
@@ -696,16 +735,85 @@ class TestIndexMatchesThePerNodeReference:
         pair that no root may reach, which stays unclassified; on a fresh
         graph and after the catalog's CWE nodes, where every id is offset."""
         source, unreached = program
+        tu = extract_translation_unit(source)
         fresh, graph = builder_index(source, PropertyGraph())
-        assert fresh == reference_index(graph)
+        assert fresh == reference_index(graph, tu)
         offset, graph = builder_index(source, CATALOG.cwe_graph.copy())
-        assert offset == reference_index(graph)
+        assert offset == reference_index(graph, tu)
         shift = len(CATALOG)
         assert offset.entries == tuple(n + shift for n in fresh.entries)
         assert offset.roots == tuple(n + shift for n in fresh.roots)
         assert offset.by_name == {k: [n + shift for n in v] for k, v in fresh.by_name.items()}
-        tu = extract_translation_unit(source)
+        assert offset.pointer_locals == fresh.pointer_locals
         kept = set(offset.entries).union(*offset.by_name.values())
         for node in graph.find_nodes("CallGraph"):
-            if tu.enclosing_function(node.properties["ExecOrder"]).name in unreached:
+            if reference_enclosing_function(tu, node.properties["ExecOrder"]).name in unreached:
                 assert node.id not in kept
+
+
+def sizeof_program(rng):
+    """A C program whose functions take a pointer or an int parameter,
+    declare as pointers or arrays the names other functions take as
+    parameters, and apply sizeof to those names, to an undeclared name and
+    to a dereference. main reaches r, which calls itself and f; p and q
+    call each other and take a pointer they apply sizeof to, but no root
+    reaches them. The functions come in a random order."""
+    names = ["a", "b", "c"]
+    callees = {"main": ["r"], "r": ["r", "f"], "f": [], "p": ["q"], "q": ["p"]}
+    order = list(callees)
+    rng.shuffle(order)
+    functions = []
+    for fn in order:
+        param = "a" if fn in ("p", "q") else rng.choice(names)
+        pointer = fn in ("p", "q") or rng.random() < 0.5
+        decls = [
+            f"char *{name};" if rng.random() < 0.5 else f"int {name}[4];"
+            for name in names
+            if name != param and rng.random() < 0.7
+        ]
+        calls = [f"{callee}({param});" for callee in callees[fn]] + [
+            f"n = sizeof({rng.choice(names + ['z', '*' + param])});"
+            for _ in range(rng.randint(1, 4))
+        ] + ["n = sizeof(a);"] * (fn in ("p", "q"))
+        rng.shuffle(calls)
+        functions.append(
+            f"void {fn}({'char *' if pointer else 'int '}{param}) {{ "
+            + " ".join(["int n;", *decls, *calls])
+            + " }"
+        )
+    return "\n".join(functions)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sizeof_findings_match_the_exec_order_reference(seed):
+    """CWE-467 flags a sizeof call exactly when, under the reference rule,
+    its argument is a pointer parameter or body local of the function
+    whose ExecOrders cover the call, and a root reaches that function:
+    over recursive functions, an unreached recursive pair and one name a
+    pointer in one function and an array or int in another; on a fresh
+    graph and after the catalog's CWE nodes, where every id is shifted."""
+    rng = random.Random(seed)
+    source = sizeof_program(rng)
+    tu = extract_translation_unit(source)
+    cwe = catalog_entry("CWE-467")
+    terminals = []
+    for graph in (PropertyGraph(), CATALOG.cwe_graph.copy()):
+        build_call_graph(tu, graph)
+        graph.seal()
+        want = []
+        for site in reference_index(graph, tu).by_name.get("sizeof", []):
+            properties = graph.node(site).properties
+            argument = properties.get("Argument1")
+            fn = reference_enclosing_function(tu, properties["ExecOrder"])
+            assert fn.name not in ("p", "q")
+            if isinstance(argument, str) and argument.isidentifier() and argument in fn.pointer_locals:
+                want.append((site, f"sizeof applied to pointer {argument!r}"))
+        findings = detect_sizeof_on_pointer(graph, cwe)
+        assert [(f.terminal_nodes, f.message) for f in findings] == [([s], m) for s, m in want]
+        entries = entry_nodes(graph)
+        for finding in findings:
+            assert finding.witness_paths == _witness_paths(graph, entries, finding.terminal_nodes)
+        assert run_all(graph, [cwe]) == (findings, [])
+        terminals.append([f.terminal_nodes for f in findings])
+    fresh, shifted = terminals
+    assert shifted == [[n + len(CATALOG) for n in group] for group in fresh]

@@ -523,13 +523,13 @@ RECORDS = [
     (Path, ((1, 2), (7,))),
     (CallSite, (3, "free", ["ptr"])),
     (FunctionDef, ("main", 1, [CallSite(2, "gets", ["b"])], {"p"})),
-    (TranslationUnit, ([FunctionDef("main", 1, [], set())], {"main"})),
+    (TranslationUnit, ([FunctionDef("main", 1, [], set())],)),
     (CweRecord, ("CWE-242", "Dangerous function", "d", ["gets"])),
     (CveRecord, ("CVE-2020-0001", "d", "CWE-415", 7.5, "Lib", ["1.0", "1.1"])),
     (IngestStats, (5, 4, 1)),
     (Finding, ("CWE-242", "Dangerous function", [Path((1, 2), (7,))], [2], "gets is called")),
     (DetectorCapability, ("CWE-401", False, "no data flow")),
-    (_CallGraphIndex, ((1, 3), (1,), {"gets": [2]})),
+    (_CallGraphIndex, ((1, 3), (1,), {"gets": [2]}, ({"p"}, set()))),
     (_Family, (len, "MATCH (n) RETURN n", "", ("sizeof",))),
     (ast.Literal, ("x",)),
     (ast.Var, ("x",)),

@@ -152,6 +152,17 @@ def test_query_on_stdin_is_read_as_utf8_bytes():
     assert answer == (3, "", "pkgraph: error: <stdin>: line 2: not UTF-8: invalid start byte\n")
 
 
+def test_an_error_reads_the_same_under_an_ascii_locale(tmp_path):
+    """stderr is UTF-8 whatever the locale, as stdout is."""
+    source = tmp_path / "stray.c"
+    source.write_text("void main() { g(\xe9); }\n", encoding="utf-8")
+    answers = [
+        pkgraph_process("scan", source, env={"LC_ALL": locale, "PYTHONUTF8": utf8, "PYTHONIOENCODING": ""})
+        for locale, utf8 in (("C.UTF-8", "1"), ("C", "0"))
+    ]
+    assert answers == [(3, "", "pkgraph: error: 1:17: unexpected character '\xe9'\n")] * 2
+
+
 def test_output_is_utf8_under_an_ascii_locale(tmp_path):
     source = tmp_path / "accent.c"
     source.write_text('void main() { puts("\xe9"); }\n', encoding="utf-8")

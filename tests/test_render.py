@@ -297,8 +297,8 @@ class TestRenderCache:
     rendered twice so that a cached text is checked as well as a fresh one."""
 
     @staticmethod
-    def check(graph, tu, monkeypatch):
-        findings, _ = run_all(graph, tu, load_catalog())
+    def check(graph, monkeypatch):
+        findings, _ = run_all(graph, load_catalog())
         for finding in findings:
             for path in finding.witness_paths:
                 want = reference_path(graph, path)
@@ -320,13 +320,13 @@ class TestRenderCache:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_call_graphs(self, seed, monkeypatch):
-        graph, tu, _ = merged_graph_of(random_source(random.Random(seed)))
-        self.check(graph, tu, monkeypatch)
+        graph, _, _ = merged_graph_of(random_source(random.Random(seed)))
+        self.check(graph, monkeypatch)
 
     @pytest.mark.parametrize("sample", BUNDLED, ids=lambda path: path.name)
     def test_bundled_samples(self, sample, monkeypatch):
-        graph, tu, _ = merged_graph_of(sample.read_text())
-        self.check(graph, tu, monkeypatch)
+        graph, _, _ = merged_graph_of(sample.read_text())
+        self.check(graph, monkeypatch)
 
     def test_bundled_sample_count(self):
         assert len(BUNDLED) == 23
@@ -481,9 +481,9 @@ def test_diamond_table_bytes(tmp_path):
 
 class TestFindingsToJson:
     def test_double_free_report(self):
-        graph, tu, _ = merged_graph_of(DOUBLE_FREE_SRC)
+        graph, _, _ = merged_graph_of(DOUBLE_FREE_SRC)
         findings = detect_double_release(graph, catalog_entry("CWE-415"))
-        _, capabilities = run_all(graph, tu, [catalog_entry("CWE-401")])
+        _, capabilities = run_all(graph, [catalog_entry("CWE-401")])
         blob = findings_to_json(findings, capabilities, graph)
         doc = json.loads(blob)
         assert doc["version"] == 1
@@ -500,7 +500,7 @@ class TestFindingsToJson:
         assert doc == {"version": 1, "findings": [], "unsupported": []}
 
     def test_byte_stable(self):
-        graph, tu, _ = merged_graph_of(DOUBLE_FREE_SRC)
+        graph, _, _ = merged_graph_of(DOUBLE_FREE_SRC)
         findings = detect_double_release(graph, catalog_entry("CWE-415"))
         assert findings_to_json(findings, [], graph) == findings_to_json(findings, [], graph)
 
@@ -521,8 +521,8 @@ class TestFindingsToJson:
 
     @pytest.mark.parametrize("sample", BUNDLED, ids=lambda path: path.name)
     def test_bundled_samples_match_json_dumps(self, sample):
-        graph, tu, catalog = merged_graph_of(sample.read_text())
-        findings, capabilities = run_all(graph, tu, catalog)
+        graph, _, catalog = merged_graph_of(sample.read_text())
+        findings, capabilities = run_all(graph, catalog)
         want = reference_report(findings, capabilities, graph)
         assert findings_to_json(findings, capabilities, graph) == want
         assert findings_to_json(findings, capabilities, graph) == want
