@@ -22,6 +22,15 @@ same ids, and only its indexes are new. Records are shared, so no graph
 may change one. A node's adjacency lists are created by its first edge,
 so a node without edges costs neither add nor copy() any list; a
 missing list reads as no edges.
+
+A copy answers find_nodes with a filter, for a label it has not added
+to, from its source: the sealed source keeps, per (label, first filter
+key), a value -> nodes map that it builds on the first such lookup. So
+a query graph, a copy of the catalog's sealed CWE graph, finds a
+weakness by its id at the cost of one dict hit, and the map is built
+once per catalog, not once per query. A graph's lookups of its own
+nodes scan that label's nodes, as no map would repay its building on a
+graph that is read a few times.
 """
 
 from __future__ import annotations
@@ -66,6 +75,11 @@ def values_equal(a: str | int | float | list, b: str | int | float | list) -> bo
     if type(a) is not type(b):
         return False
     return a == b
+
+
+# Filter values a source's map can answer: each kind equals only itself
+# under values_equal, so (kind, value) is the map's key.
+_SCALARS = frozenset((str, int, float, bool))
 
 
 class Record:
@@ -176,6 +190,9 @@ class PropertyGraph:
         self._in: dict = {}
         self._sealed = False
         self._derived: dict = {}
+        self._source = None  # the sealed graph this one is a copy of
+        self._shared: set = set()  # labels whose nodes are all the source's
+        self._maps: dict = {}  # (label, key) -> value -> nodes, on a source
 
     # -- mutation ----------------------------------------------------------
 
@@ -228,6 +245,7 @@ class PropertyGraph:
                 del graph_nodes[added]
             raise
         self._derived.clear()
+        self._shared.difference_update(groups)
         for label, ids in groups.items():
             self._by_label.setdefault(label, []).extend(ids)
         graph_edges = self._edges
@@ -266,12 +284,20 @@ class PropertyGraph:
         return self._sealed
 
     def copy(self) -> PropertyGraph:
-        """An unsealed graph with this graph's nodes and edges, to add more
-        to: the same Node and Edge records under the same ids, and new ids
-        issued after this graph's. The records are shared, so neither graph
-        may change one; the indexes are the copy's own, so adding to the
-        copy leaves this graph as it was. Derived values are not copied."""
+        """An unsealed graph with this sealed graph's nodes and edges, to
+        add more to: the same Node and Edge records under the same ids, and
+        new ids issued after this graph's. The records are shared, so
+        neither graph may change one; the indexes are the copy's own, so
+        adding to the copy leaves this graph as it was. Derived values are
+        not copied. The copy asks this graph for its filtered lookups of
+        each label it has not added to (see find_nodes), which is right
+        only because this graph cannot change: an unsealed graph raises
+        GraphError."""
+        if not self._sealed:
+            raise GraphError("only a sealed graph can be copied")
         other = PropertyGraph()
+        other._source = self
+        other._shared = set(self._by_label)
         other._nodes = dict(self._nodes)
         other._edges = dict(self._edges)
         other._by_label = {label: list(ids) for label, ids in self._by_label.items()}
@@ -332,17 +358,69 @@ class PropertyGraph:
 
     def find_nodes(self, label: str, filters: dict | None = None) -> list:
         """All nodes with the given label whose properties satisfy every
-        filter entry under values_equal. Ascending node-id order; an
-        unknown label yields an empty list. Each filter entry narrows the
-        list left by the ones before it."""
-        nodes = self._nodes
-        found = [nodes[node_id] for node_id in self._by_label.get(label, ())]
-        for key, value in (filters or {}).items():
+        filter entry under values_equal, in a new list. Ascending node-id
+        order; an unknown label yields an empty list. Each filter entry
+        narrows the list left by the ones before it.
+
+        The first entry picks the candidates. On a copy, for a label the
+        copy has not added to, the sealed source answers it from its
+        (label, key) map, when the value is a text, int, float or bool;
+        the source holds the same records under the same ids. Otherwise,
+        and always for a graph's own lookups, the candidates are a scan of
+        the label's nodes."""
+        entries = list(filters.items()) if filters else []
+        found = None
+        if entries and label in self._shared:
+            found = self._source._map_lookup(label, *entries[0])
+        if found is None:
+            nodes = self._nodes
+            found = [nodes[node_id] for node_id in self._by_label.get(label, ())]
+        else:
+            del entries[0]
+        for key, value in entries:
             found = [
                 node for node in found
                 if key in node.properties and values_equal(value, node.properties[key])
             ]
         return found
+
+    def _map_lookup(self, label: str, key: str, value) -> list | None:
+        """The nodes of label whose key property equals value under
+        values_equal, from this sealed graph's (label, key) map, built on
+        the first lookup of the pair; None for a value the map does not
+        answer. NaN equals nothing. Two threads may both build a map; the
+        maps are the same, and one is kept."""
+        kind = type(value)
+        if kind not in _SCALARS:
+            return None
+        if value != value:
+            return []
+        by_value = self._maps.get((label, key))
+        if by_value is None:
+            by_value = self._maps[label, key] = self._build_map(label, key)
+        return list(by_value.get((kind, value), ()))
+
+    def _build_map(self, label: str, key: str) -> dict:
+        """(kind, value) -> the nodes of label whose key property the pair
+        matches under values_equal, ascending id: a scalar under its own
+        kind and value, and a list under each distinct text it holds, as a
+        text filter matches a list that holds it. A NaN is entered too,
+        but no lookup reads it."""
+        by_value = {}
+        nodes = self._nodes
+        for node_id in self._by_label.get(label, ()):
+            node = nodes[node_id]
+            value = node.properties.get(key)
+            kind = type(value)
+            if isinstance(value, list):
+                pairs = {(str, text) for text in value if isinstance(text, str)}
+            elif kind in _SCALARS:
+                pairs = ((kind, value),)
+            else:
+                continue
+            for pair in pairs:
+                by_value.setdefault(pair, []).append(node)
+        return by_value
 
     # -- traversal ---------------------------------------------------------
 

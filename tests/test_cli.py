@@ -9,12 +9,15 @@ from pathlib import Path, PurePosixPath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import catalog_entry
+from conftest import catalog_entry, merged_graph_of
 from test_cparse import c_texts
 import pkgraph
 import pkgraph.cypher.parser
-from pkgraph.cli import _fs_path, run_cli
+from pkgraph.cli import _fs_path, _merged_graph, run_cli
+from pkgraph.cypher.eval import execute_query, format_result_table
+from pkgraph.cypher.parser import parse_query
 from pkgraph.detectors import Catalog, generate_detection_query
+from pkgraph.vulndata import parse_cwe_csv
 
 DATA = resources.files("pkgraph") / "data"
 CORPUS = DATA / "corpus"
@@ -831,6 +834,41 @@ class TestKeptCweGraph:
             labels = [part.split(" ", 1)[0] for part in out.split("(:")[1:]]
             assert labels[0] == "CWE" and "CallGraph" in labels
             assert labels == sorted(labels, key=lambda label: label != "CWE")
+
+    def test_a_copy_answers_as_a_graph_built_whole(self, tmp_path):
+        """A query over a copy of the kept CWE graph, whose literal CWE
+        lookups its source answers from a map, prints the same table as
+        over a graph that holds the CWE nodes as its own, on every sample;
+        the source builds one map per (label, key) looked up."""
+        path = catalog_with_uncalled_rows(tmp_path, 300)
+        catalog = Catalog(parse_cwe_csv(Path(path).read_bytes()))
+        queries = [parse_query(text) for text in [
+            *(generate_detection_query(catalog_entry(cwe_id), "main") for cwe_id in ("CWE-242", "CWE-415")),
+            'MATCH (c:CWE {`CWE-ID`: "CWE-242"}) RETURN c.Name, c.`Function Events`',
+            'MATCH (c:CWE {`CWE-ID`: "CWE-20150"}) RETURN c',
+            'MATCH (c:CWE {`CWE-ID`: 242}) RETURN COUNT(c)',
+            'MATCH (c:CWE {Name: "Double free"}) RETURN c.`CWE-ID`',
+            'MATCH (c:CWE {Name: "Generated 7"}) RETURN c',
+            'MATCH (c:CWE {`Function Events`: "gets"}) RETURN c.`CWE-ID`',
+            'MATCH (c:CWE {`Function Events`: "legacy_api_301"}) RETURN c.`CWE-ID`, c.Name',
+            'MATCH (c:CWE {`Function Events`: "free", Name: "Double free"}) RETURN c.`CWE-ID`',
+            'MATCH (c:CWE {`Function Events`: "gets"}) MATCH (n:CallGraph {Name: c.`Function Events`})'
+            ' RETURN c.`CWE-ID`, n.Name, n.ExecOrder',
+        ]]
+        rows = [0] * len(queries)
+        for sample in SAMPLES:
+            copied = _merged_graph(sample, catalog)
+            whole, _, _ = merged_graph_of(Path(sample).read_text(), catalog)
+            for k, query in enumerate(queries):
+                table = format_result_table(execute_query(query, copied))
+                assert table == format_result_table(execute_query(query, whole)), (sample, query)
+                rows[k] += table.count("\n") - 1
+        # An int never equals a text id; every other literal finds one row
+        # per sample, and the last query one per call of a CWE-242 event.
+        assert rows == [6, 7, 23, 23, 0, 23, 23, 23, 23, 23, 6]
+        assert set(catalog.cwe_graph._maps) == {
+            ("CWE", "CWE-ID"), ("CWE", "Name"), ("CWE", "Function Events")
+        }
 
 
 def fresh_cli(*argv):

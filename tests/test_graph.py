@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -156,12 +158,15 @@ class TestFindNodes:
 
 
 # Property values of every kind, drawn from few enough texts and numbers
-# that filters often meet them: 1 and 1.0 and True differ, and a text
-# meets a list that holds it.
+# that filters often meet them: 1 and 1.0 and True differ, -0.0 equals
+# 0.0, NaN equals nothing (not even the same NaN object), and a text
+# meets a list that holds it, once if the list holds it twice.
+NAN = float("nan")
 VALUES = st.one_of(
     st.sampled_from(["a", "b", "gets", ""]),
-    st.sampled_from([0, 1, 2, 1.0, 0.0, 2.5, True, False]),
+    st.sampled_from([0, 1, 2, 1.0, 0.0, -0.0, 2.5, NAN, True, False]),
     st.lists(st.sampled_from(["a", "b", "gets"]), max_size=3),
+    st.just(["a", "gets", "a"]),
     st.none(),
 )
 PROPERTIES = st.dictionaries(st.sampled_from(["k", "Name", "x"]), VALUES, max_size=3)
@@ -201,6 +206,171 @@ class TestFindNodesOracle:
         found = graph.find_nodes(label, filters)
         assert found == brute_force_find(graph, label, filters)
         assert [node.id for node in found] == sorted({node.id for node in found})
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nodes=st.lists(st.tuples(st.sampled_from("AB"), PROPERTIES), max_size=12),
+        added=st.lists(st.tuples(st.sampled_from("AC"), PROPERTIES), max_size=4),
+        copy_again=st.booleans(),
+        added_again=st.lists(st.tuples(st.sampled_from("BC"), PROPERTIES), max_size=4),
+        lookups=st.lists(st.tuples(st.sampled_from("ABCZ"), PROPERTIES), min_size=1, max_size=4),
+    )
+    @example(nodes=[("A", {"k": NAN}), ("A", {"k": 0.0}), ("A", {"k": ["a", "a"]})], added=[],
+             copy_again=False, added_again=[],
+             lookups=[("A", {"k": NAN}), ("A", {"k": -0.0}), ("A", {"k": "a"})])
+    @example(nodes=[("A", {"k": 1, "x": "a"}), ("A", {"k": 1})], added=[("A", {"k": 1})],
+             copy_again=True, added_again=[],
+             lookups=[("A", {"k": 1, "x": "a"}), ("A", {"k": True}), ("A", {"x": "a"})])
+    def test_copies_match_a_scan_of_every_node(
+        self, nodes, added, copy_again, added_again, lookups
+    ):
+        """A sealed source, its copy, nodes added to the copy, and
+        optionally a copy of that: each answers every lookup as a scan
+        does, before and after each step, in a list of the caller's own;
+        each source builds a (label, key) map at most once."""
+        sources = []
+
+        def check():
+            for graph in sources + [current]:
+                for label, filters in lookups:
+                    found = graph.find_nodes(label, filters)
+                    assert found == brute_force_find(graph, label, filters)
+                    found.append(found[0] if found else None)
+                    assert graph.find_nodes(label, filters) == brute_force_find(graph, label, filters)
+
+        def seal_and_copy(graph):
+            graph.seal()
+            sources.append(graph)
+            builds[graph] = counted_builds(graph)
+            return graph.copy()
+
+        builds = {}
+        current = PropertyGraph()
+        current.add([(label, dict(properties)) for label, properties in nodes])
+        check()
+        current = seal_and_copy(current)
+        check()
+        current.add([(label, dict(properties)) for label, properties in added])
+        check()
+        if copy_again:
+            current = seal_and_copy(current)
+            check()
+            current.add([(label, dict(properties)) for label, properties in added_again])
+            check()
+        for built in builds.values():
+            assert len(built) == len(set(built))
+
+
+def counted_builds(graph):
+    """The (label, key) of each map the graph builds from now on."""
+    built = []
+    build = graph._build_map
+
+    def counted(label, key):
+        built.append((label, key))
+        return build(label, key)
+
+    graph._build_map = counted
+    return built
+
+
+class TestLookupThroughTheSource:
+    """A copy's filtered lookups of a label it has not added to are
+    answered from a map its sealed source builds once; every other lookup
+    scans, and builds nothing."""
+
+    def catalog(self):
+        graph = PropertyGraph()
+        graph.add([
+            ("CWE", {"CWE-ID": "CWE-242", "Function Events": ["gets", "gets"]}),
+            ("CWE", {"CWE-ID": "CWE-415", "Function Events": "free"}),
+            ("CWE", {"CWE-ID": "CWE-676", "Function Events": ["gets", "strcpy"]}),
+            ("X", {"CWE-ID": "CWE-242"}),
+        ])
+        graph.seal()
+        return graph
+
+    def ids(self, graph, label, filters):
+        return [node.id for node in graph.find_nodes(label, filters)]
+
+    def test_the_source_builds_each_map_once_on_the_first_lookup(self):
+        source = self.catalog()
+        built = counted_builds(source)
+        copies = [source.copy(), source.copy()]
+        assert built == []
+        for graph in copies:
+            assert self.ids(graph, "CWE", {"CWE-ID": "CWE-242"}) == [1]
+            assert self.ids(graph, "CWE", {"CWE-ID": "CWE-9"}) == []
+            assert self.ids(graph, "CWE", {"Function Events": "gets"}) == [1, 3]
+            assert self.ids(graph, "CWE", {"Function Events": "gets", "CWE-ID": "CWE-676"}) == [3]
+        assert built == [("CWE", "CWE-ID"), ("CWE", "Function Events")]
+
+    def test_lookups_the_map_does_not_answer_scan(self):
+        """A graph's own lookups, a label the copy added to, no filter and
+        a filter value that is not a scalar build no map."""
+        source = self.catalog()
+        built = counted_builds(source)
+        assert self.ids(source, "CWE", {"CWE-ID": "CWE-242"}) == [1]
+        copy = source.copy()
+        assert self.ids(copy, "CWE", {}) == [1, 2, 3]
+        assert self.ids(copy, "CWE", {"Function Events": ["gets", "gets"]}) == [1]
+        assert self.ids(copy, "CWE", {"CWE-ID": None}) == []
+        copy.add([("X", {"CWE-ID": "CWE-242"}), ("CallGraph", {"Name": "gets"})])
+        assert self.ids(copy, "X", {"CWE-ID": "CWE-242"}) == [4, 5]
+        assert self.ids(copy, "CallGraph", {"Name": "gets"}) == [6]
+        assert built == []
+
+    def test_nan_finds_nothing_and_builds_nothing(self):
+        source = PropertyGraph()
+        source.add([("A", {"k": NAN}), ("A", {"k": 0.0})])
+        source.seal()
+        built = counted_builds(source)
+        copy = source.copy()
+        assert self.ids(copy, "A", {"k": NAN}) == []
+        assert built == []
+        assert self.ids(copy, "A", {"k": -0.0}) == [2]
+        assert built == [("A", "k")]
+
+    def test_copies_read_one_source_from_many_threads(self):
+        """Reads of a sealed graph are safe from any thread, the first
+        lookups that build its maps too."""
+        source = PropertyGraph()
+        source.add(("CWE", {"CWE-ID": f"CWE-{k % 50}", "Name": f"n{k % 7}"}) for k in range(2000))
+        source.seal()
+        lookups = [("CWE-ID", f"CWE-{k}") for k in range(50)] + [("Name", f"n{k}") for k in range(7)]
+        expected = [brute_force_find(source, "CWE", {key: value}) for key, value in lookups]
+        answers = []
+
+        def read():
+            copy = source.copy()
+            answers.append([copy.find_nodes("CWE", {key: value}) for key, value in lookups])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [expected] * 8
+
+    def test_a_label_added_to_is_no_longer_the_sources(self):
+        """A batch that fails adds nothing, and leaves its labels to the
+        source."""
+        source = self.catalog()
+        built = counted_builds(source)
+        copy = source.copy()
+        with pytest.raises(UnknownNode):
+            copy.add([("CWE", {"CWE-ID": "CWE-242"})], [(1, 99, "T")])
+        assert self.ids(copy, "CWE", {"CWE-ID": "CWE-242"}) == [1]
+        copy.add([("CWE", {"CWE-ID": "CWE-242"})])
+        assert self.ids(copy, "CWE", {"CWE-ID": "CWE-242"}) == [1, 5]
+        assert self.ids(source, "CWE", {"CWE-ID": "CWE-242"}) == [1]
+        assert built == [("CWE", "CWE-ID")]
 
 
 def graph_state(graph):
@@ -414,6 +584,14 @@ class TestCopy:
         assert built == [g, c]
         with pytest.raises(GraphSealed):
             g.add_node("CWE", {})
+
+    def test_an_unsealed_graph_is_not_copied(self):
+        g = PropertyGraph()
+        g.add_node("CWE", {"CWE-ID": "CWE-1"})
+        with pytest.raises(GraphError, match="^only a sealed graph can be copied$"):
+            g.copy()
+        g.seal()
+        assert [n.id for n in g.copy().nodes()] == [1]
 
     def test_copy_of_a_graph_without_edges(self):
         g = PropertyGraph()

@@ -16,18 +16,34 @@ from pathlib import Path
 import pytest
 
 import pkgraph
-from test_cli import CORPUS, DATA, SRC, UNRESOLVED_HANDLER, cli, reindented, scan_source, write_templates
+from test_cli import (
+    CORPUS,
+    DATA,
+    SRC,
+    UNRESOLVED_HANDLER,
+    catalog_with_uncalled_rows,
+    cli,
+    reindented,
+    scan_source,
+    write_templates,
+)
 
 CATALOG = DATA / "cwe-catalog.csv"
 
 
-def pkgraph_process(*argv, stdin=b"", env=None):
+def pkgraph_process(*argv, stdin=b"", env=None, prelude=None):
     """`python -m pkgraph.cli ARGV` with this source tree first on the path
     and env added to the environment: (exit code, stdout, stderr), read
-    as UTF-8 with no newline translation. No process prints a traceback."""
+    as UTF-8 with no newline translation. No process prints a traceback.
+    With prelude, the process runs that code first and then pkgraph.cli
+    as `-m` would."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if prelude is None:
+        command = ["-m", "pkgraph.cli"]
+    else:
+        command = ["-c", f"{prelude}\nimport runpy\nrunpy.run_module('pkgraph.cli', run_name='__main__')"]
     proc = subprocess.run(
-        [sys.executable, "-m", "pkgraph.cli", *map(str, argv)],
+        [sys.executable, *command, *map(str, argv)],
         input=stdin, capture_output=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
@@ -143,6 +159,31 @@ def test_detection_template_in_a_fresh_process(tmp_path, cwe_id, sample):
     kept = [cli(*argv), cli(*argv)]
     assert pkgraph_process(*argv) == kept[0] == kept[1]
     assert kept[0][0] == 0 and len(kept[0][1].splitlines()) >= 2
+
+
+def test_a_larger_catalog_in_a_fresh_process(tmp_path):
+    """With 300 more catalog rows, a fresh process answers the CWE-242
+    template as kept in-process runs do, and its first CWE lookup builds
+    the one map that the kept CWE graph needs."""
+    log = tmp_path / "maps.txt"
+    prelude = "\n".join([
+        "import pkgraph.graph",
+        "build = pkgraph.graph.PropertyGraph._build_map",
+        "def counted(graph, label, key):",
+        f"    with open({str(log)!r}, 'a') as file:",
+        "        file.write(f'{label} {key}\\n')",
+        "    return build(graph, label, key)",
+        "pkgraph.graph.PropertyGraph._build_map = counted",
+    ])
+    argv = [
+        "query", str(CORPUS / "cwe242_gets.c"),
+        "--query-file", write_templates(tmp_path)["CWE-242"],
+        "--catalog", catalog_with_uncalled_rows(tmp_path, 300),
+    ]
+    kept = [cli(*argv), cli(*argv)]
+    assert pkgraph_process(*argv, prelude=prelude) == kept[0] == kept[1]
+    assert kept[0][0] == 0 and len(kept[0][1].splitlines()) >= 2
+    assert log.read_text() == "CWE CWE-ID\n"
 
 
 def test_query_on_stdin_is_read_as_utf8_bytes():
