@@ -11,7 +11,6 @@ nulls, property access on null is null.
 from __future__ import annotations
 
 import operator
-from itertools import chain
 
 from ..graph import Node, Path, PropertyGraph, Record, values_equal
 from ..render import CellTooLong, render_value
@@ -88,6 +87,31 @@ def _bound_node(np, bound: dict):
     if node is not None and not isinstance(node, Node):
         raise TypeMismatch(f"pattern variable {np.var!r} is not bound to a node")
     return node
+
+
+def _edge_ids(hop) -> tuple:
+    """The ids of the edges a hop adds to a match: an out-edge's own id,
+    a `*` hop's Path's edges, none for the start node (hop None)."""
+    if hop is None:
+        return ()
+    if isinstance(hop, Path):
+        return hop.edges
+    return (hop.id,)
+
+
+def _walk(trail: list, end: Node, hop) -> Path:
+    """The path of a finished match: the nodes and hops of trail, then hop
+    into end. A match made of one `*` hop walks the Path enumerate_paths
+    returned for it, which is handed on as it is."""
+    if not trail:
+        return Path((end.id,), ())
+    if len(trail) == 1 and isinstance(hop, Path):
+        return hop
+    nodes, edges = [trail[0][1].id], []
+    for step in [step for _, _, step in trail[1:]] + [hop]:
+        nodes += step.nodes[1:] if isinstance(step, Path) else (step.target,)
+        edges += _edge_ids(step)
+    return Path(tuple(nodes), tuple(edges))
 
 
 #: How deep COLLECT may nest lists. Rendering, grouping and comparing a
@@ -223,86 +247,81 @@ class _Evaluator:
     # -- pattern matching --------------------------------------------------
 
     def match_pattern(self, pattern, row: dict) -> list:
-        """All binding extensions of row produced by the pattern. Each
-        result is a dict of newly bound variables (plus the path var).
+        """The rows by which the pattern extends row, each a new dict: row
+        plus every variable the pattern binds, its path variable included.
 
         The search is depth-first over an explicit stack of lazy
         iterators, one per matched node, so a long pattern does not
-        recurse. bound is the row plus fresh, the pattern's bindings so
-        far."""
+        recurse. bound is the row plus the pattern's bindings so far, so
+        a finished match is one copy of it."""
         results = []
-        bound, fresh = dict(row), {}
-        used = set()  # edges matched so far
-        trail = []  # (newly bound var, added node ids, added edge ids) per node before the last
-        stack = [((n, (n.id,), ()) for n in self._candidates(pattern.nodes[0], bound))]
+        bound = dict(row)
+        path_var = pattern.path_var
+        last = len(pattern.rels)
+        used = set()  # ids of the edges matched so far
+        trail = []  # (newly bound var, node, hop into it) per node before the last
+        stack = [((n, None) for n in self._candidates(pattern.nodes[0], bound))]
         while stack:
-            for node, node_ids, edge_ids in stack[-1]:
+            for node, hop in stack[-1]:
                 var = pattern.nodes[len(trail)].var
                 var = var if var and var not in bound else None
-                if len(trail) == len(pattern.rels):
-                    bindings = dict(fresh)
+                if len(trail) == last:
+                    result = dict(bound)
                     if var:
-                        bindings[var] = node
-                    if pattern.path_var:
-                        steps = trail + [(var, node_ids, edge_ids)]
-                        bindings[pattern.path_var] = Path(
-                            tuple(chain.from_iterable(t[1] for t in steps)),
-                            tuple(chain.from_iterable(t[2] for t in steps)),
-                        )
-                    results.append(bindings)
+                        result[var] = node
+                    if path_var:
+                        result[path_var] = _walk(trail, node, hop)
+                    results.append(result)
                     continue
                 if var:
-                    bound[var] = fresh[var] = node
-                used.update(edge_ids)
-                trail.append((var, node_ids, edge_ids))
+                    bound[var] = node
+                used.update(_edge_ids(hop))
+                trail.append((var, node, hop))
                 rel, np = pattern.rels[len(trail) - 1], pattern.nodes[len(trail)]
                 stack.append(self._extend(rel, np, node, bound, used))
                 break
             else:
                 stack.pop()
                 if trail:
-                    var, _, edge_ids = trail.pop()
-                    used.difference_update(edge_ids)
+                    var, _, hop = trail.pop()
+                    used.difference_update(_edge_ids(hop))
                     if var:
-                        del bound[var], fresh[var]
+                        del bound[var]
         return results
 
     def _extend(self, rel, np, node: Node, bound: dict, used: set):
-        """Each (end, added node ids, added edge ids) by which a match at
-        node goes on over rel to a node matching np: one out-edge for a
-        single hop, one enumerated path for a `*` hop. No edge is used
-        twice in the pattern. An end variable bound to null matches
-        nothing."""
+        """Each (end, hop) by which a match at node goes on over rel to a
+        node matching np. A single hop's hop is its out-edge; a `*` hop's
+        is the Path that enumerate_paths returned, which already ends only
+        at np's candidates. No edge is used twice in the pattern. An end
+        variable bound to null matches nothing."""
         pinned = np.var in bound
         if pinned and _bound_node(np, bound) is None:
             return
         if rel.var_length is None:
-            steps = (
-                (edge.target, (edge.target,), (edge.id,))
-                for edge in self.graph.out_edges(node.id)
-                if rel.type is None or edge.type == rel.type
-            )
+            for edge in self.graph.out_edges(node.id):
+                if (rel.type is None or edge.type == rel.type) and edge.id not in used:
+                    end = self.graph.node(edge.target)
+                    if (not pinned or bound[np.var] is end) and self._node_matches(
+                        np, end, bound
+                    ):
+                        yield end, edge
         else:
-            ends = {n.id for n in self._candidates(np, bound)}
-            steps = (
-                (path.end, path.nodes[1:], path.edges)
-                for path in self.graph.enumerate_paths(node.id, ends, rel.type, *rel.var_length)
-            )
-        for end_id, node_ids, edge_ids in steps:
-            if not used.isdisjoint(edge_ids):
-                continue
-            end = self.graph.node(end_id)
-            if pinned and bound[np.var] is not end:
-                continue
-            if self._node_matches(np, end, bound):
-                yield end, node_ids, edge_ids
+            ends = {n.id: n for n in self._candidates(np, bound)}
+            for path in self.graph.enumerate_paths(node.id, ends, rel.type, *rel.var_length):
+                if used.isdisjoint(path.edges):
+                    yield ends[path.end], path
 
     def _candidates(self, np, bound: dict) -> list:
         """The nodes np matches under bound: its variable's node if bound,
         else a scan. A pattern whose property filters are all literals
         matches the same nodes on every row, so its scan runs once per
         query; with a label, and each key given once and not null, the
-        graph's find_nodes does that scan."""
+        graph's find_nodes does that scan. Otherwise the label's nodes
+        are narrowed one filter at a time, each filter's value evaluated
+        once against the row and only while some node is left, so a
+        filter that cannot be evaluated raises only when a node would
+        have been tested against it."""
         if np.var in bound:
             node = _bound_node(np, bound)
             return [node] if node is not None and self._node_matches(np, node, bound) else []
@@ -315,8 +334,16 @@ class _Evaluator:
         ):
             found = self.graph.find_nodes(np.label, filters)
         else:
-            pool = self.graph.find_nodes(np.label) if np.label is not None else self.graph.nodes()
-            found = [n for n in pool if self._node_matches(np, n, bound)]
+            found = self.graph.find_nodes(np.label) if np.label is not None else list(
+                self.graph.nodes()
+            )
+            for key, expr in np.props:
+                if not found:
+                    break
+                want = self.scalar(expr, bound)
+                found = [] if want is None else [
+                    n for n in found if key in n.properties and values_equal(want, n.properties[key])
+                ]
         if cacheable:
             self._scans[id(np)] = found
         return found
@@ -348,18 +375,16 @@ class _Evaluator:
         out = []
         for row in rows:
             matches = self.match_pattern(pattern, row)
-            if not matches and clause.optional:
-                out.append({**row, **{v: None for v in new_vars}})
-                continue
-            for bindings in matches:
-                merged = dict(row)
-                for var in new_vars:
-                    merged[var] = bindings.get(var)
-                out.append(merged)
+            if matches:
+                out += matches
+            elif clause.optional:
+                out.append({**row, **dict.fromkeys(new_vars)})
         return columns + new_vars, out
 
     def project(self, items, rows: list):
-        """Shared WITH/RETURN projection with aggregate grouping."""
+        """Shared WITH/RETURN projection with aggregate grouping. Without
+        a grouping item, all rows form one group, which exists over zero
+        rows too, so COUNT reads 0 and COLLECT [] there."""
         aggregated = [ast.has_aggregate(expr) for expr, _ in items]
         if not any(aggregated):
             return [
@@ -367,19 +392,16 @@ class _Evaluator:
             ]
         key_items = [item for item, agg in zip(items, aggregated) if not agg]
         agg_items = [item for item, agg in zip(items, aggregated) if agg]
-        groups = {}
-        order = []
+        groups = {} if key_items else {(): ({}, [])}
         by_id, by_items = {}, {}
         for row in rows:
             key_values = {alias: self.scalar(expr, row) for expr, alias in key_items}
             key = tuple(_group_key(key_values[alias], by_id, by_items) for _, alias in key_items)
             if key not in groups:
                 groups[key] = (key_values, [])
-                order.append(key)
             groups[key][1].append(row)
         out = []
-        for key in order:
-            key_values, member_rows = groups[key]
+        for key_values, member_rows in groups.values():
             projected = dict(key_values)
             for expr, alias in agg_items:
                 projected[alias] = self._aggregate(expr, member_rows)
@@ -459,4 +481,5 @@ def format_result_table(table: ResultTable) -> str:
     lines = [" | ".join(table.columns).rstrip()]
     for row in table.rows:
         lines.append(" | ".join(row).rstrip())
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the last line's newline, without copying the table again
+    return "\n".join(lines)

@@ -1,4 +1,6 @@
+import collections
 import io
+import itertools
 import random
 
 import pytest
@@ -628,6 +630,177 @@ class TestPatternMatching:
         assert table.rows == [("3000",)]
 
 
+# -- path bindings against a naive matcher ------------------------------------
+
+HOPS = ["-[]->", "-[:CALLS]->", "-[*]->", "-[*0..2]->", "-[:CALLS*1..3]->"]
+
+
+def small_graph(rng):
+    """2-6 nodes labelled X or Y, each with k its place, and 2-6 edges of
+    types CALLS and USES, plus a self-loop and an edge parallel to one of
+    them."""
+    graph = PropertyGraph()
+    nodes = [graph.add_node(rng.choice("XY"), {"k": i}) for i in range(rng.randint(2, 6))]
+    for _ in range(rng.randint(2, 6)):
+        graph.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(["CALLS", "USES"]))
+    loop = rng.choice(nodes)
+    graph.add_edge(loop, loop, "CALLS")
+    twin = rng.choice(list(graph.edges()))
+    graph.add_edge(twin.source, twin.target, twin.type)
+    graph.seal()
+    return graph
+
+
+def path_binding_query(rng, node_count):
+    """A query whose last clause, a MATCH or OPTIONAL MATCH, binds p over
+    0-3 hops from HOPS. Its node variables are new, repeated, or b, which
+    a first clause may bind: to every node, to every X node, to the node
+    with a given k (or none), or to null. It returns p and every
+    variable."""
+    first, variables = rng.choice([
+        ("", []),
+        ("MATCH (b) ", ["b"]),
+        ("MATCH (b:X) ", ["b"]),
+        (f"MATCH (b {{k: {rng.randrange(node_count + 1)}}}) ", ["b"]),
+        ("OPTIONAL MATCH (b:Z) ", ["b"]),
+    ])
+    names = variables + ["n", "m"]
+
+    def node():
+        var = rng.choice(names + ["", ""])
+        if var and var not in variables:
+            variables.append(var)
+        return f"({var}{rng.choice(['', '', ':X', ':Y'])})"
+
+    pattern = node() + "".join(rng.choice(HOPS) + node() for _ in range(rng.randint(0, 3)))
+    match = rng.choice(["MATCH", "OPTIONAL MATCH"])
+    return f"{first}{match} p={pattern} RETURN " + ", ".join(["p"] + sorted(variables))
+
+
+def naive_walks(edges, start, rel):
+    """Every (end node id, edges) walk from start that rel allows: edges
+    of its type, as many as its length allows, none twice."""
+    lo, hi = rel.var_length or (1, 1)
+    walks = []
+
+    def extend(at, walk):
+        if len(walk) >= lo:
+            walks.append((at, walk))
+        if hi is None or len(walk) < hi:
+            for edge in edges:
+                if edge.source == at and edge not in walk and rel.type in (None, edge.type):
+                    extend(edge.target, walk + [edge])
+
+    extend(start, [])
+    return walks
+
+
+def naive_matches(nodes, edges, pattern, row):
+    """Each extension of row by the pattern: every assignment of nodes to
+    the node patterns that fits their labels, properties and variables
+    (row's included, a null one fitting nothing), then every choice of a
+    walk per relationship between its two nodes, with no edge used twice
+    in the pattern. Shares nothing with the evaluator but the AST."""
+    walks = {}  # (start id, relationship index) -> naive_walks
+    for assignment in itertools.product(nodes, repeat=len(pattern.nodes)):
+        bindings = dict(row)
+        fits = True
+        for np, node in zip(pattern.nodes, assignment):
+            fits = fits and (np.label is None or node.label == np.label) and all(
+                key in node.properties and values_equal(expr.value, node.properties[key])
+                for key, expr in np.props
+            )
+            if fits and np.var:
+                fits = bindings.setdefault(np.var, node) is node
+        if not fits:
+            continue
+        choices = [
+            [
+                walk
+                for end, walk in walks.setdefault((start.id, i), naive_walks(edges, start.id, rel))
+                if end == stop.id
+            ]
+            for i, (rel, start, stop) in enumerate(zip(pattern.rels, assignment, assignment[1:]))
+        ]
+        for chosen in itertools.product(*choices):
+            taken = [edge for walk in chosen for edge in walk]
+            if len({edge.id for edge in taken}) < len(taken):
+                continue
+            if pattern.path_var:
+                node_ids = (assignment[0].id,) + tuple(edge.target for edge in taken)
+                bindings[pattern.path_var] = Path(node_ids, tuple(edge.id for edge in taken))
+            yield dict(bindings)
+
+
+def naive_rows(graph, query):
+    """The rows that reach the RETURN of a query of MATCH and OPTIONAL
+    MATCH clauses, by naive_matches."""
+    nodes, edges = list(graph.nodes()), list(graph.edges())
+    rows = [{}]
+    for clause in query.clauses[:-1]:
+        pattern = clause.pattern
+        new_vars = [np.var for np in pattern.nodes if np.var] + [pattern.path_var]
+        out = []
+        for row in rows:
+            matches = list(naive_matches(nodes, edges, pattern, row))
+            if not matches and clause.optional:
+                matches = [{**dict.fromkeys(v for v in new_vars if v), **row}]
+            out += matches
+        rows = out
+    return rows
+
+
+def matched_rows(graph, query):
+    """The rows that reach the RETURN of a query of MATCH and OPTIONAL
+    MATCH clauses, by the evaluator."""
+    evaluator, columns, rows = _Evaluator(graph), [], [{}]
+    for clause in query.clauses[:-1]:
+        columns, rows = evaluator.apply_match(clause, columns, rows)
+    return rows
+
+
+def row_multiset(rows):
+    """rows as a multiset of their (variable, value) pairs: nodes equal
+    when they are the same node, paths when their nodes and edges are."""
+    return collections.Counter(frozenset(row.items()) for row in rows)
+
+
+class TestPathBindings:
+    """Path variables over zero to three hops of every kind, with bound,
+    null and new end nodes, against naive_rows: the rendered table, and
+    the bound values themselves, since a path renders from its first node
+    and its edges alone."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_naive_matcher(self, seed):
+        rng = random.Random(seed)
+        graph = small_graph(rng)
+        for _ in range(6):
+            text = path_binding_query(rng, graph.node_count)
+            query = parse_query(text)
+            rows = naive_rows(graph, query)
+            columns = [expr.name for expr, _ in query.clauses[-1].items]
+            table = sorted(tuple(render_value(row[c], graph) for c in columns) for row in rows)
+            assert execute_query(query, graph).rows == table, text
+            assert row_multiset(matched_rows(graph, query)) == row_multiset(rows), text
+
+    def test_one_star_hop_binds_the_path_the_engine_found(self, monkeypatch):
+        graph, _, _ = merged_graph_of(DOUBLE_FREE_SRC)
+        found = []
+        enumerate_paths = graph.enumerate_paths
+
+        def recording(*args):
+            paths = enumerate_paths(*args)
+            found.extend(paths)
+            return paths
+
+        monkeypatch.setattr(graph, "enumerate_paths", recording)
+        query = parse_query('MATCH p=(a:CallGraph {Name: "foo"})-[*]->(b) RETURN p')
+        rows = _Evaluator(graph).match_pattern(query.clauses[0].pattern, {})
+        assert len(rows) == len(found) > 0
+        assert all(row["p"] is path for row, path in zip(rows, found))
+
+
 class TestFormatResultTable:
     def test_paths_render_as_table(self):
         graph, _, _ = merged_graph_of(DOUBLE_FREE_SRC)
@@ -1005,6 +1178,67 @@ def run_query(text):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+class TestFilterErrors:
+    """A node pattern's filters narrow its label's nodes one key at a
+    time, and a filter's value is evaluated only while a node is left, so
+    an unbound variable in a filter is an error only when a node would
+    have been tested against it."""
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [
+            ("MATCH (n:Nope {k: missing}) RETURN n", (0, "n\n", "")),
+            (
+                "MATCH (n:CallGraph {k: missing}) RETURN n",
+                (3, "", "pkgraph: error: unbound variable 'missing'\n"),
+            ),
+            (
+                'MATCH (a:CallGraph {Name: "gets"}) MATCH (b:CallGraph {Name: a.Missing}) RETURN b',
+                (0, "b\n", ""),
+            ),
+            (
+                'MATCH (a:CallGraph {Name: "gets"}) '
+                "MATCH (b:CallGraph {Nope: 1, Name: missing}) RETURN b",
+                (0, "b\n", ""),
+            ),
+        ],
+        ids=["no-node-of-the-label", "unbound", "null-value", "first-key-leaves-none"],
+    )
+    def test_exit_code_and_output(self, text, want):
+        assert run_query(text) == want
+
+
+class TestZeroRowAggregates:
+    """A projection with no grouping item gives one row over zero rows,
+    as in openCypher; a grouped one gives none."""
+
+    @pytest.mark.parametrize(
+        "text, table",
+        [
+            ("MATCH (n:Nope) RETURN COUNT(n)", "COUNT(n)\n0\n"),
+            ("MATCH (c:CWE {`CWE-ID`: 242}) RETURN COUNT(c)", "COUNT(c)\n0\n"),
+            ("MATCH (n:Nope) RETURN COLLECT(n) AS c", "c\n[]\n"),
+            ("MATCH (n:Nope) RETURN SIZE(COLLECT(n.Name)) AS s", "s\n0\n"),
+            ("MATCH (n:Nope) MATCH (m:CallGraph) RETURN COUNT(m), COLLECT(m)",
+             "COUNT(m) | COLLECT(m)\n0 | []\n"),
+            ("MATCH (n:Nope) WITH COUNT(n) AS c RETURN c", "c\n0\n"),
+            ("MATCH (n:Nope) WITH COLLECT(n) AS c RETURN c, SIZE(c)", "c | SIZE(c)\n[] | 0\n"),
+            ("MATCH (n:Nope) WITH COUNT(n) AS c WHERE c > 0 RETURN c", "c\n"),
+            ("MATCH (n:Nope) RETURN n.Name, COUNT(n)", "n.Name | COUNT(n)\n"),
+            ("MATCH (n:Nope) WITH n.Name AS k, COLLECT(n) AS c RETURN k, c", "k | c\n"),
+            ("OPTIONAL MATCH (n:Nope) RETURN COUNT(n), COLLECT(n)",
+             "COUNT(n) | COLLECT(n)\n0 | []\n"),
+        ],
+        ids=[
+            "count", "count-int-id", "collect", "size-collect", "after-an-empty-match",
+            "with-count", "with-collect", "with-count-where", "grouped", "with-grouped",
+            "optional",
+        ],
+    )
+    def test_table(self, text, table):
+        assert run_query(text) == (0, table, "")
+
+
 def left_deep(op, terms):
     """The text expr_text gives a left-deep chain of op over terms."""
     return "(" * (len(terms) - 1) + terms[0] + "".join(f" {op} {t})" for t in terms[1:])
@@ -1052,10 +1286,17 @@ class TestDeepExpressions:
 
     @pytest.mark.parametrize("inner", ["n.Missing", "COLLECT(n)"])
     def test_nested_size_in_return(self, inner):
+        """Over zero rows, n.Missing projects no row, and COLLECT(n), an
+        aggregate with no grouping item, projects its one row, [], whose
+        second SIZE is of the number 0."""
         item = "SIZE(" * 3000 + inner + ")" * 3000
         column = "SIZE(" * 3000 + inner + ")" * 3000
         text = f'MATCH (n:CallGraph {{Name: "nothing"}}) RETURN {item}'
-        assert run_query(text) == (0, f"{column}\n", "")
+        if inner == "COLLECT(n)":
+            failing = "SIZE(SIZE(COLLECT(n)))"
+            assert run_query(text) == (3, "", f"pkgraph: error: SIZE of non-list: {failing}\n")
+        else:
+            assert run_query(text) == (0, f"{column}\n", "")
 
     def test_collect_chain_past_the_list_depth_limit(self):
         text = "MATCH (n:CallGraph) WITH COLLECT(n) AS x" + " WITH COLLECT(x) AS x" * 1000
