@@ -16,12 +16,27 @@ without a copy. Values derived from the graph (derived()) are dropped
 whenever a batch is added, including one a producer handed over with
 keep() along with the nodes it describes.
 
+A graph holds its nodes and edges in two dicts by id. Its three indexes,
+the nodes of each label and the out- and in-edges of each node, are
+built on their first read: find_nodes builds the label index,
+out_edges and enumerate_paths the out-edge lists, in_edges and
+enumerate_paths the in-edge lists. Each is built in one pass over the
+records into a local and then published with one assignment, so a
+thread reading a sealed graph sees all of an index or none of it; two
+threads may both build one, and one of the equal results is kept. A
+batch extends the indexes already built and builds none, so a graph
+that is only built and written out, as an ingest's is, never builds
+one. Reads take each index into a local once per call, not per step of
+a walk. A node's adjacency lists are created by its first edge, so a
+node without edges costs no list; a missing list reads as no edges.
+
 copy() starts a new, unsealed graph from a sealed one without building
 its nodes again: the copy holds the same Node and Edge records under the
-same ids, and only its indexes are new. Records are shared, so no graph
-may change one. A node's adjacency lists are created by its first edge,
-so a node without edges costs neither add nor copy() any list; a
-missing list reads as no edges.
+same ids. It takes a copy of each index its source has built, and of the
+label index always, as the copy needs the source's labels (below); so a
+query's copy of the catalog's CWE graph gets the label index over its
+CWE nodes without a pass over them. Records are shared, so no graph may
+change one.
 
 A copy answers find_nodes with a filter, for a label it has not added
 to, from its source: the sealed source keeps, per (label, first filter
@@ -31,6 +46,11 @@ weakness by its id at the cost of one dict hit, and the map is built
 once per catalog, not once per query. A graph's lookups of its own
 nodes scan that label's nodes, as no map would repay its building on a
 graph that is read a few times.
+
+in_edges has no caller in pkgraph itself. It stays as the public read of
+the in-edge lists that _reaching walks, and because the benchmark's
+tracer (perfbench/tracer.py) traces it and its test asserts the list of
+traced names it finds absent.
 """
 
 from __future__ import annotations
@@ -80,6 +100,12 @@ def values_equal(a: str | int | float | list, b: str | int | float | list) -> bo
 # Filter values a source's map can answer: each kind equals only itself
 # under values_equal, so (kind, value) is the map's key.
 _SCALARS = frozenset((str, int, float, bool))
+
+def _copied(index: dict | None) -> dict | None:
+    """A copy of an index, with lists of its own; None for one not built."""
+    if index is None:
+        return None
+    return {key: list(ids) for key, ids in index.items()}
 
 
 class Record:
@@ -177,17 +203,21 @@ class PropertyGraph:
     each node's id as its place in that order and relies on this. All
     query results use deterministic orderings (ascending node id,
     lexicographic edge-id sequences) so downstream golden files are
-    byte-stable. Ids are issued in increasing order and only ever
-    appended to the indexes, so every index is already in ascending id
-    order and reads need not sort.
+    byte-stable. Ids are issued in increasing order, an index is built
+    in id order and a batch only appends to it, so every index is
+    already in ascending id order and reads need not sort.
+
+    _by_label (label -> node ids), _out and _in (node id -> edge ids)
+    are None until their first read builds them (_labels, _outgoing,
+    _incoming); see the module docstring.
     """
 
     def __init__(self) -> None:
         self._nodes: dict = {}
         self._edges: dict = {}
-        self._by_label: dict = {}
-        self._out: dict = {}
-        self._in: dict = {}
+        self._by_label: dict | None = None
+        self._out: dict | None = None
+        self._in: dict | None = None
         self._sealed = False
         self._derived: dict = {}
         self._source = None  # the sealed graph this one is a copy of
@@ -212,25 +242,22 @@ class PropertyGraph:
         graph raises GraphSealed, an empty label InvalidLabel, an endpoint
         that is neither in the graph nor in the batch UnknownNode, and an
         empty edge type GraphError; the graph is then as it was. Adding
-        drops every derived value.
+        drops every derived value, and extends only the indexes already
+        built.
         """
         if self._sealed:
             raise GraphSealed("graph is sealed")
         graph_nodes = self._nodes
         first = node_id = len(graph_nodes) + 1
-        groups = {}  # label -> ids of the batch
+        labels = set()
         # The nodes go in as they arrive, so the edges can be checked
         # against the graph alone; a batch that fails takes them out.
         try:
             for label, properties in nodes:
                 graph_nodes[node_id] = Node(node_id, label, properties)
-                ids = groups.get(label)
-                if ids is None:
-                    groups[label] = [node_id]
-                else:
-                    ids.append(node_id)
+                labels.add(label)
                 node_id += 1
-            if not all(groups):
+            if not all(labels):
                 raise InvalidLabel("node label must be non-empty")
             edges = list(edges)
             for source, target, edge_type in edges:
@@ -245,25 +272,23 @@ class PropertyGraph:
                 del graph_nodes[added]
             raise
         self._derived.clear()
-        self._shared.difference_update(groups)
-        for label, ids in groups.items():
-            self._by_label.setdefault(label, []).extend(ids)
+        self._shared.difference_update(labels)
+        by_label = self._by_label
+        if by_label is not None:
+            for added in range(first, node_id):
+                by_label.setdefault(graph_nodes[added].label, []).append(added)
         graph_edges = self._edges
-        edge_id = len(graph_edges)
-        out, into = self._out, self._in
+        first = edge_id = len(graph_edges) + 1
         for source, target, edge_type in edges:
-            edge_id += 1
             graph_edges[edge_id] = Edge(edge_id, source, target, edge_type)
-            ids = out.get(source)
-            if ids is None:
-                out[source] = [edge_id]
-            else:
-                ids.append(edge_id)
-            ids = into.get(target)
-            if ids is None:
-                into[target] = [edge_id]
-            else:
-                ids.append(edge_id)
+            edge_id += 1
+        out, into = self._out, self._in
+        if out is not None:
+            for edge_id, (source, _, _) in enumerate(edges, first):
+                out.setdefault(source, []).append(edge_id)
+        if into is not None:
+            for edge_id, (_, target, _) in enumerate(edges, first):
+                into.setdefault(target, []).append(edge_id)
 
     def add_node(self, label: str, properties: dict | None = None) -> int:
         """Add one node, with a copy of properties; its id."""
@@ -288,21 +313,24 @@ class PropertyGraph:
         add more to: the same Node and Edge records under the same ids, and
         new ids issued after this graph's. The records are shared, so
         neither graph may change one; the indexes are the copy's own, so
-        adding to the copy leaves this graph as it was. Derived values are
-        not copied. The copy asks this graph for its filtered lookups of
-        each label it has not added to (see find_nodes), which is right
-        only because this graph cannot change: an unsealed graph raises
-        GraphError."""
+        adding to the copy leaves this graph as it was. The copy starts
+        with a copy of each index this graph has built and of its label
+        index, which this builds first if it has not; the others the copy
+        builds on its first read. Derived values are not copied. The copy
+        asks this graph for its filtered lookups of each label it has not
+        added to (see find_nodes), which is right only because this graph
+        cannot change: an unsealed graph raises GraphError."""
         if not self._sealed:
             raise GraphError("only a sealed graph can be copied")
+        by_label = self._labels()
         other = PropertyGraph()
         other._source = self
-        other._shared = set(self._by_label)
+        other._shared = set(by_label)
         other._nodes = dict(self._nodes)
         other._edges = dict(self._edges)
-        other._by_label = {label: list(ids) for label, ids in self._by_label.items()}
-        other._out = {node_id: list(ids) for node_id, ids in self._out.items()}
-        other._in = {node_id: list(ids) for node_id, ids in self._in.items()}
+        other._by_label = _copied(by_label)
+        other._out = _copied(self._out)
+        other._in = _copied(self._in)
         return other
 
     def derived(self, build):
@@ -322,6 +350,43 @@ class PropertyGraph:
         the graph next changes: for a producer that built it along with
         the nodes and edges it describes."""
         self._derived[build] = value
+
+    # -- indexes -----------------------------------------------------------
+
+    # Each builds its index whole in a local before the one assignment
+    # that publishes it.
+
+    def _labels(self) -> dict:
+        """label -> node ids, built on the first call."""
+        index = self._by_label
+        if index is None:
+            index = {}
+            for node in self._nodes.values():
+                index.setdefault(node.label, []).append(node.id)
+            self._by_label = index
+        return index
+
+    def _outgoing(self) -> dict:
+        """node id -> ids of the edges it is the source of, built on the
+        first call."""
+        index = self._out
+        if index is None:
+            index = {}
+            for edge in self._edges.values():
+                index.setdefault(edge.source, []).append(edge.id)
+            self._out = index
+        return index
+
+    def _incoming(self) -> dict:
+        """node id -> ids of the edges it is the target of, built on the
+        first call."""
+        index = self._in
+        if index is None:
+            index = {}
+            for edge in self._edges.values():
+                index.setdefault(edge.target, []).append(edge.id)
+            self._in = index
+        return index
 
     # -- lookup ------------------------------------------------------------
 
@@ -350,11 +415,11 @@ class PropertyGraph:
 
     def out_edges(self, node_id: int) -> list:
         self.node(node_id)
-        return [self._edges[e] for e in self._out.get(node_id, ())]
+        return [self._edges[e] for e in self._outgoing().get(node_id, ())]
 
     def in_edges(self, node_id: int) -> list:
         self.node(node_id)
-        return [self._edges[e] for e in self._in.get(node_id, ())]
+        return [self._edges[e] for e in self._incoming().get(node_id, ())]
 
     def find_nodes(self, label: str, filters: dict | None = None) -> list:
         """All nodes with the given label whose properties satisfy every
@@ -374,7 +439,7 @@ class PropertyGraph:
             found = self._source._map_lookup(label, *entries[0])
         if found is None:
             nodes = self._nodes
-            found = [nodes[node_id] for node_id in self._by_label.get(label, ())]
+            found = [nodes[node_id] for node_id in self._labels().get(label, ())]
         else:
             del entries[0]
         for key, value in entries:
@@ -408,7 +473,7 @@ class PropertyGraph:
         but no lookup reads it."""
         by_value = {}
         nodes = self._nodes
-        for node_id in self._by_label.get(label, ()):
+        for node_id in self._labels().get(label, ()):
             node = nodes[node_id]
             value = node.properties.get(key)
             kind = type(value)
@@ -460,7 +525,7 @@ class PropertyGraph:
         used = set()
         # One iterator per node on the current path, over its out-edges in
         # ascending id order; the top one resumes where its child returned.
-        out = self._out
+        out = self._outgoing()
         stack = [iter(out.get(start, ()))] if max_len is None or max_len > 0 else []
         while stack:
             for edge_id in stack[-1]:
@@ -494,9 +559,10 @@ class PropertyGraph:
         included."""
         live = {t for t in target_set if t in self._nodes}
         frontier = list(live)
+        into, edges = self._incoming(), self._edges
         while frontier:
-            for edge_id in self._in.get(frontier.pop(), ()):
-                edge = self._edges[edge_id]
+            for edge_id in into.get(frontier.pop(), ()):
+                edge = edges[edge_id]
                 if edge.source not in live and (edge_type is None or edge.type == edge_type):
                     live.add(edge.source)
                     frontier.append(edge.source)

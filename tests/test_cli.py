@@ -17,6 +17,7 @@ from pkgraph.cli import _fs_path, _merged_graph, run_cli
 from pkgraph.cypher.eval import execute_query, format_result_table
 from pkgraph.cypher.parser import parse_query
 from pkgraph.detectors import Catalog, generate_detection_query
+from pkgraph.graph import PropertyGraph
 from pkgraph.vulndata import parse_cwe_csv
 
 DATA = resources.files("pkgraph") / "data"
@@ -784,6 +785,29 @@ class TestScanCostsWhatTheProgramCalls:
         for _ in range(2):
             assert cli(*query, stdin_text="MATCH (n) RETURN n")[0] == 0
         assert calls == [(48, 0), (48, 1), (49, 0)]
+
+    def test_an_ingest_reads_no_graph_index(self, monkeypatch, tmp_path):
+        """An ingest's build and CSV export read only the graph's nodes
+        and edges, so its graph builds none of its indexes; a scan's
+        witness search reads all three."""
+        reads = []
+        for name in ("_labels", "_outgoing", "_incoming"):
+            def counted(graph, name=name, read=getattr(PropertyGraph, name)):
+                reads.append(name)
+                return read(graph)
+
+            monkeypatch.setattr(PropertyGraph, name, counted)
+        cve = tmp_path / "cve.csv"
+        cve.write_text(
+            ",".join(pkgraph.vulndata.CVE_COLUMNS)
+            + "\nCVE-2020-0001,d,CWE-415,7.5,Lib,1.0;1.1\nCVE-2020-0002,d,CWE-9999,5.0,Lib,1.0\n"
+        )
+        argv = ["ingest", "--cwe", str(DATA / "cwe-catalog.csv"), "--cve", str(cve)]
+        assert cli(*argv, "--out", str(tmp_path / "out"))[0] == 0
+        assert (tmp_path / "out" / "relationships.csv").read_text().count("\n") == 7
+        assert reads == []
+        assert cli("scan", str(CORPUS / "cwe242_gets.c"))[0] == 1
+        assert set(reads) == {"_labels", "_outgoing", "_incoming"}
 
     def test_a_query_counts_every_cwe_node(self, tmp_path):
         catalog = catalog_with_uncalled_rows(tmp_path, 900)

@@ -674,6 +674,10 @@ def reference_index(graph, tu):
 CATALOG = Catalog(load_catalog())
 
 
+FUNCTION_NAMES = st.lists(st.sampled_from(["main", "f", "g", "h", "k"]), unique=True, max_size=5)
+CALL_ARGUMENTS = st.sampled_from(["", "x", "x, 1"])
+
+
 @st.composite
 def recursive_programs(draw):
     """A C program whose functions call each other, themselves, names the
@@ -681,12 +685,11 @@ def recursive_programs(draw):
     defined last, and sometimes a mutually recursive pair p <-> q; and the
     names of the pair when no other function calls it, so no root
     reaches it."""
-    names = draw(st.lists(st.sampled_from(["main", "f", "g", "h", "k"]), unique=True, max_size=5))
+    names = draw(FUNCTION_NAMES)
     if "main" in names and draw(st.booleans()):
         names.remove("main")
         names.append("main")
     callees = names + ["gets", "free", "atoi"] + (["p"] if draw(st.booleans()) else [])
-    arguments = st.sampled_from(["", "x", "x, 1"])
     functions = [(name, draw(st.lists(st.sampled_from(callees), max_size=6))) for name in names]
     pair_called = any("p" in body for _, body in functions)
     pair = draw(st.booleans())
@@ -694,7 +697,7 @@ def recursive_programs(draw):
         functions.insert(draw(st.integers(0, len(functions))), ("p", ["q", "gets"]))
         functions.insert(draw(st.integers(0, len(functions))), ("q", ["p", "q", "free"]))
     source = "\n".join(
-        f"void {name}(char *x) {{ " + "".join(f"{callee}({draw(arguments)}); " for callee in body) + "}"
+        f"void {name}(char *x) {{ " + "".join(f"{callee}({draw(CALL_ARGUMENTS)}); " for callee in body) + "}"
         for name, body in functions
     )
     return source, {"p", "q"} if pair and not pair_called else set()

@@ -44,13 +44,17 @@ def is_valid_path(graph, path):
     return all(n in node_ids for n in path.nodes)
 
 
-def brute_force_paths(graph, start, targets, edge_type, min_len, max_len):
+def brute_force_paths(graph, start, targets, edge_type, min_len, max_len, walks=None):
     """Independent path oracle: recursively try every unused edge and
-    keep walks that end at a target. Sorted by edge-id sequence."""
+    keep walks that end at a target. Sorted by edge-id sequence. With
+    walks, a list, each walk the search visits, the empty one included,
+    adds its length to it."""
     edges = [graph.edge(e.id) for e in graph.edges()]
     found = []
 
     def recurse(current, edge_seq, node_seq):
+        if walks is not None:
+            walks.append(len(edge_seq))
         if len(edge_seq) >= min_len and current in targets:
             found.append((tuple(node_seq), tuple(edge_seq)))
         if max_len is not None and len(edge_seq) >= max_len:
@@ -616,6 +620,135 @@ class TestCopy:
             g.seal()
             assert [n.id for n in g.nodes()] == list(range(1, g.node_count + 1))
             g = g.copy()
+
+
+def read(graph, kind):
+    """One kind of read over every node, or paths from the first 30, as
+    ids."""
+    ids = range(1, graph.node_count + 1)
+    if kind == "find_nodes":
+        return [[n.id for n in graph.find_nodes(label, filters)]
+                for label in ("A", "B", "Z") for filters in (None, {"k": 1}, {"k": "a"})]
+    if kind == "out_edges":
+        return [[e.id for e in graph.out_edges(n)] for n in ids]
+    if kind == "in_edges":
+        return [[e.id for e in graph.in_edges(n)] for n in ids]
+    targets = set(ids[-2:])
+    return [[p.edges for p in graph.enumerate_paths(n, targets, edge_type, 0, 4)]
+            for n in ids[:30] for edge_type in ("T", None)]
+
+
+READS = ("find_nodes", "out_edges", "in_edges", "enumerate_paths")
+
+
+def every_read(graph):
+    return [read(graph, kind) for kind in READS]
+
+
+BATCH = st.tuples(
+    st.lists(st.tuples(st.sampled_from("AB"), PROPERTIES), max_size=4),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), st.sampled_from("TU")), max_size=5),
+)
+
+
+class TestIndexesBuiltOnFirstRead:
+    """The label and adjacency indexes are built on their first read and
+    extended by the batches after it; a copy takes the ones its source
+    built. Whatever reads come between batches, the graph answers as a
+    graph built whole from the same batches, and a copied source as it
+    did when it was copied."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("add"), BATCH),
+        st.tuples(st.just("read"), st.sampled_from(READS)),
+        st.tuples(st.just("copy"), st.none()),
+    ), max_size=10))
+    def test_interleaved_reads_answer_as_a_graph_built_whole(self, steps):
+        graph = PropertyGraph()
+        nodes, edges = [], []
+        sources = []
+
+        def whole():
+            built = PropertyGraph()
+            built.add([(label, dict(p)) for label, p in nodes], edges)
+            return built
+
+        for step, arg in steps:
+            if step == "add":
+                batch_nodes, batch_edges = arg
+                count = graph.node_count + len(batch_nodes)
+                batch_edges = [(1 + s % count, 1 + t % count, kind)
+                               for s, t, kind in batch_edges] if count else []
+                graph.add([(label, dict(p)) for label, p in batch_nodes], batch_edges)
+                nodes += batch_nodes
+                edges += batch_edges
+            elif step == "read":
+                assert read(graph, arg) == read(whole(), arg)
+            else:
+                graph.seal()
+                sources.append((graph, every_read(graph)))
+                graph = graph.copy()
+        assert every_read(graph) == every_read(whole())
+        for source, answers in sources:
+            assert every_read(source) == answers
+
+    def test_a_batch_extends_only_the_indexes_built(self):
+        g = PropertyGraph()
+        g.add([("A", {}), ("B", {})], [(1, 2, "T")])
+        assert (g._by_label, g._out, g._in) == (None, None, None)
+        assert [n.id for n in g.find_nodes("A")] == [1]
+        g.add([("A", {})], [(3, 1, "T")])
+        assert (g._by_label, g._out, g._in) == ({"A": [1, 3], "B": [2]}, None, None)
+        assert [e.id for e in g.out_edges(3)] == [2]
+        g.add([], [(3, 2, "T")])
+        assert (g._out, g._in) == ({1: [1], 3: [2, 3]}, None)
+        g.seal()
+        c = g.copy()
+        assert (c._by_label, c._out, c._in) == ({"A": [1, 3], "B": [2]}, {1: [1], 3: [2, 3]}, None)
+        assert c._out[3] is not g._out[3]
+
+    def test_first_reads_from_many_threads(self):
+        """8 threads making the first reads of one sealed graph, each kind
+        of read first in two of them, and then of a copy each, get the
+        answers of one thread reading alone: an index is published whole
+        or not at all."""
+
+        def sealed():
+            rng = random.Random(5)
+            g = PropertyGraph()
+            g.add(
+                [(rng.choice("AB"), {"k": rng.choice([1, "a"])}) for _ in range(1500)],
+                [(rng.randint(1, 1500), rng.randint(1, 1500), rng.choice("TU")) for _ in range(3000)],
+            )
+            g.seal()
+            return g
+
+        expected = dict(zip(READS, every_read(sealed())))
+        for _ in range(3):
+            graph = sealed()
+            start = threading.Barrier(8, timeout=60)
+            answers = []
+
+            def first_reads(k):
+                kinds = READS[k % 4:] + READS[:k % 4]
+                start.wait()
+                answers.append({kind: read(graph, kind) for kind in kinds})
+                copy = graph.copy()
+                answers.append({kind: read(copy, kind) for kind in kinds})
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=first_reads, args=(k,)) for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert answers == [expected] * 16
 
 
 class TestEnumeratePaths:

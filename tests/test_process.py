@@ -107,6 +107,52 @@ def test_ingest_output_its_repeatability_and_a_bad_score(tmp_path):
     assert stderr.count("\n") == 1 and stderr.startswith("pkgraph: error: "), stderr
 
 
+# Calls that every detector family reports, each in its own way.
+EVERY_FAMILY = """\
+void handler(int s) { syslog(1, "caught"); }
+void worker(char *arg) { getlogin(); }
+void release(char *p) { free(p); }
+void main() {
+    char *p = malloc(8);
+    char buf[8];
+    gets(buf);
+    atoi(buf);
+    memset(p, 0, sizeof(p));
+    signal(SIGINT, handler);
+    pthread_create(t, 0, worker, 0);
+    getpw(1, buf);
+    release(p);
+    free(p);
+    fclose(f);
+    fclose(f);
+}
+"""
+
+
+def test_output_is_the_same_under_any_hash_seed(tmp_path):
+    """A scan as JSON and as a table, the CWE-242 template and an ingest
+    write the same bytes under two hash seeds: no output depends on the
+    order of a set or of a dict keyed by strings."""
+    source = tmp_path / "every_family.c"
+    source.write_text(EVERY_FAMILY)
+    cves = tmp_path / "cves.csv"
+    cves.write_text(generated_cves(), encoding="utf-8")
+    out = tmp_path / "ingest"
+    commands = [
+        ["scan", source, "--format", "json"],
+        ["scan", source],
+        ["query", source, "--query-file", write_templates(tmp_path)["CWE-242"]],
+        ["ingest", "--cwe", CATALOG, "--cve", cves, "--out", out],
+    ]
+    answers = {}
+    for seed in ("0", "12345"):
+        answers[seed] = [pkgraph_process(*argv, env={"PYTHONHASHSEED": seed}) for argv in commands]
+        answers[seed] += [(out / name).read_bytes() for name in ("nodes.csv", "relationships.csv")]
+    assert answers["0"] == answers["12345"]
+    assert [answer[0] for answer in answers["0"][:4]] == [1, 1, 0, 0]
+    assert answers["0"][2][1].count("\n") == 3
+
+
 @pytest.mark.parametrize("name, format, code", [
     ("corpus/cwe242_gets.c", "json", 1),
     ("clean/fgets_input.c", "json", 0),

@@ -1040,6 +1040,10 @@ row_values = st.one_of(
 rows = st.fixed_dictionaries({"a": row_values, "b": row_values, "n": row_values})
 
 
+NOT_SPELLINGS = st.sampled_from(["NOT", "not"])
+EXTRA_PARENTHESES = st.integers(0, 5)
+
+
 @st.composite
 def printed_exprs(draw):
     """(tree, text): text parses to tree. Parentheses appear where the
@@ -1054,14 +1058,14 @@ def printed_exprs(draw):
             out = f"{text(node.left, strength)} {op} {text(node.right, strength + 1)}"
         elif isinstance(node, Not):
             strength = 3
-            out = f"{draw(st.sampled_from(['NOT', 'not']))} {text(node.operand, 3)}"
+            out = f"{draw(NOT_SPELLINGS)} {text(node.operand, 3)}"
         elif isinstance(node, Func):
             strength = 5
             out = f"{draw(st.sampled_from([node.name, node.name.lower()]))}({text(node.arg, 0)})"
         else:
             strength = 5
             out = ast.expr_text(node)
-        if strength < need or draw(st.integers(0, 5)) == 0:
+        if strength < need or draw(EXTRA_PARENTHESES) == 0:
             out = f"({out})"
         return out
 

@@ -186,9 +186,12 @@ def reference_report(findings, capabilities, graph):
 TRICKY = '"\\\x00\x08\n\x1f\x7f\u2028\u2029\xe9\u20ac\U0001f600'
 
 
-def json_texts(min_size=0):
-    chars = st.one_of(st.sampled_from(TRICKY), st.characters(exclude_categories=("Cs",)))
-    return st.text(chars, min_size=min_size, max_size=6)
+# Strategies are built once, here, not on every draw of a composite:
+# rebuilt on each draw of reports() they took about 40% of the time of
+# the test that draws it.
+JSON_CHARS = st.one_of(st.sampled_from(TRICKY), st.characters(exclude_categories=("Cs",)))
+JSON_TEXTS = st.text(JSON_CHARS, max_size=6)
+NONEMPTY_JSON_TEXTS = st.text(JSON_CHARS, min_size=1, max_size=6)
 
 
 # Any JSON value without NaN or infinities, empty containers included.
@@ -198,19 +201,20 @@ JSON_VALUES = st.recursive(
         st.booleans(),
         st.integers(),
         st.floats(allow_nan=False, allow_infinity=False),
-        json_texts(),
+        JSON_TEXTS,
     ),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_texts(), inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXTS, inner, max_size=4),
     max_leaves=20,
 )
 
 PROPERTY_VALUES = st.one_of(
-    json_texts(),
+    JSON_TEXTS,
     st.integers(min_value=-(2**70), max_value=2**70),
     st.booleans(),
     st.floats(),
-    st.lists(json_texts(), max_size=3),
+    st.lists(JSON_TEXTS, max_size=3),
 )
+PROPERTY_MAPS = st.dictionaries(JSON_TEXTS, PROPERTY_VALUES, max_size=3)
 
 
 @st.composite
@@ -221,15 +225,15 @@ def reports(draw):
     graph = PropertyGraph()
     ids = [
         graph.add_node(
-            draw(json_texts(min_size=1)),
-            draw(st.dictionaries(json_texts(), PROPERTY_VALUES, max_size=3)),
+            draw(NONEMPTY_JSON_TEXTS),
+            draw(PROPERTY_MAPS),
         )
         for _ in range(draw(st.integers(1, 5)))
     ]
     out = {node_id: [] for node_id in ids}
     for _ in range(draw(st.integers(0, 8))):
         source, target = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
-        out[source].append((graph.add_edge(source, target, draw(json_texts(min_size=1))), target))
+        out[source].append((graph.add_edge(source, target, draw(NONEMPTY_JSON_TEXTS)), target))
     if draw(st.booleans()):
         graph.seal()
     findings = []
@@ -246,10 +250,10 @@ def reports(draw):
             paths.append(Path(tuple(nodes), tuple(edges)))
         terminals = draw(st.lists(st.sampled_from(ids), max_size=3))
         findings.append(
-            Finding(draw(json_texts()), draw(json_texts()), paths, terminals, draw(json_texts()))
+            Finding(draw(JSON_TEXTS), draw(JSON_TEXTS), paths, terminals, draw(JSON_TEXTS))
         )
     capabilities = [
-        DetectorCapability(draw(json_texts()), False, draw(json_texts()))
+        DetectorCapability(draw(JSON_TEXTS), False, draw(JSON_TEXTS))
         for _ in range(draw(st.integers(0, 2)))
     ]
     return graph, findings, capabilities
@@ -647,6 +651,7 @@ EXPORT_VALUES = st.one_of(
     EXPORT_TEXT,
     st.lists(EXPORT_TEXT.filter(bool), max_size=3),
 )
+EXPORT_PROPERTIES = st.dictionaries(EXPORT_KEYS, EXPORT_VALUES, max_size=4)
 
 
 @st.composite
@@ -657,7 +662,7 @@ def sealed_graphs(draw):
 
     def add(graph):
         for _ in range(draw(st.integers(0, 8))):
-            properties = draw(st.dictionaries(EXPORT_KEYS, EXPORT_VALUES, max_size=4))
+            properties = draw(EXPORT_PROPERTIES)
             graph.add_node(draw(EXPORT_LABELS), properties)
         if graph.node_count:
             node_ids = st.integers(1, graph.node_count)
