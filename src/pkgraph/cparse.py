@@ -478,7 +478,7 @@ def call_graph_index(graph: PropertyGraph) -> _CallGraphIndex:
     without CallGraph nodes has an empty index, and one whose CallGraph
     nodes build_call_graph did not index (added by hand, or changed after
     the build) is refused with GraphError."""
-    if graph.find_nodes("CallGraph"):
+    if graph.node_count and graph.find_nodes("CallGraph"):
         raise GraphError(
             "CallGraph nodes not indexed by build_call_graph: build the call graph"
             " with build_call_graph and add nothing to the graph after it"
@@ -507,7 +507,7 @@ def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
 
     Returns a map from function name to entry node id.
     """
-    indexed = not graph.find_nodes("CallGraph")
+    indexed = graph.node_count == 0 or not graph.find_nodes("CallGraph")
     functions = tu.functions
     entries = {}  # function name -> entry id
     entry_ids = []  # per function

@@ -16,27 +16,39 @@ without a copy. Values derived from the graph (derived()) are dropped
 whenever a batch is added, including one a producer handed over with
 keep() along with the nodes it describes.
 
-A graph holds its nodes and edges in two dicts by id. Its three indexes,
-the nodes of each label and the out- and in-edges of each node, are
-built on their first read: find_nodes builds the label index,
-out_edges and enumerate_paths the out-edge lists, in_edges and
+A graph holds its nodes in a dict by id, as Node records, and its
+edges as three columns, lists of the sources, targets and types, where
+position k - 1 holds edge k's. No Edge record is kept: edge(), edges(),
+out_edges() and in_edges() make one for each edge they return, and an
+Edge is a value, equal to and hashed as any other with the same fields,
+so two reads of one edge give equal records. A reader of many edges, as
+the exports are, takes the columns themselves from edge_columns() and
+makes none. A batch's edges are checked
+and gathered into lists of the batch's own, and the columns are extended
+only once the whole batch has passed, so a failed batch leaves them as
+they were; a sealed graph's columns are never written.
+
+Its three indexes, the nodes of each label and the out- and in-edges of
+each node, are built on their first read: find_nodes builds the label
+index, out_edges and enumerate_paths the out-edge lists, in_edges and
 enumerate_paths the in-edge lists. Each is built in one pass over the
-records into a local and then published with one assignment, so a
-thread reading a sealed graph sees all of an index or none of it; two
-threads may both build one, and one of the equal results is kept. A
-batch extends the indexes already built and builds none, so a graph
-that is only built and written out, as an ingest's is, never builds
-one. Reads take each index into a local once per call, not per step of
-a walk. A node's adjacency lists are created by its first edge, so a
-node without edges costs no list; a missing list reads as no edges.
+node records or an edge column into a local and then published with one
+assignment, so a thread reading a sealed graph sees all of an index or
+none of it; two threads may both build one, and one of the equal results
+is kept. A batch extends the indexes already built and builds none, so a
+graph that is only built and written out, as an ingest's is, never
+builds one. Reads take each index and column into a local once per call,
+not per step of a walk. A node's adjacency lists are created by its
+first edge, so a node without edges costs no list; a missing list reads
+as no edges.
 
 copy() starts a new, unsealed graph from a sealed one without building
-its nodes again: the copy holds the same Node and Edge records under the
-same ids. It takes a copy of each index its source has built, and of the
-label index always, as the copy needs the source's labels (below); so a
-query's copy of the catalog's CWE graph gets the label index over its
-CWE nodes without a pass over them. Records are shared, so no graph may
-change one.
+its nodes again: the copy holds the same Node records under the same
+ids, and copies of the three edge columns. It takes a copy of each index
+its source has built, and of the label index always, as the copy needs
+the source's labels (below); so a query's copy of the catalog's CWE
+graph gets the label index over its CWE nodes without a pass over them.
+Node records are shared, so no graph may change one.
 
 A copy answers find_nodes with a filter, for a label it has not added
 to, from its source: the sealed source keeps, per (label, first filter
@@ -56,6 +68,7 @@ traced names it finds absent.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import count
 
 
 class GraphError(Exception):
@@ -173,12 +186,11 @@ class Node(Record):
     __hash__ = object.__hash__
 
 
-class Edge(Record):
-    """A graph edge; two edges are equal only when they are the same edge."""
+class Edge(FrozenRecord):
+    """A graph edge, made when it is read: equal to an edge with the same
+    fields."""
 
     __slots__ = ("id", "source", "target", "type")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
 
 class Path(FrozenRecord):
@@ -207,14 +219,20 @@ class PropertyGraph:
     in id order and a batch only appends to it, so every index is
     already in ascending id order and reads need not sort.
 
-    _by_label (label -> node ids), _out and _in (node id -> edge ids)
-    are None until their first read builds them (_labels, _outgoing,
-    _incoming); see the module docstring.
+    _nodes maps node id -> Node, records a copy() shares with its
+    source. The edges are three columns, _sources, _targets and _types,
+    edge k's at position k - 1; no Edge record is kept, each read that
+    returns edges makes them, and an Edge compares by value. _by_label
+    (label -> node ids), _out and _in (node id -> edge ids) are None
+    until their first read builds them (_labels, _outgoing, _incoming);
+    see the module docstring.
     """
 
     def __init__(self) -> None:
         self._nodes: dict = {}
-        self._edges: dict = {}
+        self._sources: list = []
+        self._targets: list = []
+        self._types: list = []
         self._by_label: dict | None = None
         self._out: dict | None = None
         self._in: dict | None = None
@@ -235,8 +253,9 @@ class PropertyGraph:
         may name a node of the same batch. Each Node is created as its
         pair arrives, and its properties dict becomes the node's own: the
         producer hands it over and must not change it. nodes is read to
-        its end before edges is read, so a generator of nodes may fill an
-        edge list as it goes.
+        its end before edges is read, so a generator of nodes may fill
+        the lists an edge iterable reads, and edges is read once, so it
+        may be a zip that hands out one triple at a time.
 
         The batch is checked as a whole before anything is added: a sealed
         graph raises GraphSealed, an empty label InvalidLabel, an endpoint
@@ -250,8 +269,11 @@ class PropertyGraph:
         graph_nodes = self._nodes
         first = node_id = len(graph_nodes) + 1
         labels = set()
+        sources, targets, types = [], [], []
         # The nodes go in as they arrive, so the edges can be checked
-        # against the graph alone; a batch that fails takes them out.
+        # against the graph alone; a batch that fails takes them out. The
+        # edges go to lists of the batch's own, so the columns are not
+        # touched until the whole batch has passed.
         try:
             for label, properties in nodes:
                 graph_nodes[node_id] = Node(node_id, label, properties)
@@ -259,7 +281,6 @@ class PropertyGraph:
                 node_id += 1
             if not all(labels):
                 raise InvalidLabel("node label must be non-empty")
-            edges = list(edges)
             for source, target, edge_type in edges:
                 if source not in graph_nodes:
                     raise UnknownNode(f"unknown source node {source}")
@@ -267,6 +288,9 @@ class PropertyGraph:
                     raise UnknownNode(f"unknown target node {target}")
                 if not edge_type:
                     raise GraphError("edge type must be non-empty")
+                sources.append(source)
+                targets.append(target)
+                types.append(edge_type)
         except BaseException:
             for added in range(first, node_id):
                 del graph_nodes[added]
@@ -277,17 +301,16 @@ class PropertyGraph:
         if by_label is not None:
             for added in range(first, node_id):
                 by_label.setdefault(graph_nodes[added].label, []).append(added)
-        graph_edges = self._edges
-        first = edge_id = len(graph_edges) + 1
-        for source, target, edge_type in edges:
-            graph_edges[edge_id] = Edge(edge_id, source, target, edge_type)
-            edge_id += 1
+        first = len(self._sources) + 1
+        self._sources += sources
+        self._targets += targets
+        self._types += types
         out, into = self._out, self._in
         if out is not None:
-            for edge_id, (source, _, _) in enumerate(edges, first):
+            for edge_id, source in enumerate(sources, first):
                 out.setdefault(source, []).append(edge_id)
         if into is not None:
-            for edge_id, (_, target, _) in enumerate(edges, first):
+            for edge_id, target in enumerate(targets, first):
                 into.setdefault(target, []).append(edge_id)
 
     def add_node(self, label: str, properties: dict | None = None) -> int:
@@ -298,7 +321,7 @@ class PropertyGraph:
     def add_edge(self, source: int, target: int, edge_type: str) -> int:
         """Add one edge; its id."""
         self.add((), ((source, target, edge_type),))
-        return len(self._edges)
+        return len(self._sources)
 
     def seal(self) -> None:
         """Freeze the graph. Idempotent; reads are unaffected."""
@@ -310,16 +333,17 @@ class PropertyGraph:
 
     def copy(self) -> PropertyGraph:
         """An unsealed graph with this sealed graph's nodes and edges, to
-        add more to: the same Node and Edge records under the same ids, and
-        new ids issued after this graph's. The records are shared, so
-        neither graph may change one; the indexes are the copy's own, so
-        adding to the copy leaves this graph as it was. The copy starts
-        with a copy of each index this graph has built and of its label
-        index, which this builds first if it has not; the others the copy
-        builds on its first read. Derived values are not copied. The copy
-        asks this graph for its filtered lookups of each label it has not
-        added to (see find_nodes), which is right only because this graph
-        cannot change: an unsealed graph raises GraphError."""
+        add more to: the same Node records under the same ids, copies of
+        the edge columns, and new ids issued after this graph's. The
+        records are shared, so neither graph may change one; the columns
+        and indexes are the copy's own, so adding to the copy leaves this
+        graph as it was. The copy starts with a copy of each index this
+        graph has built and of its label index, which this builds first if
+        it has not; the others the copy builds on its first read. Derived
+        values are not copied. The copy asks this graph for its filtered
+        lookups of each label it has not added to (see find_nodes), which
+        is right only because this graph cannot change: an unsealed graph
+        raises GraphError."""
         if not self._sealed:
             raise GraphError("only a sealed graph can be copied")
         by_label = self._labels()
@@ -327,7 +351,9 @@ class PropertyGraph:
         other._source = self
         other._shared = set(by_label)
         other._nodes = dict(self._nodes)
-        other._edges = dict(self._edges)
+        other._sources = self._sources.copy()
+        other._targets = self._targets.copy()
+        other._types = self._types.copy()
         other._by_label = _copied(by_label)
         other._out = _copied(self._out)
         other._in = _copied(self._in)
@@ -372,8 +398,8 @@ class PropertyGraph:
         index = self._out
         if index is None:
             index = {}
-            for edge in self._edges.values():
-                index.setdefault(edge.source, []).append(edge.id)
+            for edge_id, source in enumerate(self._sources, 1):
+                index.setdefault(source, []).append(edge_id)
             self._out = index
         return index
 
@@ -383,8 +409,8 @@ class PropertyGraph:
         index = self._in
         if index is None:
             index = {}
-            for edge in self._edges.values():
-                index.setdefault(edge.target, []).append(edge.id)
+            for edge_id, target in enumerate(self._targets, 1):
+                index.setdefault(target, []).append(edge_id)
             self._in = index
         return index
 
@@ -397,13 +423,31 @@ class PropertyGraph:
             raise UnknownNode(f"unknown node {node_id}") from None
 
     def edge(self, edge_id: int) -> Edge:
-        return self._edges[edge_id]
+        """The edge with this id, made on each call; KeyError for an id
+        the graph has not issued."""
+        if type(edge_id) is not int or not 0 < edge_id <= len(self._sources):
+            raise KeyError(edge_id)
+        k = edge_id - 1
+        return Edge(edge_id, self._sources[k], self._targets[k], self._types[k])
+
+    def _made(self, edge_ids: Iterable) -> list:
+        """An Edge for each of edge_ids, ids the graph has issued."""
+        sources, targets, types = self._sources, self._targets, self._types
+        return [Edge(e, sources[e - 1], targets[e - 1], types[e - 1]) for e in edge_ids]
 
     def nodes(self) -> Iterator[Node]:
         yield from self._nodes.values()
 
     def edges(self) -> Iterator[Edge]:
-        yield from self._edges.values()
+        """Each edge, ascending id, made as it is reached."""
+        return map(Edge, count(1), self._sources, self._targets, self._types)
+
+    def edge_columns(self) -> tuple:
+        """(sources, targets, types): the graph's own edge columns, edge
+        k's source, target and type at position k - 1, for a reader of
+        many edges that needs no Edge records. The caller must not change
+        them."""
+        return self._sources, self._targets, self._types
 
     @property
     def node_count(self) -> int:
@@ -411,15 +455,15 @@ class PropertyGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._sources)
 
     def out_edges(self, node_id: int) -> list:
         self.node(node_id)
-        return [self._edges[e] for e in self._outgoing().get(node_id, ())]
+        return self._made(self._outgoing().get(node_id, ()))
 
     def in_edges(self, node_id: int) -> list:
         self.node(node_id)
-        return [self._edges[e] for e in self._incoming().get(node_id, ())]
+        return self._made(self._incoming().get(node_id, ()))
 
     def find_nodes(self, label: str, filters: dict | None = None) -> list:
         """All nodes with the given label whose properties satisfy every
@@ -525,24 +569,24 @@ class PropertyGraph:
         used = set()
         # One iterator per node on the current path, over its out-edges in
         # ascending id order; the top one resumes where its child returned.
-        out = self._outgoing()
+        out, targets, types = self._outgoing(), self._targets, self._types
         stack = [iter(out.get(start, ()))] if max_len is None or max_len > 0 else []
         while stack:
             for edge_id in stack[-1]:
-                edge = self._edges[edge_id]
+                target = targets[edge_id - 1]
                 if (
-                    edge.target not in live
+                    target not in live
                     or edge_id in used
-                    or (edge_type is not None and edge.type != edge_type)
+                    or (edge_type is not None and types[edge_id - 1] != edge_type)
                 ):
                     continue
                 used.add(edge_id)
                 edge_seq.append(edge_id)
-                node_seq.append(edge.target)
-                if len(edge_seq) >= min_len and edge.target in target_set:
+                node_seq.append(target)
+                if len(edge_seq) >= min_len and target in target_set:
                     results.append(Path(tuple(node_seq), tuple(edge_seq)))
                 if max_len is None or len(edge_seq) < max_len:
-                    stack.append(iter(out.get(edge.target, ())))
+                    stack.append(iter(out.get(target, ())))
                     break
                 node_seq.pop()
                 edge_seq.pop()
@@ -559,11 +603,11 @@ class PropertyGraph:
         included."""
         live = {t for t in target_set if t in self._nodes}
         frontier = list(live)
-        into, edges = self._incoming(), self._edges
+        into, sources, types = self._incoming(), self._sources, self._types
         while frontier:
             for edge_id in into.get(frontier.pop(), ()):
-                edge = edges[edge_id]
-                if edge.source not in live and (edge_type is None or edge.type == edge_type):
-                    live.add(edge.source)
-                    frontier.append(edge.source)
+                source = sources[edge_id - 1]
+                if source not in live and (edge_type is None or types[edge_id - 1] == edge_type):
+                    live.add(source)
+                    frontier.append(source)
         return live

@@ -32,7 +32,7 @@ import json
 import weakref
 from itertools import repeat
 from json.encoder import encode_basestring  # the C escaper
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .graph import Node, Path, PropertyGraph
 
@@ -101,8 +101,8 @@ def _texts(graph: PropertyGraph) -> tuple:
     graph = weakref.proxy(graph)
 
     def step(edge_id):
-        edge = graph.edge(edge_id)
-        return f"-[:{edge.type}]->" + nodes[edge.target]
+        _, targets, types = graph.edge_columns()
+        return f"-[:{types[edge_id - 1]}]->" + nodes[targets[edge_id - 1]]
 
     nodes = _Table(lambda node_id: render_node(graph.node(node_id)))
     steps = _Table(step)
@@ -294,7 +294,7 @@ def export_import_csv(graph: PropertyGraph):
 
     # Rows that tie on (start, end, type) are the same line, so sorting
     # without the edge id writes what sorting with it would.
-    edges = sorted(map(attrgetter("source", "target", "type"), graph.edges()))
+    edges = sorted(zip(*graph.edge_columns()))
     quoted = {edge_type: _csv_field(edge_type) for edge_type in {e[2] for e in edges}}
     relationships = "".join(
         [":START_ID,:END_ID,:TYPE\n"]
@@ -320,7 +320,7 @@ def export_dot(graph: PropertyGraph) -> str:
     for node in graph.nodes():
         label = node.properties.get("Name", node.label)
         lines.append(f'  n{node.id} [label="{_dot_escape(str(label))}"];')
-    for edge in graph.edges():
-        lines.append(f'  n{edge.source} -> n{edge.target} [label="{_dot_escape(edge.type)}"];')
+    for source, target, edge_type in zip(*graph.edge_columns()):
+        lines.append(f'  n{source} -> n{target} [label="{_dot_escape(edge_type)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -54,7 +54,7 @@ class IngestStats(Record):
 
 
 def _split_list(cell: str) -> list:
-    return [part.strip() for part in cell.split(";") if part.strip()]
+    return [part for part in map(str.strip, cell.split(";")) if part]
 
 
 def _read_rows(text: bytes, expected_header: list) -> list:
@@ -135,12 +135,14 @@ def build_knowledge_graph(cwes: list, cves: list, graph: PropertyGraph) -> Inges
     Product nodes are deduplicated per (product, version) pair across
     CVEs; Score nodes are per-CVE. A CVE whose cwe_id is not in the CWE
     list is ingested without a HAS_CVE edge and counted as an orphan.
-    The nodes and edges go to the graph as one batch, the edges listed
-    as the nodes they join are made.
+    The nodes and edges go to the graph as one batch, each edge's
+    source, target and type appended to three lists as the nodes it
+    joins are made, and handed over as a zip of the lists, so no edge
+    tuple stays alive.
     """
     first = graph.node_count + 1
     cwe_nodes = {cwe.cwe_id: node_id for node_id, cwe in enumerate(cwes, first)}
-    edges = []
+    sources, targets, types = [], [], []
     orphans = 0
 
     def nodes():
@@ -159,9 +161,13 @@ def build_knowledge_graph(cwes: list, cves: list, graph: PropertyGraph) -> Inges
             yield "CVE", {"CVE-ID": cve.cve_id, "Description": cve.description}
             yield "Score", {"CVSS2": cve.cvss2_score}
             node_id += 2
-            edges.append((cve_node, cve_node + 1, "SCORED"))
+            sources.append(cve_node)
+            targets.append(cve_node + 1)
+            types.append("SCORED")
             if cve.cwe_id in cwe_nodes:
-                edges.append((cwe_nodes[cve.cwe_id], cve_node, "HAS_CVE"))
+                sources.append(cwe_nodes[cve.cwe_id])
+                targets.append(cve_node)
+                types.append("HAS_CVE")
             else:
                 orphans += 1
             for version in cve.affected_versions:
@@ -171,7 +177,9 @@ def build_knowledge_graph(cwes: list, cves: list, graph: PropertyGraph) -> Inges
                     product = product_nodes[key] = node_id
                     yield "Product", {"Name": cve.product, "Version": version}
                     node_id += 1
-                edges.append((cve_node, product, "AFFECTS"))
+                sources.append(cve_node)
+                targets.append(product)
+                types.append("AFFECTS")
 
-    graph.add(nodes(), edges)
-    return IngestStats(graph.node_count + 1 - first, len(edges), orphans)
+    graph.add(nodes(), zip(sources, targets, types))
+    return IngestStats(graph.node_count + 1 - first, len(sources), orphans)

@@ -789,7 +789,8 @@ class TestScanCostsWhatTheProgramCalls:
     def test_an_ingest_reads_no_graph_index(self, monkeypatch, tmp_path):
         """An ingest's build and CSV export read only the graph's nodes
         and edges, so its graph builds none of its indexes; a scan's
-        witness search reads all three."""
+        witness search reads both adjacency indexes, and its call-graph
+        build, on a graph without nodes, reads no label index."""
         reads = []
         for name in ("_labels", "_outgoing", "_incoming"):
             def counted(graph, name=name, read=getattr(PropertyGraph, name)):
@@ -807,7 +808,7 @@ class TestScanCostsWhatTheProgramCalls:
         assert (tmp_path / "out" / "relationships.csv").read_text().count("\n") == 7
         assert reads == []
         assert cli("scan", str(CORPUS / "cwe242_gets.c"))[0] == 1
-        assert set(reads) == {"_labels", "_outgoing", "_incoming"}
+        assert set(reads) == {"_outgoing", "_incoming"}
 
     def test_a_query_counts_every_cwe_node(self, tmp_path):
         catalog = catalog_with_uncalled_rows(tmp_path, 900)

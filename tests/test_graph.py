@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import random
 import sys
 import threading
@@ -24,6 +26,7 @@ from pkgraph.graph import (
     UnknownNode,
     values_equal,
 )
+from pkgraph.render import export_import_csv
 from pkgraph.vulndata import CveRecord, CweRecord, IngestStats
 
 
@@ -533,8 +536,8 @@ class TestDerived:
 
 
 class TestCopy:
-    """copy() adds to a new graph that starts with the same records, and
-    leaves the sealed original as it was."""
+    """copy() adds to a new graph that starts with the same node records
+    and equal edges, and leaves the sealed original as it was."""
 
     def test_original_unchanged_and_records_shared(self):
         g = PropertyGraph()
@@ -567,7 +570,7 @@ class TestCopy:
         c = g.copy()
         assert not c.sealed
         assert all(c.node(n.id) is n for n in g.nodes())
-        assert all(c.edge(e.id) is e for e in g.edges())
+        assert [c.edge(e.id) for e in g.edges()] == list(g.edges()) == [Edge(ab, a, b, "HAS_CVE")]
         new = c.add_node("CWE", {"CWE-ID": "CWE-3"})
         y = c.add_node("Y", {})
         assert (new, y) == (lone + 1, lone + 2)
@@ -751,6 +754,191 @@ class TestIndexesBuiltOnFirstRead:
             assert answers == [expected] * 16
 
 
+class ReferenceEdges:
+    """The edge store kept the old way, as a dict of Edge records by id
+    and out- and in-lists of records per node, with the checks of add():
+    the reference the graph's edge columns are compared with. Its nodes
+    are a count, ids 1..node_count."""
+
+    def __init__(self):
+        self.node_count = 0
+        self.records = {}
+        self.out = {}
+        self.into = {}
+
+    def add(self, node_count, edges):
+        edges = list(edges)
+        known = range(1, self.node_count + node_count + 1)
+        for source, target, edge_type in edges:
+            if source not in known or target not in known:
+                raise UnknownNode(f"unknown endpoint of {source} -> {target}")
+            if not edge_type:
+                raise GraphError("edge type must be non-empty")
+        self.node_count = len(known)
+        for source, target, edge_type in edges:
+            edge = Edge(len(self.records) + 1, source, target, edge_type)
+            self.records[edge.id] = edge
+            self.out.setdefault(source, []).append(edge)
+            self.into.setdefault(target, []).append(edge)
+
+    def copy(self):
+        other = ReferenceEdges()
+        other.node_count = self.node_count
+        other.records = dict(self.records)
+        other.out = {node: list(edges) for node, edges in self.out.items()}
+        other.into = {node: list(edges) for node, edges in self.into.items()}
+        return other
+
+    def edge(self, edge_id):
+        return self.records[edge_id]
+
+    def edges(self):
+        return iter(self.records.values())
+
+    def out_edges(self, node_id):
+        return list(self.out.get(node_id, ()))
+
+    def in_edges(self, node_id):
+        return list(self.into.get(node_id, ()))
+
+    def relationships_csv(self):
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([":START_ID", ":END_ID", ":TYPE"])
+        edges = sorted(self.records.values(), key=lambda e: (e.source, e.target, e.type, e.id))
+        writer.writerows((e.source, e.target, e.type) for e in edges)
+        return out.getvalue().encode("utf-8")
+
+
+def columns(graph):
+    return [list(column) for column in graph.edge_columns()]
+
+
+def assert_same_edge_records(graph, reference):
+    """edge(), edges() and edge_count answer as the reference does, and
+    ids never issued raise KeyError."""
+    expected = list(reference.records.values())
+    assert graph.edge_count == len(expected)
+    assert list(graph.edges()) == expected
+    assert [graph.edge(edge_id) for edge_id in reference.records] == expected
+    for never_issued in (0, -1, len(expected) + 1):
+        with pytest.raises(KeyError):
+            graph.edge(never_issued)
+
+
+def assert_same_edge_reads(graph, reference):
+    """out_edges, in_edges and enumerate_paths (against the brute-force
+    oracle over the reference's records) answer as the reference does."""
+    nodes = range(1, reference.node_count + 1)
+    for node in nodes:
+        assert graph.out_edges(node) == reference.out_edges(node)
+        assert graph.in_edges(node) == reference.in_edges(node)
+    targets = set(nodes[-2:])
+    for start in nodes[:5]:
+        for edge_type in ("T", None):
+            assert graph.enumerate_paths(start, targets, edge_type, 0, 4) == brute_force_paths(
+                reference, start, targets, edge_type, 0, 4
+            )
+
+
+def batch_edges(count, raw, fault, at):
+    """raw's edges mapped onto nodes 1..count, and, for a fault, one edge
+    with an unknown source or target or an empty type put in at place at."""
+    edges = [(1 + s % count, 1 + t % count, kind) for s, t, kind in raw] if count else []
+    if fault is not None:
+        source, target = edges[0][:2] if edges else (1, 1)
+        bad = {"source": (count + 1, target, "T"), "target": (source, 0, "T"),
+               "type": (source, target, "")}[fault]
+        edges.insert(min(at, len(edges)), bad)
+    return edges
+
+
+EDGE_TYPES = st.sampled_from(["T", "T", "U", 'a,"b'])
+EDGE_BATCH = st.tuples(
+    st.integers(0, 3),  # nodes
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), EDGE_TYPES), max_size=5),
+    st.sampled_from([None, None, "source", "target", "type"]),  # what the faulty edge gets wrong
+    st.integers(0, 5),  # where in the batch it goes
+)
+
+
+class TestEdgeColumns:
+    """The graph's edge columns answer every edge read as a store of Edge
+    records does, through batches that pass and batches that fail, and
+    through copies of sealed graphs that get more batches."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("add"), EDGE_BATCH),
+        st.tuples(st.just("read"), st.none()),
+        st.tuples(st.just("copy"), EDGE_BATCH),
+    ), max_size=10))
+    def test_interleaved_batches_and_copies_match_the_reference(self, steps):
+        graph, reference = PropertyGraph(), ReferenceEdges()
+        sources = []
+        for step, arg in steps:
+            if step == "read":
+                assert_same_edge_reads(graph, reference)
+                continue
+            node_count, raw, fault, at = arg
+            edges = batch_edges(reference.node_count + node_count, raw, fault, at)
+            batch = [("A", {}) for _ in range(node_count)]
+            if step == "copy":
+                graph.seal()
+                before = columns(graph)
+                with pytest.raises(GraphSealed):
+                    graph.add(batch, edges)
+                assert columns(graph) == before
+                assert export_import_csv(graph)[1] == reference.relationships_csv()
+                sources.append((graph, reference, before))
+                graph, reference = graph.copy(), reference.copy()
+                continue
+            before = columns(graph)
+            try:
+                reference.add(node_count, edges)
+            except GraphError as exc:
+                with pytest.raises(type(exc)):
+                    graph.add(batch, iter(edges))
+                assert columns(graph) == before
+            else:
+                graph.add(batch, iter(edges))
+            assert graph.node_count == reference.node_count
+            assert_same_edge_records(graph, reference)
+        assert_same_edge_reads(graph, reference)
+        graph.seal()
+        assert export_import_csv(graph)[1] == reference.relationships_csv()
+        for source, source_reference, before in sources:
+            assert columns(source) == before
+            assert_same_edge_records(source, source_reference)
+            assert_same_edge_reads(source, source_reference)
+
+    def test_ids_never_issued_raise_key_error(self):
+        g = PropertyGraph()
+        for never_issued in (0, -1, 1):
+            with pytest.raises(KeyError):
+                g.edge(never_issued)
+        g.add([("A", {}), ("A", {})], [(1, 2, "T"), (2, 1, "U")])
+        assert g.edge(1) == Edge(1, 1, 2, "T") and g.edge(2) == Edge(2, 2, 1, "U")
+        for never_issued in (0, -1, -2, g.edge_count + 1, "1", 1.0):
+            with pytest.raises(KeyError):
+                g.edge(never_issued)
+
+    def test_a_failed_batch_leaves_every_column_as_it_was(self):
+        g = PropertyGraph()
+        g.add([("A", {}), ("A", {})], [(1, 2, "T")])
+        g.out_edges(1), g.in_edges(2)  # built, so a batch extends them
+        before = (columns(g), g._out, g._in)
+        for edges in ([(2, 1, "T"), (1, 9, "T"), (1, 1, "T")], [(2, 1, "T"), (1, 1, "")],
+                      [(2, 1, "T"), (0, 1, "T")]):
+            with pytest.raises(GraphError):
+                g.add([("A", {})], iter(edges))
+            assert (columns(g), g._out, g._in) == before
+            assert g.node_count == 2
+        g.add([], [(2, 1, "U")])
+        assert columns(g) == [[1, 2], [2, 1], ["T", "U"]]
+        assert (g._out, g._in) == ({1: [1], 2: [2]}, {2: [1], 1: [2]})
+
+
 class TestEnumeratePaths:
     def test_double_free_paths(self, double_free_graph):
         foo = double_free_graph.find_nodes("CallGraph", {"Name": "foo"})[0]
@@ -823,14 +1011,15 @@ class TestSeal:
         assert [n.id for n in g.find_nodes("X", {"a": 1})] == before
 
 
-# One instance's fields for every record class but Node and Edge, which
-# compare by identity.
+# One instance's fields for every record class but Node, which compares by
+# identity.
 _VAR = ast.Var("x")
 _NODE_PATTERN = ast.NodePattern("n", "CallGraph", (("Name", ast.Literal("gets")),))
 _PATTERN = ast.Pattern(
     "p", (_NODE_PATTERN, ast.NodePattern(None, None, ())), (ast.RelPattern("CALLS", (1, None)),)
 )
 RECORDS = [
+    (Edge, (1, 1, 2, "CALLS")),
     (Path, ((1, 2), (7,))),
     (CallSite, (3, "free", ["ptr"])),
     (FunctionDef, ("main", 1, [CallSite(2, "gets", ["b"])], {"p"})),
@@ -934,20 +1123,20 @@ class TestRecords:
         with pytest.raises(AttributeError):
             stats.extra = 1
 
-    def test_nodes_and_edges_compare_by_identity(self):
+    def test_nodes_compare_by_identity_edges_by_value(self):
         node = Node(1, "CallGraph", {"Name": "gets"})
         edge = Edge(1, 1, 2, "CALLS")
-        assert node == node and edge == edge
+        assert node == node
         assert node != Node(1, "CallGraph", {"Name": "gets"})
-        assert edge != Edge(1, 1, 2, "CALLS")
         assert len({node, Node(1, "CallGraph", {"Name": "gets"})}) == 2
+        assert edge == Edge(1, 1, 2, "CALLS") and len({edge, Edge(1, 1, 2, "CALLS")}) == 1
+        assert edge != Edge(2, 1, 2, "CALLS")
         assert repr(node) == "Node(id=1, label='CallGraph', properties={'Name': 'gets'})"
         assert repr(edge) == "Edge(id=1, source=1, target=2, type='CALLS')"
         assert Node(id=1, label="L", properties={}).label == "L"
-        assert Edge(id=1, source=1, target=2, type="CALLS").type == "CALLS"
 
     def test_every_record_class_is_covered(self):
-        assert program_records() - {FrozenRecord, Node, Edge} == {cls for cls, _ in RECORDS}
+        assert program_records() - {FrozenRecord, Node} == {cls for cls, _ in RECORDS}
 
     def test_constructors_are_generated_from_slots(self):
         for cls in program_records():
