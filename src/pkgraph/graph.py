@@ -12,9 +12,7 @@ add_node and add_edge are one-item batches. The graph issues ids, 1..N
 in the order nodes (or edges) arrive, so a producer knows each id of its
 batch before adding it and can name the batch's own nodes in its edges.
 A batch hands its property dicts over: each becomes its node's own,
-without a copy. Values derived from the graph (derived()) are dropped
-whenever a batch is added, including one a producer handed over with
-keep() along with the nodes it describes.
+without a copy.
 
 A graph holds its nodes in a dict by id, as Node records, and its
 edges as three columns, lists of the sources, targets and types, where
@@ -23,39 +21,34 @@ out_edges() and in_edges() make one for each edge they return, and an
 Edge is a value, equal to and hashed as any other with the same fields,
 so two reads of one edge give equal records. A reader of many edges, as
 the exports are, takes the columns themselves from edge_columns() and
-makes none. A batch's edges are checked
-and gathered into lists of the batch's own, and the columns are extended
-only once the whole batch has passed, so a failed batch leaves them as
-they were; a sealed graph's columns are never written.
+makes none. A batch's edges are checked and gathered into lists of the
+batch's own, and the columns are extended only once the whole batch has
+passed, so a failed batch leaves them as they were; a sealed graph's
+columns are never written.
 
-Its three indexes, the nodes of each label and the out- and in-edges of
-each node, are built on their first read: find_nodes builds the label
-index, out_edges and enumerate_paths the out-edge lists, in_edges and
-enumerate_paths the in-edge lists. Each is built in one pass over the
-node records or an edge column into a local and then published with one
-assignment, so a thread reading a sealed graph sees all of an index or
-none of it; two threads may both build one, and one of the equal results
-is kept. A batch extends the indexes already built and builds none, so a
-graph that is only built and written out, as an ingest's is, never
-builds one. Reads take each index and column into a local once per call,
-not per step of a walk. A node's adjacency lists are created by its
-first edge, so a node without edges costs no list; a missing list reads
-as no edges.
+Whatever is built from the nodes and edges to answer reads is a
+derived() value, under one rule: it is built on its first read and kept
+until the next batch, which drops every one. The graph's three indexes,
+the nodes of each label and the out- and in-edges of each node, are
+such values, so a graph that is only built and written out, as an
+ingest's is, builds none, and no batch extends one. A value is built
+whole before the one assignment that keeps it, so a thread reading a
+sealed graph sees all of it or none; two threads may both build one,
+and one of the equal results is kept.
 
 copy() starts a new, unsealed graph from a sealed one without building
 its nodes again: the copy holds the same Node records under the same
-ids, and copies of the three edge columns. It takes a copy of each index
-its source has built, and of the label index always, as the copy needs
-the source's labels (below); so a query's copy of the catalog's CWE
-graph gets the label index over its CWE nodes without a pass over them.
-Node records are shared, so no graph may change one.
+ids, copies of the three edge columns and no derived value. Node
+records are shared, so no graph may change one. A copy's label index
+starts from a copy of its source's, so a query's copy of the catalog's
+CWE graph finds the CWE nodes without a pass over them.
 
-A copy answers find_nodes with a filter, for a label it has not added
-to, from its source: the sealed source keeps, per (label, first filter
-key), a value -> nodes map that it builds on the first such lookup. So
-a query graph, a copy of the catalog's sealed CWE graph, finds a
-weakness by its id at the cost of one dict hit, and the map is built
-once per catalog, not once per query. A graph's lookups of its own
+A copy answers find_nodes with a filter, for a label whose nodes are
+all its source's, from its source: the sealed source keeps, per (label,
+first filter key), a value -> nodes map that it builds on the first such
+lookup. So a query graph, a copy of the catalog's sealed CWE graph,
+finds a weakness by its id at the cost of one dict hit, and the map is
+built once per catalog, not once per query. A graph's lookups of its own
 nodes scan that label's nodes, as no map would repay its building on a
 graph that is read a few times.
 
@@ -114,11 +107,51 @@ def values_equal(a: str | int | float | list, b: str | int | float | list) -> bo
 # under values_equal, so (kind, value) is the map's key.
 _SCALARS = frozenset((str, int, float, bool))
 
-def _copied(index: dict | None) -> dict | None:
-    """A copy of an index, with lists of its own; None for one not built."""
-    if index is None:
-        return None
-    return {key: list(ids) for key, ids in index.items()}
+
+# The three indexes, read as graph.derived(_labels) and so on.
+
+
+def _labels(graph: PropertyGraph) -> dict:
+    """label -> node ids, ascending. A copy's starts from a copy of the
+    index its sealed source keeps and adds its own nodes, ids from first
+    on. It shares the source's list of each label it has not added to,
+    as no index list changes once its index is built; a list whose last
+    id is below first is the source's, so the copy's first node of that
+    label starts a list of the copy's own."""
+    source = graph._source
+    if source is None:
+        index, first = {}, 1
+    else:
+        index = dict(source.derived(_labels))
+        first = source.node_count + 1
+    nodes = graph._nodes
+    for node_id in range(first, len(nodes) + 1):
+        label = nodes[node_id].label
+        ids = index.get(label)
+        if ids and ids[-1] >= first:
+            ids.append(node_id)
+        else:
+            index[label] = [*(ids or ()), node_id]
+    return index
+
+
+def _outgoing(graph: PropertyGraph) -> dict:
+    """node id -> ids of the edges it is the source of, ascending; a
+    node without out-edges has no entry."""
+    index = {}
+    for edge_id, source in enumerate(graph._sources, 1):
+        index.setdefault(source, []).append(edge_id)
+    return index
+
+
+def _incoming(graph: PropertyGraph) -> dict:
+    """node id -> ids of the edges it is the target of, ascending; a
+    node without in-edges has no entry."""
+    index = {}
+    for edge_id, target in enumerate(graph._targets, 1):
+        index.setdefault(target, []).append(edge_id)
+    return index
+
 
 
 class Record:
@@ -215,17 +248,15 @@ class PropertyGraph:
     each node's id as its place in that order and relies on this. All
     query results use deterministic orderings (ascending node id,
     lexicographic edge-id sequences) so downstream golden files are
-    byte-stable. Ids are issued in increasing order, an index is built
-    in id order and a batch only appends to it, so every index is
-    already in ascending id order and reads need not sort.
+    byte-stable. Ids are issued in increasing order and every index is
+    built in id order, so reads need not sort.
 
     _nodes maps node id -> Node, records a copy() shares with its
     source. The edges are three columns, _sources, _targets and _types,
     edge k's at position k - 1; no Edge record is kept, each read that
-    returns edges makes them, and an Edge compares by value. _by_label
-    (label -> node ids), _out and _in (node id -> edge ids) are None
-    until their first read builds them (_labels, _outgoing, _incoming);
-    see the module docstring.
+    returns edges makes them, and an Edge compares by value. _derived
+    holds the derived() values, the indexes among them; see the module
+    docstring.
     """
 
     def __init__(self) -> None:
@@ -233,13 +264,9 @@ class PropertyGraph:
         self._sources: list = []
         self._targets: list = []
         self._types: list = []
-        self._by_label: dict | None = None
-        self._out: dict | None = None
-        self._in: dict | None = None
         self._sealed = False
         self._derived: dict = {}
         self._source = None  # the sealed graph this one is a copy of
-        self._shared: set = set()  # labels whose nodes are all the source's
         self._maps: dict = {}  # (label, key) -> value -> nodes, on a source
 
     # -- mutation ----------------------------------------------------------
@@ -260,9 +287,8 @@ class PropertyGraph:
         The batch is checked as a whole before anything is added: a sealed
         graph raises GraphSealed, an empty label InvalidLabel, an endpoint
         that is neither in the graph nor in the batch UnknownNode, and an
-        empty edge type GraphError; the graph is then as it was. Adding
-        drops every derived value, and extends only the indexes already
-        built.
+        empty edge type GraphError; the graph, its derived values too, is
+        then as it was. A batch that passes drops every derived value.
         """
         if self._sealed:
             raise GraphSealed("graph is sealed")
@@ -273,7 +299,10 @@ class PropertyGraph:
         # The nodes go in as they arrive, so the edges can be checked
         # against the graph alone; a batch that fails takes them out. The
         # edges go to lists of the batch's own, so the columns are not
-        # touched until the whole batch has passed.
+        # touched until the whole batch has passed. A read from inside
+        # the batch's iterables sees part of it, so what it builds is
+        # kept apart and dropped either way.
+        derived, self._derived = self._derived, {}
         try:
             for label, properties in nodes:
                 graph_nodes[node_id] = Node(node_id, label, properties)
@@ -294,24 +323,12 @@ class PropertyGraph:
         except BaseException:
             for added in range(first, node_id):
                 del graph_nodes[added]
+            self._derived = derived
             raise
-        self._derived.clear()
-        self._shared.difference_update(labels)
-        by_label = self._by_label
-        if by_label is not None:
-            for added in range(first, node_id):
-                by_label.setdefault(graph_nodes[added].label, []).append(added)
-        first = len(self._sources) + 1
+        self._derived = {}
         self._sources += sources
         self._targets += targets
         self._types += types
-        out, into = self._out, self._in
-        if out is not None:
-            for edge_id, source in enumerate(sources, first):
-                out.setdefault(source, []).append(edge_id)
-        if into is not None:
-            for edge_id, target in enumerate(targets, first):
-                into.setdefault(target, []).append(edge_id)
 
     def add_node(self, label: str, properties: dict | None = None) -> int:
         """Add one node, with a copy of properties; its id."""
@@ -334,85 +351,35 @@ class PropertyGraph:
     def copy(self) -> PropertyGraph:
         """An unsealed graph with this sealed graph's nodes and edges, to
         add more to: the same Node records under the same ids, copies of
-        the edge columns, and new ids issued after this graph's. The
-        records are shared, so neither graph may change one; the columns
-        and indexes are the copy's own, so adding to the copy leaves this
-        graph as it was. The copy starts with a copy of each index this
-        graph has built and of its label index, which this builds first if
-        it has not; the others the copy builds on its first read. Derived
-        values are not copied. The copy asks this graph for its filtered
-        lookups of each label it has not added to (see find_nodes), which
-        is right only because this graph cannot change: an unsealed graph
-        raises GraphError."""
+        the edge columns, no derived value, and new ids issued after this
+        graph's. The records are shared, so neither graph may change one;
+        the columns are the copy's own, so adding to the copy leaves this
+        graph as it was. The copy asks this graph for its label index and
+        its filtered lookups (see find_nodes), which is right only because
+        this graph cannot change: an unsealed graph raises GraphError."""
         if not self._sealed:
             raise GraphError("only a sealed graph can be copied")
-        by_label = self._labels()
         other = PropertyGraph()
         other._source = self
-        other._shared = set(by_label)
         other._nodes = dict(self._nodes)
         other._sources = self._sources.copy()
         other._targets = self._targets.copy()
         other._types = self._types.copy()
-        other._by_label = _copied(by_label)
-        other._out = _copied(self._out)
-        other._in = _copied(self._in)
         return other
 
     def derived(self, build):
-        """build(self), kept with the graph once it is sealed, so it is
-        built once and goes away with the graph. An unsealed graph can
-        still change, so there each call builds afresh, unless a producer
-        handed the value over with keep()."""
+        """build(self), built on the first call and kept until the next
+        batch, sealed or not; a producer may hand it over with keep()."""
         value = self._derived.get(build)
         if value is None:
-            value = build(self)
-            if self._sealed:
-                self._derived[build] = value
+            value = self._derived[build] = build(self)
         return value
 
     def keep(self, build, value) -> None:
-        """Keep value as what derived(build) returns, sealed or not, until
-        the graph next changes: for a producer that built it along with
-        the nodes and edges it describes."""
+        """Keep value as what derived(build) returns until the next batch:
+        for a producer that built it along with the nodes and edges it
+        describes."""
         self._derived[build] = value
-
-    # -- indexes -----------------------------------------------------------
-
-    # Each builds its index whole in a local before the one assignment
-    # that publishes it.
-
-    def _labels(self) -> dict:
-        """label -> node ids, built on the first call."""
-        index = self._by_label
-        if index is None:
-            index = {}
-            for node in self._nodes.values():
-                index.setdefault(node.label, []).append(node.id)
-            self._by_label = index
-        return index
-
-    def _outgoing(self) -> dict:
-        """node id -> ids of the edges it is the source of, built on the
-        first call."""
-        index = self._out
-        if index is None:
-            index = {}
-            for edge_id, source in enumerate(self._sources, 1):
-                index.setdefault(source, []).append(edge_id)
-            self._out = index
-        return index
-
-    def _incoming(self) -> dict:
-        """node id -> ids of the edges it is the target of, built on the
-        first call."""
-        index = self._in
-        if index is None:
-            index = {}
-            for edge_id, target in enumerate(self._targets, 1):
-                index.setdefault(target, []).append(edge_id)
-            self._in = index
-        return index
 
     # -- lookup ------------------------------------------------------------
 
@@ -459,11 +426,11 @@ class PropertyGraph:
 
     def out_edges(self, node_id: int) -> list:
         self.node(node_id)
-        return self._made(self._outgoing().get(node_id, ()))
+        return self._made(self.derived(_outgoing).get(node_id, ()))
 
     def in_edges(self, node_id: int) -> list:
         self.node(node_id)
-        return self._made(self._incoming().get(node_id, ()))
+        return self._made(self.derived(_incoming).get(node_id, ()))
 
     def find_nodes(self, label: str, filters: dict | None = None) -> list:
         """All nodes with the given label whose properties satisfy every
@@ -471,19 +438,21 @@ class PropertyGraph:
         order; an unknown label yields an empty list. Each filter entry
         narrows the list left by the ones before it.
 
-        The first entry picks the candidates. On a copy, for a label the
-        copy has not added to, the sealed source answers it from its
-        (label, key) map, when the value is a text, int, float or bool;
-        the source holds the same records under the same ids. Otherwise,
-        and always for a graph's own lookups, the candidates are a scan of
-        the label's nodes."""
+        The first entry picks the candidates. On a copy, for a label whose
+        last id is at most the source's node_count, so whose nodes are all
+        the source's, the sealed source answers it from its (label, key)
+        map, when the value is a text, int, float or bool; the source holds
+        the same records under the same ids. Otherwise, and always for a
+        graph's own lookups, the candidates are a scan of the label's
+        nodes."""
         entries = list(filters.items()) if filters else []
+        ids = self.derived(_labels).get(label, ())
         found = None
-        if entries and label in self._shared:
+        if entries and ids and self._source is not None and ids[-1] <= self._source.node_count:
             found = self._source._map_lookup(label, *entries[0])
         if found is None:
             nodes = self._nodes
-            found = [nodes[node_id] for node_id in self._labels().get(label, ())]
+            found = [nodes[node_id] for node_id in ids]
         else:
             del entries[0]
         for key, value in entries:
@@ -517,7 +486,7 @@ class PropertyGraph:
         but no lookup reads it."""
         by_value = {}
         nodes = self._nodes
-        for node_id in self._labels().get(label, ()):
+        for node_id in self.derived(_labels).get(label, ()):
             node = nodes[node_id]
             value = node.properties.get(key)
             kind = type(value)
@@ -569,7 +538,7 @@ class PropertyGraph:
         used = set()
         # One iterator per node on the current path, over its out-edges in
         # ascending id order; the top one resumes where its child returned.
-        out, targets, types = self._outgoing(), self._targets, self._types
+        out, targets, types = self.derived(_outgoing), self._targets, self._types
         stack = [iter(out.get(start, ()))] if max_len is None or max_len > 0 else []
         while stack:
             for edge_id in stack[-1]:
@@ -603,7 +572,7 @@ class PropertyGraph:
         included."""
         live = {t for t in target_set if t in self._nodes}
         frontier = list(live)
-        into, sources, types = self._incoming(), self._sources, self._types
+        into, sources, types = self.derived(_incoming), self._sources, self._types
         while frontier:
             for edge_id in into.get(frontier.pop(), ()):
                 source = sources[edge_id - 1]

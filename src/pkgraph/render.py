@@ -114,10 +114,17 @@ def _texts(graph: PropertyGraph) -> tuple:
     )
 
 
+def _texts_of(graph: PropertyGraph) -> tuple:
+    """graph's text table, kept with the graph only once it is sealed: a
+    node of an unsealed graph may still have its properties changed in
+    place, which no batch marks, so a kept text could go stale."""
+    return graph.derived(_texts) if graph.sealed else _texts(graph)
+
+
 def render_path(graph: PropertyGraph, path: Path) -> str:
     """The head node's text followed by one `-[:TYPE]->(node)` step per
     edge."""
-    nodes, steps, _, _ = graph.derived(_texts)
+    nodes, steps, _, _ = _texts_of(graph)
     return "".join([nodes[path.nodes[0]], *map(steps.__getitem__, path.edges)])
 
 
@@ -127,7 +134,7 @@ def render_value(value, graph: PropertyGraph) -> str:
     if value is None:
         return "null"
     if isinstance(value, Node):
-        return graph.derived(_texts)[0][value.id]
+        return _texts_of(graph)[0][value.id]
     if isinstance(value, Path):
         return render_path(graph, value)
     if isinstance(value, list):
@@ -175,7 +182,7 @@ def _write_json(value, newline: str, out: list, graph: PropertyGraph) -> None:
     elif isinstance(value, list) and value:
         inner = newline + "  "
         if isinstance(value[0], Path):
-            _, _, nodes, steps = graph.derived(_texts)
+            _, _, nodes, steps = _texts_of(graph)
             opening, separator = "[" + inner + '"', "," + inner + '"'
             for path in value:
                 out += (opening, nodes[path.nodes[0]], *map(steps.__getitem__, path.edges), '"')

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import catalog_entry, merged_graph_of
 from test_cparse import c_texts
+from test_graph import counted_indexes
 import pkgraph
 import pkgraph.cypher.parser
 from pkgraph.cli import _fs_path, _merged_graph, run_cli
 from pkgraph.cypher.eval import execute_query, format_result_table
 from pkgraph.cypher.parser import parse_query
 from pkgraph.detectors import Catalog, generate_detection_query
-from pkgraph.graph import PropertyGraph
 from pkgraph.vulndata import parse_cwe_csv
 
 DATA = resources.files("pkgraph") / "data"
@@ -789,15 +789,10 @@ class TestScanCostsWhatTheProgramCalls:
     def test_an_ingest_reads_no_graph_index(self, monkeypatch, tmp_path):
         """An ingest's build and CSV export read only the graph's nodes
         and edges, so its graph builds none of its indexes; a scan's
-        witness search reads both adjacency indexes, and its call-graph
-        build, on a graph without nodes, reads no label index."""
-        reads = []
-        for name in ("_labels", "_outgoing", "_incoming"):
-            def counted(graph, name=name, read=getattr(PropertyGraph, name)):
-                reads.append(name)
-                return read(graph)
-
-            monkeypatch.setattr(PropertyGraph, name, counted)
+        witness search builds each adjacency index once, and its
+        call-graph build, on a graph without nodes, builds no label
+        index."""
+        built = counted_indexes(monkeypatch)
         cve = tmp_path / "cve.csv"
         cve.write_text(
             ",".join(pkgraph.vulndata.CVE_COLUMNS)
@@ -806,9 +801,9 @@ class TestScanCostsWhatTheProgramCalls:
         argv = ["ingest", "--cwe", str(DATA / "cwe-catalog.csv"), "--cve", str(cve)]
         assert cli(*argv, "--out", str(tmp_path / "out"))[0] == 0
         assert (tmp_path / "out" / "relationships.csv").read_text().count("\n") == 7
-        assert reads == []
+        assert built == []
         assert cli("scan", str(CORPUS / "cwe242_gets.c"))[0] == 1
-        assert set(reads) == {"_outgoing", "_incoming"}
+        assert sorted(name for name, _ in built) == ["_incoming", "_outgoing"]
 
     def test_a_query_counts_every_cwe_node(self, tmp_path):
         catalog = catalog_with_uncalled_rows(tmp_path, 900)

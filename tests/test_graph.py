@@ -8,6 +8,7 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pkgraph.graph
 from pkgraph.cparse import CallSite, FunctionDef, TranslationUnit, _CallGraphIndex
 from pkgraph.cypher import ast
 from pkgraph.cypher.eval import ResultTable
@@ -406,6 +407,18 @@ def labels(graph):
     return [node.label for node in graph.nodes()]
 
 
+def counted_indexes(monkeypatch):
+    """(name, graph) for each index the graphs build from now on."""
+    built = []
+    for name in ("_labels", "_outgoing", "_incoming"):
+        def counted(graph, name=name, build=getattr(pkgraph.graph, name)):
+            built.append((name, graph))
+            return build(graph)
+
+        monkeypatch.setattr(pkgraph.graph, name, counted)
+    return built
+
+
 class TestAdd:
     """add() takes a batch of nodes and edges; add_node and add_edge are
     one-item batches."""
@@ -489,6 +502,46 @@ class TestAdd:
             g.add(nodes(), [(1, 2, "T")])
         assert graph_state(g) == before
 
+    @pytest.mark.parametrize("read_before", [False, True], ids=["none built", "all built"])
+    @pytest.mark.parametrize("last", ["A", ""], ids=["batch passes", "batch fails"])
+    def test_reads_from_inside_a_batch_leave_nothing_behind(self, last, read_before):
+        """A node iterable may read the graph it is added to. What those
+        reads build sees part of the batch, so it is dropped whether the
+        batch passes or fails, and the graph then answers as one built
+        without them."""
+
+        def answers(graph):
+            return (
+                [n.id for n in graph.find_nodes("A")],
+                [[e.id for e in graph.out_edges(n)] for n in range(1, graph.node_count + 1)],
+                [p.edges for p in graph.enumerate_paths(1, {graph.node_count})],
+            )
+
+        def start():
+            graph = PropertyGraph()
+            graph.add([("A", {}), ("B", {})], [(1, 2, "T")])
+            return graph
+
+        g = start()
+        if read_before:
+            answers(g)
+
+        def nodes():
+            yield "A", {}
+            answers(g)
+            yield last, {}
+
+        batch = [(2, 3, "T"), (3, 4, "T")]
+        if last:
+            g.add(nodes(), batch)
+            expected = PropertyGraph()
+            expected.add([("A", {}), ("B", {}), ("A", {}), ("A", {})], [(1, 2, "T"), *batch])
+        else:
+            with pytest.raises(InvalidLabel):
+                g.add(nodes(), batch)
+            expected = start()
+        assert answers(g) == answers(expected)
+
     @settings(max_examples=200, deadline=None)
     @given(
         start=st.integers(0, 3),
@@ -533,6 +586,37 @@ class TestDerived:
             else:
                 g.add([("B", {})])
                 assert g.derived(labels) == ["A", "B"]
+
+    def test_an_unsealed_graph_builds_once_between_batches(self):
+        """A value is built on its first read and kept until a batch
+        passes, sealed or not; a batch that fails drops nothing, a value
+        handed over with keep() included."""
+        built = []
+
+        def counted(graph):
+            built.append(graph.node_count)
+            return labels(graph)
+
+        g = PropertyGraph()
+        g.add_node("A", {})
+        for _ in range(3):
+            assert g.derived(counted) == ["A"]
+        assert built == [1]
+        g.add([("B", {})])
+        for _ in range(2):
+            assert g.derived(counted) == ["A", "B"]
+        assert built == [1, 2]
+        with pytest.raises(InvalidLabel):
+            g.add([("C", {}), ("", {})])
+        assert g.derived(counted) == ["A", "B"]
+        assert built == [1, 2]
+        g.keep(counted, ["handed"])
+        with pytest.raises(UnknownNode):
+            g.add([("C", {})], [(1, 9, "T")])
+        assert g.derived(counted) == ["handed"]
+        g.add([])
+        assert g.derived(counted) == ["A", "B"]
+        assert built == [1, 2, 2]
 
 
 class TestCopy:
@@ -656,10 +740,10 @@ BATCH = st.tuples(
 
 class TestIndexesBuiltOnFirstRead:
     """The label and adjacency indexes are built on their first read and
-    extended by the batches after it; a copy takes the ones its source
-    built. Whatever reads come between batches, the graph answers as a
-    graph built whole from the same batches, and a copied source as it
-    did when it was copied."""
+    dropped by the next batch; a copy starts with none. Whatever reads
+    come between batches, the graph answers as a graph built whole from
+    the same batches, and a copied source as it did when it was
+    copied."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(
@@ -696,20 +780,41 @@ class TestIndexesBuiltOnFirstRead:
         for source, answers in sources:
             assert every_read(source) == answers
 
-    def test_a_batch_extends_only_the_indexes_built(self):
+    def test_a_batch_drops_every_index(self, monkeypatch):
+        """A batch builds no index and drops those built; the next read
+        builds one once. A copy builds its own, its label index from the
+        one its sealed source keeps."""
+        built = counted_indexes(monkeypatch)
         g = PropertyGraph()
         g.add([("A", {}), ("B", {})], [(1, 2, "T")])
-        assert (g._by_label, g._out, g._in) == (None, None, None)
-        assert [n.id for n in g.find_nodes("A")] == [1]
+        assert built == []
+        for _ in range(2):
+            assert [n.id for n in g.find_nodes("A")] == [1]
+        assert built == [("_labels", g)]
         g.add([("A", {})], [(3, 1, "T")])
-        assert (g._by_label, g._out, g._in) == ({"A": [1, 3], "B": [2]}, None, None)
-        assert [e.id for e in g.out_edges(3)] == [2]
+        for _ in range(2):
+            assert [n.id for n in g.find_nodes("A")] == [1, 3]
+            assert [e.id for e in g.out_edges(3)] == [2]
+        assert built[1:] == [("_labels", g), ("_outgoing", g)]
         g.add([], [(3, 2, "T")])
-        assert (g._out, g._in) == ({1: [1], 3: [2, 3]}, None)
+        for _ in range(2):
+            assert [e.id for e in g.out_edges(3)] == [2, 3]
+            assert [e.id for e in g.in_edges(2)] == [1, 3]
+        assert built[3:] == [("_outgoing", g), ("_incoming", g)]
         g.seal()
+        assert [n.id for n in g.find_nodes("A")] == [1, 3]
+        del built[:]
         c = g.copy()
-        assert (c._by_label, c._out, c._in) == ({"A": [1, 3], "B": [2]}, {1: [1], 3: [2, 3]}, None)
-        assert c._out[3] is not g._out[3]
+        assert built == []
+        c.add([("A", {})], [(4, 3, "T")])
+        for _ in range(2):
+            assert [e.id for e in c.out_edges(3)] == [2, 3]
+            assert [e.id for e in c.in_edges(3)] == [4]
+            assert [n.id for n in c.find_nodes("A")] == [1, 3, 4]
+        assert built == [("_outgoing", c), ("_incoming", c), ("_labels", c)]
+        assert [e.id for e in g.in_edges(3)] == []
+        assert [n.id for n in g.find_nodes("A")] == [1, 3]
+        assert built[3:] == []
 
     def test_first_reads_from_many_threads(self):
         """8 threads making the first reads of one sealed graph, each kind
@@ -923,20 +1028,31 @@ class TestEdgeColumns:
             with pytest.raises(KeyError):
                 g.edge(never_issued)
 
-    def test_a_failed_batch_leaves_every_column_as_it_was(self):
+    def test_a_failed_batch_leaves_every_column_as_it_was(self, monkeypatch):
+        """A failed batch leaves the columns as they were, and the derived
+        values too, so the indexes built before it are read, not built
+        again; a batch that passes drops them."""
+        built = counted_indexes(monkeypatch)
         g = PropertyGraph()
         g.add([("A", {}), ("A", {})], [(1, 2, "T")])
-        g.out_edges(1), g.in_edges(2)  # built, so a batch extends them
-        before = (columns(g), g._out, g._in)
+
+        def adjacency():
+            return [([e.id for e in g.out_edges(n)], [e.id for e in g.in_edges(n)]) for n in (1, 2)]
+
+        assert adjacency() == [([1], []), ([], [1])]
+        before = (columns(g), dict(g._derived))
         for edges in ([(2, 1, "T"), (1, 9, "T"), (1, 1, "T")], [(2, 1, "T"), (1, 1, "")],
                       [(2, 1, "T"), (0, 1, "T")]):
             with pytest.raises(GraphError):
                 g.add([("A", {})], iter(edges))
-            assert (columns(g), g._out, g._in) == before
+            assert (columns(g), dict(g._derived)) == before
+            assert adjacency() == [([1], []), ([], [1])]
             assert g.node_count == 2
+        assert built == [("_outgoing", g), ("_incoming", g)]
         g.add([], [(2, 1, "U")])
         assert columns(g) == [[1, 2], [2, 1], ["T", "U"]]
-        assert (g._out, g._in) == ({1: [1], 2: [2]}, {2: [1], 1: [2]})
+        assert adjacency() == [([1], [2]), ([2], [1])]
+        assert built[2:] == [("_outgoing", g), ("_incoming", g)]
 
 
 class TestEnumeratePaths:
