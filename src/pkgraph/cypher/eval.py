@@ -291,21 +291,23 @@ class _Evaluator:
 
     def _extend(self, rel, np, node: Node, bound: dict, used: set):
         """Each (end, hop) by which a match at node goes on over rel to a
-        node matching np. A single hop's hop is its out-edge; a `*` hop's
-        is the Path that enumerate_paths returned, which already ends only
-        at np's candidates. No edge is used twice in the pattern. An end
+        node matching np. A single hop's hop is its out-edge, made only
+        once the edge and its end have matched; a `*` hop's is the Path
+        that enumerate_paths returned, which already ends only at np's
+        candidates. No edge is used twice in the pattern. An end
         variable bound to null matches nothing."""
         pinned = np.var in bound
         if pinned and _bound_node(np, bound) is None:
             return
         if rel.var_length is None:
-            for edge in self.graph.out_edges(node.id):
-                if (rel.type is None or edge.type == rel.type) and edge.id not in used:
-                    end = self.graph.node(edge.target)
+            _, targets, types = self.graph.edge_columns()
+            for edge_id in self.graph.out_edge_ids(node.id):
+                if (rel.type is None or types[edge_id - 1] == rel.type) and edge_id not in used:
+                    end = self.graph.node(targets[edge_id - 1])
                     if (not pinned or bound[np.var] is end) and self._node_matches(
                         np, end, bound
                     ):
-                        yield end, edge
+                        yield end, self.graph.edge(edge_id)
         else:
             ends = {n.id: n for n in self._candidates(np, bound)}
             for path in self.graph.enumerate_paths(node.id, ends, rel.type, *rel.var_length):

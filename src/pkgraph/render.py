@@ -13,7 +13,14 @@ float (written by repr), `key:string[]` for a string list (joined with
 A key whose values are of several kinds gets one column per kind, and
 a node's cell is empty in the columns of the kinds its value is not.
 A None value adds a plain `key` column and gives an empty cell in it.
-Relationship rows are ordered by (start, end, type, edge id).
+Relationship rows are ordered by (start, end, type, edge id). Every
+cell, header names, labels and relationship types too, is quoted by one
+rule: when it holds a comma, a double quote, a newline or a carriage
+return, it is written between double quotes with each quote inside
+doubled, and otherwise as it is. Lines end in "\\n". The writer is the
+module's own, not csv.writer, whose rule for a lone carriage return
+differs between Python versions, so the bytes are the same on every
+Python the package supports.
 
 Each graph has one text table: node texts, call-step texts (`-[:TYPE]->`
 plus the target node's text), and both again JSON-escaped. An entry is
@@ -26,8 +33,6 @@ its escaped pieces between quotes, so no path is escaped as a whole.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import weakref
 from itertools import repeat
@@ -247,11 +252,32 @@ def _column_for(key: str, value) -> str:
     return key
 
 
-def _csv_field(text: str) -> str:
-    """text as csv.writer writes it as a field, quoted when it must be."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow([text])
-    return out.getvalue()[:-1]
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\n" in text or "\r" in text
+
+
+def _csv_cell(text: str) -> str:
+    """text as one CSV cell: quoted when it holds a comma, a quote, a
+    newline or a carriage return, with each quote inside doubled."""
+    return '"' + text.replace('"', '""') + '"' if _needs_quotes(text) else text
+
+
+def _column_cells(values: list, sample) -> list:
+    """The cells of values, one key's values over the nodes of one shape,
+    sample among them: text as is, a string list joined with ';', a float
+    by repr, None as an empty cell, anything else by str. One search
+    over the joined cells tells whether any of them needs quoting."""
+    if isinstance(sample, str):
+        cells = values
+    elif isinstance(sample, list):
+        cells = list(map(";".join, values))
+    elif isinstance(sample, float):
+        cells = list(map(repr, values))
+    elif sample is None:
+        return [""] * len(values)
+    else:
+        cells = list(map(str, values))
+    return list(map(_csv_cell, cells)) if _needs_quotes("".join(cells)) else cells
 
 
 def export_import_csv(graph: PropertyGraph):
@@ -262,8 +288,8 @@ def export_import_csv(graph: PropertyGraph):
     import -> export is byte-stable. Property columns are the union of
     (key, kind) pairs seen, sorted by name. Nodes are grouped by shape
     (label, property keys and value types, in order): each shape's
-    column slots are worked out once, and its values are pulled one key
-    at a time, so no Python code runs per (node, column) pair.
+    column slots are worked out once, and its cells are rendered one
+    key at a time, so no Python code runs per (node, column) pair.
     Relationship rows are sorted by (start, end, type, edge id).
     """
     if not graph.sealed:
@@ -280,34 +306,33 @@ def export_import_csv(graph: PropertyGraph):
     })
     slot = {column: i for i, (_, column) in enumerate(columns)}
 
-    rows = [None] * graph.node_count
+    # lines[k] is node k's line, after the header at 0; the empty last
+    # line ends the file with a newline.
+    lines = [None] * (graph.node_count + 2)
+    lines[0] = ",".join(map(_csv_cell, ["id:ID", ":LABEL", *(column for _, column in columns)]))
+    lines[-1] = ""
     blank = repeat("")
     for group in shapes.values():
         props = [node.properties for node in group]
         cells = [blank] * len(columns)
         for key, value in props[0].items():
-            values = map(itemgetter(key), props)
-            # csv.writer writes str as is, a float by repr, None as an
-            # empty cell and anything else by str; a list is joined here.
-            cells[slot[_column_for(key, value)]] = (
-                map(";".join, values) if isinstance(value, list) else values
+            cells[slot[_column_for(key, value)]] = _column_cells(
+                list(map(itemgetter(key), props)), value
             )
-        for row in zip([node.id for node in group], repeat(group[0].label), *cells):
-            rows[row[0] - 1] = row
-    nodes_out = io.StringIO()
-    writer = csv.writer(nodes_out, lineterminator="\n")
-    writer.writerow(["id:ID", ":LABEL"] + [column for _, column in columns])
-    writer.writerows(rows)
+        ids = [node.id for node in group]
+        label = repeat(_csv_cell(group[0].label))
+        for node_id, line in zip(ids, map(",".join, zip(map(str, ids), label, *cells))):
+            lines[node_id] = line
 
     # Rows that tie on (start, end, type) are the same line, so sorting
     # without the edge id writes what sorting with it would.
     edges = sorted(zip(*graph.edge_columns()))
-    quoted = {edge_type: _csv_field(edge_type) for edge_type in {e[2] for e in edges}}
+    quoted = {edge_type: _csv_cell(edge_type) for edge_type in {e[2] for e in edges}}
     relationships = "".join(
         [":START_ID,:END_ID,:TYPE\n"]
         + [f"{source},{target},{quoted[edge_type]}\n" for source, target, edge_type in edges]
     )
-    return nodes_out.getvalue().encode("utf-8"), relationships.encode("utf-8")
+    return "\n".join(lines).encode("utf-8"), relationships.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

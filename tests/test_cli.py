@@ -242,6 +242,31 @@ class TestIngestAndExport:
         rels = (out_dir / "relationships.csv").read_text().splitlines()
         assert len(rels) == 5  # header + 4 edges
 
+    def test_ingest_quotes_a_carriage_return(self, tmp_path):
+        """A cell holding a lone carriage return is quoted, so nodes.csv
+        reads back, and its bytes are the same on every Python."""
+        cwe = tmp_path / "cwe.csv"
+        cwe.write_bytes(b'cwe_id,name,description,function_events\nCWE-242,Bad,"one\rtwo",gets\n')
+        cve = tmp_path / "cve.csv"
+        cve.write_bytes(
+            b"cve_id,description,cwe_id,cvss2_score,product,affected_versions\n"
+            b'CVE-2020-0001,"d\rx",CWE-242,7.5,Lib,1.0;1.1\n'
+        )
+        out_dir = tmp_path / "out"
+        code, _, _ = cli("ingest", "--cwe", str(cwe), "--cve", str(cve), "--out", str(out_dir))
+        assert code == 0
+        assert (out_dir / "nodes.csv").read_bytes() == (
+            b"id:ID,:LABEL,CVE-ID,CVSS2:float,CWE-ID,Description,Function Events:string[],Name,Version\n"
+            b'1,CWE,,,CWE-242,"one\rtwo",gets,Bad,\n'
+            b'2,CVE,CVE-2020-0001,,,"d\rx",,,\n'
+            b"3,Score,,7.5,,,,,\n"
+            b"4,Product,,,,,,Lib,1.0\n"
+            b"5,Product,,,,,,Lib,1.1\n"
+        )
+        assert (out_dir / "relationships.csv").read_bytes() == (
+            b":START_ID,:END_ID,:TYPE\n1,2,HAS_CVE\n2,3,SCORED\n2,4,AFFECTS\n2,5,AFFECTS\n"
+        )
+
     def test_export_writes_three_files(self, tmp_path, double_free_file):
         out_dir = tmp_path / "exported"
         code, _, _ = cli("export", double_free_file, "--out", str(out_dir))
