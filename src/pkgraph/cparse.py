@@ -468,6 +468,8 @@ class _CallGraphIndex(Record):
         "roots",  # entries without an incoming CALLS edge, `main` first
         "by_name",  # call-site Name -> call-site ids, ascending
         "pointer_locals",  # per entry, the names its function declares as pointers
+        "entry_of",  # function name -> entry id, of every function
+        "all_by_name",  # by_name over the call sites of every function
     )
 
 
@@ -483,7 +485,7 @@ def call_graph_index(graph: PropertyGraph) -> _CallGraphIndex:
             "CallGraph nodes not indexed by build_call_graph: build the call graph"
             " with build_call_graph and add nothing to the graph after it"
         )
-    return _CallGraphIndex((), (), {}, ())
+    return _CallGraphIndex((), (), {}, (), {}, {})
 
 
 def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
@@ -501,9 +503,10 @@ def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
     functions, not the edges: the roots are the entries no call site
     calls, and a function is kept, with its entry, call sites and pointer
     locals, when a root reaches it, so a recursive group that no root
-    reaches stays unclassified. A graph that already held CallGraph nodes
-    keeps nothing, since the index would not cover them, and a later
-    change to the graph drops what it kept.
+    reaches stays unclassified; entry_of and all_by_name still list every
+    function's entry and call sites. A graph that already held CallGraph
+    nodes keeps nothing, since the index would not cover them, and a
+    later change to the graph drops what it kept.
 
     Returns a map from function name to entry node id.
     """
@@ -559,9 +562,9 @@ def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
     return entries
 
 
-def _classify(functions: list, entry_ids: list, callees: dict, by_name: dict) -> _CallGraphIndex:
+def _classify(functions: list, entry_ids: list, callees: dict, all_by_name: dict) -> _CallGraphIndex:
     """The _CallGraphIndex of one unit's nodes: the functions a root
-    reaches, their pointer locals, and of by_name the call sites in
+    reaches, their pointer locals, and of all_by_name the call sites in
     them."""
     has_caller = set().union(*callees.values())
     roots = [entry for entry in entry_ids if entry not in has_caller]
@@ -573,16 +576,18 @@ def _classify(functions: list, entry_ids: list, callees: dict, by_name: dict) ->
                 kept.add(callee)
                 stack.append(callee)
     pointer_locals = [fn.pointer_locals for fn in functions]
-    entries = entry_ids
+    entries, by_name = entry_ids, all_by_name
     if len(kept) < len(entry_ids):
         pointer_locals = [names for entry, names in zip(entry_ids, pointer_locals) if entry in kept]
         entries = [entry for entry in entry_ids if entry in kept]
         by_name = {  # a site belongs to the last entry before it
             name: kept_sites
-            for name, sites in by_name.items()
+            for name, sites in all_by_name.items()
             if (kept_sites := [s for s in sites if entry_ids[bisect_right(entry_ids, s) - 1] in kept])
         }
-    if len(roots) > 1:
-        is_main = dict(zip(entry_ids, [fn.name == "main" for fn in functions]))
-        roots.sort(key=lambda entry: not is_main[entry])
-    return _CallGraphIndex(tuple(entries), tuple(roots), by_name, tuple(pointer_locals))
+    entry_of = dict(zip([fn.name for fn in functions], entry_ids))
+    main = entry_of.get("main")
+    roots.sort(key=lambda entry: entry != main)
+    return _CallGraphIndex(
+        tuple(entries), tuple(roots), by_name, tuple(pointer_locals), entry_of, all_by_name
+    )

@@ -89,28 +89,18 @@ def _bound_node(np, bound: dict):
     return node
 
 
-def _edge_ids(hop) -> tuple:
-    """The ids of the edges a hop adds to a match: an out-edge's own id,
-    a `*` hop's Path's edges, none for the start node (hop None)."""
-    if hop is None:
-        return ()
-    if isinstance(hop, Path):
-        return hop.edges
-    return (hop.id,)
-
-
 def _walk(trail: list, end: Node, hop) -> Path:
     """The path of a finished match: the nodes and hops of trail, then hop
-    into end. A match made of one `*` hop walks the Path enumerate_paths
-    returned for it, which is handed on as it is."""
+    into end, each hop a Path. A match of one hop walks that hop's Path,
+    which is handed on as it is."""
     if not trail:
         return Path((end.id,), ())
-    if len(trail) == 1 and isinstance(hop, Path):
+    if len(trail) == 1:
         return hop
     nodes, edges = [trail[0][1].id], []
     for step in [step for _, _, step in trail[1:]] + [hop]:
-        nodes += step.nodes[1:] if isinstance(step, Path) else (step.target,)
-        edges += _edge_ids(step)
+        nodes += step.nodes[1:]
+        edges += step.edges
     return Path(tuple(nodes), tuple(edges))
 
 
@@ -275,7 +265,8 @@ class _Evaluator:
                     continue
                 if var:
                     bound[var] = node
-                used.update(_edge_ids(hop))
+                if hop is not None:  # the start node's; a zero-length Path is falsy
+                    used.update(hop.edges)
                 trail.append((var, node, hop))
                 rel, np = pattern.rels[len(trail) - 1], pattern.nodes[len(trail)]
                 stack.append(self._extend(rel, np, node, bound, used))
@@ -284,18 +275,19 @@ class _Evaluator:
                 stack.pop()
                 if trail:
                     var, _, hop = trail.pop()
-                    used.difference_update(_edge_ids(hop))
+                    if hop is not None:
+                        used.difference_update(hop.edges)
                     if var:
                         del bound[var]
         return results
 
     def _extend(self, rel, np, node: Node, bound: dict, used: set):
         """Each (end, hop) by which a match at node goes on over rel to a
-        node matching np. A single hop's hop is its out-edge, made only
-        once the edge and its end have matched; a `*` hop's is the Path
-        that enumerate_paths returned, which already ends only at np's
-        candidates. No edge is used twice in the pattern. An end
-        variable bound to null matches nothing."""
+        node matching np, hop the Path from node to end. A single hop's
+        Path is made only once the edge and its end have matched; a `*`
+        hop's is the Path that enumerate_paths returned, which already
+        ends only at np's candidates. No edge is used twice in the
+        pattern. An end variable bound to null matches nothing."""
         pinned = np.var in bound
         if pinned and _bound_node(np, bound) is None:
             return
@@ -307,7 +299,7 @@ class _Evaluator:
                     if (not pinned or bound[np.var] is end) and self._node_matches(
                         np, end, bound
                     ):
-                        yield end, self.graph.edge(edge_id)
+                        yield end, Path((node.id, end.id), (edge_id,))
         else:
             ends = {n.id: n for n in self._candidates(np, bound)}
             for path in self.graph.enumerate_paths(node.id, ends, rel.type, *rel.var_length):

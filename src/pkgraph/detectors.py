@@ -1,12 +1,17 @@
 """Weakness detectors over the merged program knowledge graph.
 
-Each detector is a read-only rule over a sealed graph, producing
-Findings with witness paths from program entry nodes to the offending
-call nodes. A deterministic template generator emits equivalent
-detection queries for the families that have a pure-query formulation
-(banned calls and double release); the remaining families need
-structural context a query cannot see, and the memory-leak family is a
-declared capability gap because a call graph carries no data flow.
+Each detector is a read-only rule over a sealed graph. It names groups
+of offending call sites (terminals) and the nodes their witness paths
+start from: the program's roots, or for CWE-479 the signal handler's
+entry. Every finding is made by one rule: it lists the terminals its
+starts reach, ascending, and its witness paths per start, then per
+terminal; a group that no start reaches gives no finding.
+
+A deterministic template generator emits equivalent detection queries
+for the families that have a pure-query formulation (banned calls and
+double release); the remaining families need structural context a
+query cannot see, and the memory-leak family is a declared capability
+gap because a call graph carries no data flow.
 
 Detectors read the program from its graph alone. Which CallGraph nodes
 are function entries, which are roots, which call sites carry a name
@@ -72,48 +77,29 @@ def _call_sites_matching(graph: PropertyGraph, names: list) -> list:
     return list(found[0]) if found else []
 
 
-def _paths_by_end(graph: PropertyGraph, starts: list, terminals: list):
-    """Per start, in order, a map from terminal to the witness paths from
-    that start to it. One search per start covers every terminal."""
-    for start in starts:
-        by_end = {}
+def _findings(graph: PropertyGraph, groups: list) -> list:
+    """One finding per group (cwe, starts, terminals, message), in order,
+    for each group whose starts reach any of its terminals. A finding
+    lists the terminals its starts reach, ascending, and its witness
+    paths per start as listed, then per terminal. One search per
+    distinct start covers the terminals of every group that lists it."""
+    terminals_of = {}  # start -> the terminals of every group that lists it
+    for _, starts, terminals, _ in groups:
+        for start in starts:
+            terminals_of.setdefault(start, set()).update(terminals)
+    searches = {}  # start -> {terminal: the paths from start to it}
+    for start, terminals in terminals_of.items():
+        by_end = searches[start] = {}
         for path in graph.enumerate_paths(start, terminals, "CALLS"):
             by_end.setdefault(path.end, []).append(path)
-        yield by_end
-
-
-def _witness_paths(graph: PropertyGraph, starts: list, terminals: list) -> list:
-    """Witness paths from each start to the terminals: per start, the
-    paths to each terminal in ascending terminal id order."""
-    order = sorted(terminals)
-    paths = []
-    for by_end in _paths_by_end(graph, starts, order):
-        for terminal in order:
-            paths.extend(by_end.get(terminal, ()))
-    return paths
-
-
-def _findings(graph: PropertyGraph, cwe: CweRecord, groups: dict) -> list:
-    """One finding per group in groups (a tuple of ascending terminal ids
-    -> message), in that order. A finding's witness paths run from every
-    entry to its terminals: per entry, then per terminal. One search per
-    entry covers the terminals of all the groups."""
-    if not groups:
-        return []
-    terminals = [node_id for group in groups for node_id in group]
-    searches = list(_paths_by_end(graph, entry_nodes(graph), terminals))
-    return [
-        Finding(
-            cwe_id=cwe.cwe_id,
-            cwe_name=cwe.name,
-            witness_paths=[
-                path for by_end in searches for node_id in group for path in by_end.get(node_id, ())
-            ],
-            terminal_nodes=list(group),
-            message=message,
-        )
-        for group, message in groups.items()
-    ]
+    findings = []
+    for cwe, starts, terminals, message in groups:
+        by_ends = [searches[start] for start in starts]
+        reached = sorted({t for by_end in by_ends for t in terminals if t in by_end})
+        if reached:
+            paths = [path for by_end in by_ends for t in reached for path in by_end.get(t, ())]
+            findings.append(Finding(cwe.cwe_id, cwe.name, paths, reached, message))
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +109,12 @@ def _findings(graph: PropertyGraph, cwe: CweRecord, groups: dict) -> list:
 def detect_banned_calls(graph: PropertyGraph, cwe: CweRecord) -> list:
     """One finding per call of a procedure in the weakness's function
     events (dangerous or obsolete APIs)."""
-    groups = {
-        (node_id,): f"call to {graph.node(node_id).properties['Name']}"
+    roots = entry_nodes(graph)
+    groups = [
+        (cwe, roots, (node_id,), f"call to {graph.node(node_id).properties['Name']}")
         for node_id in _call_sites_matching(graph, cwe.function_events)
-    }
-    return _findings(graph, cwe, groups)
+    ]
+    return _findings(graph, groups)
 
 
 def detect_double_release(graph: PropertyGraph, cwe: CweRecord) -> list:
@@ -139,12 +126,13 @@ def detect_double_release(graph: PropertyGraph, cwe: CweRecord) -> list:
         argument = graph.node(node_id).properties.get("Argument1")
         if argument is not None:
             by_argument.setdefault(argument, []).append(node_id)
-    groups = {
-        tuple(members): f"released {argument!r} {len(members)} times"
+    roots = entry_nodes(graph)
+    groups = [
+        (cwe, roots, members, f"released {argument!r} {len(members)} times")
         for argument, members in sorted(by_argument.items())
         if len(members) > 1
-    }
-    return _findings(graph, cwe, groups)
+    ]
+    return _findings(graph, groups)
 
 
 def detect_sizeof_on_pointer(graph: PropertyGraph, cwe: CweRecord) -> list:
@@ -152,50 +140,37 @@ def detect_sizeof_on_pointer(graph: PropertyGraph, cwe: CweRecord) -> list:
     parameter or a body local. A call site is in the function of the
     last entry before it."""
     index = graph.derived(call_graph_index)
-    groups = {}
+    roots = entry_nodes(graph)
+    groups = []
     for node_id in _call_sites_matching(graph, ["sizeof"]):
         argument = graph.node(node_id).properties.get("Argument1")
         if argument in index.pointer_locals[bisect_right(index.entries, node_id) - 1]:
-            groups[(node_id,)] = f"sizeof applied to pointer {argument!r}"
-    return _findings(graph, cwe, groups)
+            groups.append((cwe, roots, (node_id,), f"sizeof applied to pointer {argument!r}"))
+    return _findings(graph, groups)
 
 
 def detect_signal_nonreentrant(graph: PropertyGraph, cwe: CweRecord) -> list:
     """A signal handler that reaches a non-reentrant procedure. The
-    handler is resolved from the second argument of a signal() call;
-    witness paths run from the handler's entry to the offending call."""
-    entries = graph.derived(call_graph_index).entries
-    offending = _call_sites_matching(graph, cwe.function_events)
-    findings = []
+    handler is resolved from the second argument of a signal() call
+    among every function the program defines, reached from a root or
+    not; witness paths run from the handler's entry to the offending
+    calls it reaches."""
+    index = graph.derived(call_graph_index)
+    offending = {site for name in cwe.function_events for site in index.all_by_name.get(name, ())}
+    groups = []
     for node_id in _call_sites_matching(graph, ["signal"]):
         handler_name = graph.node(node_id).properties.get("Argument2")
-        handler_entries = [
-            n
-            for n in entries
-            if isinstance(handler_name, str)
-            and graph.node(n).properties.get("Name") == handler_name
-        ]
-        if not handler_entries:
+        handler = index.entry_of.get(handler_name)
+        if handler is None:
             import logging  # here, so that a scan with nothing to warn of does not load it
 
             logging.getLogger(__name__).warning(
                 "signal handler %r cannot be resolved to a function", handler_name
             )
             continue
-        paths = _witness_paths(graph, handler_entries, offending)
-        if not paths:
-            continue
-        terminals = sorted({p.end for p in paths})
-        findings.append(
-            Finding(
-                cwe_id=cwe.cwe_id,
-                cwe_name=cwe.name,
-                witness_paths=paths,
-                terminal_nodes=terminals,
-                message=f"signal handler {handler_name!r} calls a non-reentrant function",
-            )
-        )
-    return findings
+        message = f"signal handler {handler_name!r} calls a non-reentrant function"
+        groups.append((cwe, (handler,), offending, message))
+    return _findings(graph, groups)
 
 
 def detect_getlogin_multithreaded(graph: PropertyGraph, cwe: CweRecord) -> list:
@@ -203,11 +178,12 @@ def detect_getlogin_multithreaded(graph: PropertyGraph, cwe: CweRecord) -> list:
     getlogin call when any pthread_create call exists."""
     if not _call_sites_matching(graph, ["pthread_create"]):
         return []
-    groups = {
-        (node_id,): "getlogin used in a multithreaded program"
+    roots = entry_nodes(graph)
+    groups = [
+        (cwe, roots, (node_id,), "getlogin used in a multithreaded program")
         for node_id in _call_sites_matching(graph, cwe.function_events)
-    }
-    return _findings(graph, cwe, groups)
+    ]
+    return _findings(graph, groups)
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,30 @@ class TestScan:
         assert len(findings) == 1000
         assert {f["cwe_id"] for f in findings} == {"CWE-242"}
 
+    def test_a_recursive_signal_handler_is_reported(self, tmp_path, caplog):
+        """A handler that calls itself has a caller, so no root reaches it;
+        it is resolved all the same, and its calls that reach syslog are
+        reported, with no warning."""
+        source = tmp_path / "handler.c"
+        source.write_text(
+            'void handler(int sig){ if (sig) handler(0); syslog(1, "x"); }\n'
+            "int main(void){ signal(2, handler); return 0; }\n"
+        )
+        handler = '(:CallGraph {ExecOrder: 1, Name: "handler"})'
+        syslog = '(:CallGraph {Argument1: "1", Argument2: "x", ExecOrder: 3, Name: "syslog"})'
+        self_call = '(:CallGraph {Argument1: "0", ExecOrder: 2, Name: "handler"})'
+        with caplog.at_level("WARNING"):
+            code, out, err = cli("scan", str(source))
+        assert (code, err, caplog.records) == (1, "", [])
+        assert out == (
+            "CWE-479 (Signal handler use of a non-reentrant function):"
+            " signal handler 'handler' calls a non-reentrant function\n"
+            f"  {handler}-[:CALLS]->{self_call}-[:CALLS]->{handler}-[:CALLS]->{syslog}\n"
+            f"  {handler}-[:CALLS]->{syslog}\n"
+            "CWE-401: not detectable (call graph lacks data-flow;"
+            " malloc's Argument1 is a size, not the released handle)\n"
+        )
+
     def test_parse_error_exits_three(self, tmp_path):
         bad = tmp_path / "bad.c"
         bad.write_text("void f() {")

@@ -34,7 +34,7 @@ from pkgraph.detectors import (
     detect_signal_nonreentrant,
     detect_sizeof_on_pointer,
     _call_sites_matching,
-    _witness_paths,
+    _findings,
     entry_nodes,
     generate_detection_query,
     run_all,
@@ -46,6 +46,18 @@ from pkgraph.vulndata import CweRecord
 
 def names_of(graph, ids):
     return [graph.node(i).properties["Name"] for i in ids]
+
+
+def _witness_paths(graph, starts, terminals):
+    """The reference for a finding's witness paths: per start, per
+    terminal in ascending id order, the paths of one search for that
+    (start, terminal) pair alone."""
+    return [
+        path
+        for start in starts
+        for terminal in sorted(terminals)
+        for path in graph.enumerate_paths(start, [terminal], "CALLS")
+    ]
 
 
 class TestEntryNodes:
@@ -210,6 +222,68 @@ class TestSignalNonreentrant:
             findings = detect_signal_nonreentrant(graph, catalog_entry("CWE-479"))
         assert findings == []
         assert any("cannot be resolved" in r.message for r in caplog.records)
+
+    def test_a_handler_no_root_reaches_is_resolved(self, caplog):
+        """A handler that calls itself has a caller, so it is no root and
+        no root reaches it; it is still resolved, and its search keeps the
+        offending calls it reaches, not those of other unreached functions."""
+        graph, _ = call_graph_of(
+            "void handler(int sig) { if (sig) handler(0); syslog(1, \"x\"); }\n"
+            "void spare() { spare(); syslog(2, \"y\"); }\n"
+            "int main(void) { signal(2, handler); return 0; }\n"
+        )
+        with caplog.at_level("WARNING"):
+            (finding,) = detect_signal_nonreentrant(graph, catalog_entry("CWE-479"))
+        assert not caplog.records
+        assert [names_of(graph, path.nodes) for path in finding.witness_paths] == [
+            ["handler", "handler", "handler", "syslog"],
+            ["handler", "syslog"],
+        ]
+        assert names_of(graph, finding.terminal_nodes) == ["syslog"]
+        assert graph.node(finding.terminal_nodes[0]).properties["Argument2"] == "x"
+
+
+def counted_searches(monkeypatch):
+    """The start of every PropertyGraph.enumerate_paths call from now on,
+    in call order."""
+    starts = []
+    enumerate_paths = PropertyGraph.enumerate_paths
+
+    def counting(self, start, *args):
+        starts.append(start)
+        return enumerate_paths(self, start, *args)
+
+    monkeypatch.setattr(PropertyGraph, "enumerate_paths", counting)
+    return starts
+
+
+class TestOneSearchPerStart:
+    def test_one_handler_named_twice_is_searched_once(self, monkeypatch):
+        graph, _ = call_graph_of(
+            "void handler(int sig) { syslog(1, sig); }\n"
+            "void main() { signal(2, handler); signal(15, handler); }\n"
+        )
+        starts = counted_searches(monkeypatch)
+        findings = detect_signal_nonreentrant(graph, catalog_entry("CWE-479"))
+        assert names_of(graph, starts) == ["handler"]
+        assert len(findings) == 2 and findings[0] == findings[1]
+
+    @pytest.mark.parametrize(
+        "detect, cwe_id",
+        [(detect_banned_calls, "CWE-242"), (detect_double_release, "CWE-415")],
+    )
+    def test_a_root_family_row_searches_once_per_root(self, monkeypatch, detect, cwe_id):
+        graph, _ = call_graph_of(
+            "void a() { gets(b); free(p); free(q); }\n"
+            "void main() { gets(b); free(p); h(); }\n"
+            "void h() { gets(c); free(q); free(p); }\n"
+            "void z() { h(); free(q); gets(d); }\n"
+        )
+        starts = counted_searches(monkeypatch)
+        findings = detect(graph, catalog_entry(cwe_id))
+        assert len(findings) > 1
+        assert starts == entry_nodes(graph)
+        assert names_of(graph, starts) == ["main", "a", "z"]
 
 
 class TestGetloginMultithreaded:
@@ -382,23 +456,42 @@ class TestRunAll:
 
 @pytest.mark.parametrize("seed", range(40))
 def test_witness_paths_match_per_terminal_oracle(seed):
-    """One search per start, grouped by end node, gives the paths of one
-    search per (start, terminal) pair in ascending terminal order."""
+    """_findings, with one search per distinct start, gives each group the
+    paths of a brute-force search per (start, terminal) pair: per start as
+    listed, then per reached terminal ascending; it lists the reached
+    terminals and makes no finding for a group no start reaches. Groups
+    share starts, list a start twice, and one group's terminal is a node
+    no edge enters."""
     rng = random.Random(seed)
     graph = PropertyGraph()
     nodes = [graph.add_node("CallGraph", {}) for _ in range(rng.randint(1, 9))]
     for _ in range(rng.randint(0, 12)):
         graph.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(["CALLS", "OTHER"]))
+    lonely = graph.add_node("CallGraph", {})
     graph.seal()
-    starts = rng.sample(nodes, rng.randint(1, len(nodes)))
-    terminals = rng.sample(nodes, rng.randint(1, len(nodes)))
-    want = [
-        path
-        for start in starts
-        for terminal in sorted(terminals)
-        for path in brute_force_paths(graph, start, {terminal}, "CALLS", 1, None)
-    ]
-    assert _witness_paths(graph, starts, terminals) == want
+    shared = rng.sample(nodes, rng.randint(1, len(nodes)))
+    groups = []
+    for k in range(rng.randint(1, 5)):
+        starts = rng.sample(shared, rng.randint(1, len(shared)))
+        starts += rng.choices(starts, k=rng.randint(0, 2))
+        rng.shuffle(starts)
+        terminals = rng.sample(nodes, rng.randint(1, len(nodes)))
+        groups.append((CweRecord(f"CWE-{k}", f"group {k}", "", []), starts, terminals, f"m{k}"))
+    groups.insert(rng.randint(0, len(groups)), (catalog_entry("CWE-242"), shared, [lonely], "none"))
+    want = []
+    for cwe, starts, terminals, message in groups:
+        pairs = {
+            (start, terminal): brute_force_paths(graph, start, {terminal}, "CALLS", 1, None)
+            for start in starts
+            for terminal in terminals
+        }
+        reached = sorted({terminal for (_, terminal), paths in pairs.items() if paths})
+        if reached:
+            paths = [path for start in starts for t in reached for path in pairs[start, t]]
+            want.append(Finding(cwe.cwe_id, cwe.name, paths, reached, message))
+    got = _findings(graph, groups)
+    assert got == want
+    assert "none" not in [f.message for f in got]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -578,6 +671,68 @@ def test_run_all_equals_the_row_by_row_reference(seed, caplog):
             assert logged_run(run_all, caplog, graph, Catalog(catalog)) == want
 
 
+def signal_program(rng):
+    """A C program whose functions call each other, themselves, signal()
+    naming a defined or an undefined handler, and catalog events; the
+    pair p <-> q calls only itself, so no root reaches it, and signal()
+    names p or q from time to time."""
+    reached = ["main", "a", "b", "c"]
+    callees = reached[1:] + ["p", "q", "zz"]
+    events = ["syslog", "gets", "free", "getlogin", "pthread_create", "sizeof", "atoi"]
+    bodies = {name: [] for name in reached + ["p", "q"]}
+    bodies["p"].append("q(x);")
+    bodies["q"].append("p(x);")
+    for name, body in bodies.items():
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.random()
+            if kind < 0.25:
+                body.append(f"signal(2, {rng.choice(callees)});")
+            elif kind < 0.45 and name not in ("p", "q"):
+                body.append(f"{rng.choice(reached[1:] + [name])}(x);")
+            else:
+                body.append(f"{rng.choice(events)}({rng.choice(ARG_POOL)});")
+        rng.shuffle(body)
+    order = list(bodies)
+    rng.shuffle(order)
+    return "\n".join(f"void {name}(char *x) {{ {' '.join(bodies[name])} }}" for name in order)
+
+
+def test_every_finding_has_a_witness_path_from_a_start():
+    """Over seeded random programs with recursion, signal handlers a root
+    does not reach, and random catalogs: every finding of run_all has a
+    witness path; each of its terminals ends one of its paths and each
+    path ends at one of its terminals; each path is a walk of the graph
+    that starts at a root or, for CWE-479, at the entry of a handler a
+    signal() call names. Some CWE-479 findings start where no root
+    reaches."""
+    unreached_handlers = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        source = signal_program(rng)
+        graph, _ = call_graph_of(source)
+        index = graph.derived(call_graph_index)
+        roots = set(entry_nodes(graph))
+        handlers = {
+            index.entry_of[name]
+            for site in index.by_name.get("signal", ())
+            if (name := graph.node(site).properties.get("Argument2")) in index.entry_of
+        }
+        called = sorted(index.all_by_name)
+        for _ in range(3):
+            findings, _ = run_all(graph, random_catalog(rng, called) + [catalog_entry("CWE-479")])
+            for finding in findings:
+                assert finding.witness_paths, source
+                assert {path.end for path in finding.witness_paths} == set(finding.terminal_nodes)
+                assert finding.terminal_nodes == sorted(finding.terminal_nodes)
+                starts = handlers if finding.cwe_id == "CWE-479" else roots
+                for path in finding.witness_paths:
+                    assert path.nodes[0] in starts, source
+                    assert is_valid_path(graph, path)
+                if not set(index.entries) & {path.nodes[0] for path in finding.witness_paths}:
+                    unreached_handlers += 1
+    assert unreached_handlers
+
+
 class TestTriggers:
     """Rows whose detector needs a name other than their events, or that
     name one called procedure more than once."""
@@ -641,7 +796,9 @@ def reference_index(graph, tu):
     the function it invokes. Alternating from the roots classifies every
     node, recursive cycles included; a node no root reaches stays
     unclassified. An entry's pointer locals are those of the function of
-    tu whose ExecOrders cover the entry's."""
+    tu whose ExecOrders cover the entry's. entry_of and all_by_name are
+    read from every CallGraph node, classified or not: a node whose
+    ExecOrder is a function's in tu is its entry, any other a call site."""
     targets = {}  # node id -> its CALLS targets
     for edge in graph.edges():
         if edge.type == "CALLS":
@@ -668,7 +825,16 @@ def reference_index(graph, tu):
         reference_enclosing_function(tu, graph.node(n).properties["ExecOrder"]).pointer_locals
         for n in entries
     )
-    return _CallGraphIndex(tuple(entries), tuple(roots), by_name, pointer_locals)
+    entry_orders = {fn.exec_order for fn in tu.functions}
+    entry_of, all_by_name = {}, {}
+    for node in graph.find_nodes("CallGraph"):
+        if node.properties["ExecOrder"] in entry_orders:
+            entry_of[node.properties["Name"]] = node.id
+        else:
+            all_by_name.setdefault(node.properties["Name"], []).append(node.id)
+    return _CallGraphIndex(
+        tuple(entries), tuple(roots), by_name, pointer_locals, entry_of, all_by_name
+    )
 
 
 CATALOG = Catalog(load_catalog())

@@ -1145,7 +1145,10 @@ RECORDS = [
     (IngestStats, (5, 4, 1)),
     (Finding, ("CWE-242", "Dangerous function", [Path((1, 2), (7,))], [2], "gets is called")),
     (DetectorCapability, ("CWE-401", False, "no data flow")),
-    (_CallGraphIndex, ((1, 3), (1,), {"gets": [2]}, ({"p"}, set()))),
+    (
+        _CallGraphIndex,
+        ((1, 3), (1,), {"gets": [2]}, ({"p"}, set()), {"main": 1, "f": 3}, {"gets": [2]}),
+    ),
     (_Family, (len, "MATCH (n) RETURN n", "", ("sizeof",))),
     (ast.Literal, ("x",)),
     (ast.Var, ("x",)),
