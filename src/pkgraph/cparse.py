@@ -506,15 +506,17 @@ def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
     reaches stays unclassified; entry_of and all_by_name still list every
     function's entry and call sites. A graph that already held CallGraph
     nodes keeps nothing, since the index would not cover them, and a
-    later change to the graph drops what it kept.
+    later change to the graph drops what it kept. That is decided after
+    the batch: a fresh graph's CallGraph nodes are all the batch's, and
+    on any other the label index that counts them is the one its later
+    reads use.
 
     Returns a map from function name to entry node id.
     """
-    indexed = graph.node_count == 0 or not graph.find_nodes("CallGraph")
     functions = tu.functions
     entries = {}  # function name -> entry id
     entry_ids = []  # per function
-    node_id = graph.node_count  # the last id issued
+    before = node_id = graph.node_count  # the last id issued
     for fn in functions:
         node_id += 1
         entries[fn.name] = node_id
@@ -557,7 +559,7 @@ def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
             else:
                 sites.append(site)
     graph.add(nodes(), edges)
-    if indexed:
+    if before == 0 or len(graph.find_nodes("CallGraph")) == node_id - before:
         graph.keep(call_graph_index, _classify(functions, entry_ids, callees, by_name))
     return entries
 

@@ -293,7 +293,7 @@ class _Evaluator:
             return
         if rel.var_length is None:
             _, targets, types = self.graph.edge_columns()
-            for edge_id in self.graph.out_edge_ids(node.id):
+            for edge_id in self.graph.out_edges(node.id):
                 if (rel.type is None or types[edge_id - 1] == rel.type) and edge_id not in used:
                     end = self.graph.node(targets[edge_id - 1])
                     if (not pinned or bound[np.var] is end) and self._node_matches(

@@ -154,10 +154,12 @@ def detect_signal_nonreentrant(graph: PropertyGraph, cwe: CweRecord) -> list:
     handler is resolved from the second argument of a signal() call
     among every function the program defines, reached from a root or
     not; witness paths run from the handler's entry to the offending
-    calls it reaches."""
+    calls it reaches. A handler installed by several signal() calls
+    gives one finding, in the order of its first call; a handler that
+    cannot be resolved is warned of once per call."""
     index = graph.derived(call_graph_index)
     offending = {site for name in cwe.function_events for site in index.all_by_name.get(name, ())}
-    groups = []
+    handlers = {}  # handler entry -> its name
     for node_id in _call_sites_matching(graph, ["signal"]):
         handler_name = graph.node(node_id).properties.get("Argument2")
         handler = index.entry_of.get(handler_name)
@@ -168,8 +170,11 @@ def detect_signal_nonreentrant(graph: PropertyGraph, cwe: CweRecord) -> list:
                 "signal handler %r cannot be resolved to a function", handler_name
             )
             continue
-        message = f"signal handler {handler_name!r} calls a non-reentrant function"
-        groups.append((cwe, (handler,), offending, message))
+        handlers.setdefault(handler, handler_name)
+    groups = [
+        (cwe, (handler,), offending, f"signal handler {name!r} calls a non-reentrant function")
+        for handler, name in handlers.items()
+    ]
     return _findings(graph, groups)
 
 

@@ -15,16 +15,14 @@ A batch hands its property dicts over: each becomes its node's own,
 without a copy.
 
 A graph holds its nodes in a dict by id, as Node records, and its
-edges as three columns, lists of the sources, targets and types, where
-position k - 1 holds edge k's. No Edge record is kept: edge(), edges(),
-out_edges() and in_edges() make one for each edge they return, and an
-Edge is a value, equal to and hashed as any other with the same fields,
-so two reads of one edge give equal records. A reader of many edges, as
-the exports are, takes the columns themselves from edge_columns() and
-makes none. A batch's edges are checked and gathered into lists of the
-batch's own, and the columns are extended only once the whole batch has
-passed, so a failed batch leaves them as they were; a sealed graph's
-columns are never written.
+edges in one form only: three columns, lists of the sources, targets
+and types, where position k - 1 holds edge k's. An edge is its id:
+out_edges() and in_edges() give a node's edge ids, and a reader takes
+each edge's source, target and type from the columns, which
+edge_columns() returns. A batch's edges are checked and gathered into
+lists of the batch's own, and the columns are extended only once the
+whole batch has passed, so a failed batch leaves them as they were; a
+sealed graph's columns are never written.
 
 Whatever is built from the nodes and edges to answer reads is a
 derived() value, under one rule: it is built on its first read and kept
@@ -52,16 +50,17 @@ built once per catalog, not once per query. A graph's lookups of its own
 nodes scan that label's nodes, as no map would repay its building on a
 graph that is read a few times.
 
-in_edges has no caller in pkgraph itself. It stays as the public read of
-the in-edge lists that _reaching walks, and because the benchmark's
-tracer (perfbench/tracer.py) traces it and its test asserts the list of
-traced names it finds absent.
+in_edges, add_node and add_edge have no caller in pkgraph itself: it
+walks in-edges inside _reaching and adds through add(). They stay
+because the benchmark's tracer (perfbench/tracer.py) traces them, with
+out_edges, and its test asserts the list of traced names it finds
+absent. ROADMAP item 16 moves the three to the tests once that test
+checks only its own names.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import count
 
 
 class GraphError(Exception):
@@ -223,13 +222,6 @@ class Node(Record):
     __hash__ = object.__hash__
 
 
-class Edge(FrozenRecord):
-    """A graph edge, made when it is read: equal to an edge with the same
-    fields."""
-
-    __slots__ = ("id", "source", "target", "type")
-
-
 class Path(FrozenRecord):
     """A directed walk: len(edges) == len(nodes) - 1, no edge repeated."""
 
@@ -257,10 +249,9 @@ class PropertyGraph:
 
     _nodes maps node id -> Node, records a copy() shares with its
     source. The edges are three columns, _sources, _targets and _types,
-    edge k's at position k - 1; no Edge record is kept, each read that
-    returns edges makes them, and an Edge compares by value. _derived
-    holds the derived() values, the indexes among them; see the module
-    docstring.
+    edge k's at position k - 1, and each read of edges returns ids into
+    them. _derived holds the derived() values, the indexes among them;
+    see the module docstring.
     """
 
     def __init__(self) -> None:
@@ -393,31 +384,13 @@ class PropertyGraph:
         except KeyError:
             raise UnknownNode(f"unknown node {node_id}") from None
 
-    def edge(self, edge_id: int) -> Edge:
-        """The edge with this id, made on each call; KeyError for an id
-        the graph has not issued."""
-        if type(edge_id) is not int or not 0 < edge_id <= len(self._sources):
-            raise KeyError(edge_id)
-        k = edge_id - 1
-        return Edge(edge_id, self._sources[k], self._targets[k], self._types[k])
-
-    def _made(self, edge_ids: Iterable) -> list:
-        """An Edge for each of edge_ids, ids the graph has issued."""
-        sources, targets, types = self._sources, self._targets, self._types
-        return [Edge(e, sources[e - 1], targets[e - 1], types[e - 1]) for e in edge_ids]
-
     def nodes(self) -> Iterator[Node]:
         yield from self._nodes.values()
 
-    def edges(self) -> Iterator[Edge]:
-        """Each edge, ascending id, made as it is reached."""
-        return map(Edge, count(1), self._sources, self._targets, self._types)
-
     def edge_columns(self) -> tuple:
         """(sources, targets, types): the graph's own edge columns, edge
-        k's source, target and type at position k - 1, for a reader of
-        many edges that needs no Edge records. The caller must not change
-        them."""
+        k's source, target and type at position k - 1. The caller must not
+        change them."""
         return self._sources, self._targets, self._types
 
     @property
@@ -428,20 +401,16 @@ class PropertyGraph:
     def edge_count(self) -> int:
         return len(self._sources)
 
-    def out_edges(self, node_id: int) -> list:
-        self.node(node_id)
-        return self._made(self.out_edge_ids(node_id))
-
-    def out_edge_ids(self, node_id: int):
-        """The ids of node_id's out-edges, ascending, for a reader that
-        makes an Edge only for some of them; none for a node without
-        out-edges or an id the graph has not issued. The caller must not
-        change the sequence."""
+    def out_edges(self, node_id: int):
+        """The ids of node_id's out-edges, ascending; none for a node
+        without out-edges or an id the graph has not issued. The caller
+        must not change the sequence."""
         return self.derived(_outgoing).get(node_id, ())
 
-    def in_edges(self, node_id: int) -> list:
-        self.node(node_id)
-        return self._made(self.derived(_incoming).get(node_id, ()))
+    def in_edges(self, node_id: int):
+        """The ids of node_id's in-edges, as out_edges gives its
+        out-edges."""
+        return self.derived(_incoming).get(node_id, ())
 
     def find_nodes(self, label: str, filters: dict | None = None) -> list:
         """All nodes with the given label whose properties satisfy every

@@ -19,6 +19,15 @@ def catalog_entry(cwe_id):
     return next(c for c in load_catalog() if c.cwe_id == cwe_id)
 
 
+def edge_rows(graph, edge_ids=None):
+    """(id, source, target, type) of each of edge_ids, every edge in
+    ascending id by default, read from the graph's edge columns."""
+    sources, targets, types = graph.edge_columns()
+    if edge_ids is None:
+        edge_ids = range(1, len(sources) + 1)
+    return [(e, sources[e - 1], targets[e - 1], types[e - 1]) for e in edge_ids]
+
+
 def call_graph_of(source):
     """(graph, tu) for a C source string; graph sealed."""
     tu = extract_translation_unit(source)

@@ -17,6 +17,7 @@ from conftest import (
     DOUBLE_FREE_SRC,
     call_graph_of,
     catalog_entry,
+    edge_rows,
     load_catalog,
     merged_graph_of,
 )
@@ -234,7 +235,7 @@ def test_path_enumeration_matches_oracle():
             edge_type = rng.choice(["CALLS", None])
             min_len = rng.choice([0, 1, 2])
             usable = sum(
-                1 for e in g.edges() if edge_type is None or e.type == edge_type
+                1 for *_, type_ in edge_rows(g) if edge_type is None or type_ == edge_type
             )
             # Edge-distinct walks grow factorially with the usable edge
             # count; bound the length on dense graphs so both enumerations
@@ -285,8 +286,8 @@ def test_knowledge_graph_shape_and_round_trip():
         assert by_label == {"CWE": 3, "CVE": 5, "Score": 5, "Product": 5}
         assert graph.node_count == 18
         by_type = {}
-        for edge in graph.edges():
-            by_type[edge.type] = by_type.get(edge.type, 0) + 1
+        for _, _, _, edge_type in edge_rows(graph):
+            by_type[edge_type] = by_type.get(edge_type, 0) + 1
         assert by_type == {"HAS_CVE": 5, "SCORED": 5, "AFFECTS": 7}
         assert graph.edge_count == 17
 

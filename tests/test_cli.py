@@ -854,6 +854,22 @@ class TestScanCostsWhatTheProgramCalls:
         assert cli("scan", str(CORPUS / "cwe242_gets.c"))[0] == 1
         assert sorted(name for name, _ in built) == ["_incoming", "_outgoing"]
 
+    def test_a_query_builds_one_label_index(self, monkeypatch):
+        """A query's graph, a copy of the kept catalog's CWE graph, builds
+        its label index once, after the call-graph batch: the call-graph
+        build counts its CallGraph nodes in it and the query reads it."""
+        source = str(CORPUS / "cwe415_double_free.c")
+        query = generate_detection_query(catalog_entry("CWE-415"), "foo")
+        assert cli("query", source, stdin_text=query)[0] == 0  # the kept catalog, built
+        cwe_graph = pkgraph.cli._kept_catalog[1].cwe_graph
+        built = counted_indexes(monkeypatch)
+        code, out, _ = cli("query", source, stdin_text=query)
+        assert (code, out.splitlines()) == (0, ["path", TABLE3_PATH1, TABLE3_PATH2])
+        # derived() keys a value by its builder, so under the counting
+        # builder the sealed CWE graph builds its own index once more.
+        copies = [graph for name, graph in built if name == "_labels" and graph is not cwe_graph]
+        assert [graph.node_count for graph in copies] == [15]
+
     def test_a_query_counts_every_cwe_node(self, tmp_path):
         catalog = catalog_with_uncalled_rows(tmp_path, 900)
         source = str(CORPUS / "cwe242_gets.c")

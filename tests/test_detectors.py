@@ -9,6 +9,7 @@ from conftest import (
     DOUBLE_FREE_SRC,
     call_graph_of,
     catalog_entry,
+    edge_rows,
     load_catalog,
     merged_graph_of,
 )
@@ -266,7 +267,22 @@ class TestOneSearchPerStart:
         starts = counted_searches(monkeypatch)
         findings = detect_signal_nonreentrant(graph, catalog_entry("CWE-479"))
         assert names_of(graph, starts) == ["handler"]
-        assert len(findings) == 2 and findings[0] == findings[1]
+        assert len(findings) == 1
+        assert findings[0].message == "signal handler 'handler' calls a non-reentrant function"
+
+    def test_handlers_give_one_finding_each_in_first_call_order(self, caplog):
+        graph, _ = call_graph_of(
+            "void b(int sig) { syslog(1, sig); }\n"
+            "void a(int sig) { syslog(2, sig); }\n"
+            "void main() { signal(2, a); signal(3, gone); signal(15, b);"
+            " signal(4, gone); signal(6, a); }\n"
+        )
+        with caplog.at_level("WARNING"):
+            findings = detect_signal_nonreentrant(graph, catalog_entry("CWE-479"))
+        assert [f.message.split("'")[1] for f in findings] == ["a", "b"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "signal handler 'gone' cannot be resolved to a function"
+        ] * 2
 
     @pytest.mark.parametrize(
         "detect, cwe_id",
@@ -445,6 +461,20 @@ class TestRunAll:
         assert [f.message for f in findings] == ["released 'q' 2 times", "released 'p' 2 times"]
         assert (findings, []) == reference_run_all(graph, [catalog_entry("CWE-415")])
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="double release groups releases by Argument1 text across functions"
+        " (README, Known limitations)",
+    )
+    def test_locals_of_different_functions_released_once_each(self, catalog):
+        graph, _ = call_graph_of(
+            "void a(void){char *p = malloc(4); free(p);}\n"
+            "void b(void){char *p = malloc(8); free(p);}\n"
+            "int main(void){a(); b(); return 0;}\n"
+        )
+        findings, _ = run_all(graph, catalog)
+        assert not [f for f in findings if f.cwe_id in ("CWE-415", "CWE-1341")]
+
     def test_output_order_stable(self, catalog):
         graph, _, _ = merged_graph_of(DOUBLE_FREE_SRC)
         first, _ = run_all(graph, catalog)
@@ -516,7 +546,12 @@ def test_call_sites_matching_equals_name_filter(seed):
     names = rng.choices(EVENT_POOL, k=rng.randint(0, 5)) + [defined[1], defined[1], "absent"]
     rng.shuffle(names)
     entries = graph.derived(call_graph_index).entries
-    sites = {e.target for n in entries for e in graph.out_edges(n) if e.type == "CALLS"}
+    sites = {
+        target
+        for n in entries
+        for _, _, target, edge_type in edge_rows(graph, graph.out_edges(n))
+        if edge_type == "CALLS"
+    }
     want = [
         n
         for n in sorted(sites)
@@ -800,9 +835,9 @@ def reference_index(graph, tu):
     read from every CallGraph node, classified or not: a node whose
     ExecOrder is a function's in tu is its entry, any other a call site."""
     targets = {}  # node id -> its CALLS targets
-    for edge in graph.edges():
-        if edge.type == "CALLS":
-            targets.setdefault(edge.source, []).append(edge.target)
+    for _, source, target, edge_type in edge_rows(graph):
+        if edge_type == "CALLS":
+            targets.setdefault(source, []).append(target)
     called = {target for ids in targets.values() for target in ids}
     roots = [n.id for n in graph.find_nodes("CallGraph") if n.id not in called]
     entries, sites = set(roots), set()

@@ -12,6 +12,7 @@ from conftest import (
     DOUBLE_FREE_SRC,
     call_graph_of,
     catalog_entry,
+    edge_rows,
     merged_graph_of,
 )
 from pkgraph.cli import run_cli
@@ -485,8 +486,8 @@ def random_graph(rng):
         graph.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice("AB"))
     loop = rng.choice(nodes)
     graph.add_edge(loop, loop, rng.choice("AB"))
-    twin = rng.choice(list(graph.edges()))
-    graph.add_edge(twin.source, twin.target, twin.type)
+    _, source, target, edge_type = rng.choice(edge_rows(graph))
+    graph.add_edge(source, target, edge_type)
     graph.seal()
     return graph
 
@@ -539,7 +540,7 @@ def brute_force_rows(graph, rels, nodes, variables):
     """Every walk split into one segment per relationship, a single hop
     being one edge, with no edge used twice anywhere in the pattern; a
     repeated variable is the same node. Rows rendered and sorted."""
-    edges = list(graph.edges())
+    edges = edge_rows(graph)
     rows = []
 
     def bind(spec, node, bindings):
@@ -569,20 +570,21 @@ def brute_force_rows(graph, rels, nodes, variables):
                 if bound is not None:
                     match(
                         i + 1,
-                        node_ids + [e.target for e in taken],
-                        edge_ids + [e.id for e in taken],
+                        node_ids + [target for _, _, target, _ in taken],
+                        edge_ids + [edge_id for edge_id, _, _, _ in taken],
                         bound,
                     )
             if hi is not None and len(taken) == hi:
                 return
             for edge in edges:
+                edge_id, source, target, edge_type = edge
                 if (
-                    edge.source == at
-                    and edge.id not in edge_ids
+                    source == at
+                    and edge_id not in edge_ids
                     and edge not in taken
-                    and rel_type in (None, edge.type)
+                    and rel_type in (None, edge_type)
                 ):
-                    segment(edge.target, taken + [edge])
+                    segment(target, taken + [edge])
 
         segment(node_ids[-1], [])
 
@@ -645,8 +647,8 @@ def small_graph(rng):
         graph.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(["CALLS", "USES"]))
     loop = rng.choice(nodes)
     graph.add_edge(loop, loop, "CALLS")
-    twin = rng.choice(list(graph.edges()))
-    graph.add_edge(twin.source, twin.target, twin.type)
+    _, source, target, edge_type = rng.choice(edge_rows(graph))
+    graph.add_edge(source, target, edge_type)
     graph.seal()
     return graph
 
@@ -688,8 +690,9 @@ def naive_walks(edges, start, rel):
             walks.append((at, walk))
         if hi is None or len(walk) < hi:
             for edge in edges:
-                if edge.source == at and edge not in walk and rel.type in (None, edge.type):
-                    extend(edge.target, walk + [edge])
+                _, source, target, edge_type = edge
+                if source == at and edge not in walk and rel.type in (None, edge_type):
+                    extend(target, walk + [edge])
 
     extend(start, [])
     return walks
@@ -724,18 +727,19 @@ def naive_matches(nodes, edges, pattern, row):
         ]
         for chosen in itertools.product(*choices):
             taken = [edge for walk in chosen for edge in walk]
-            if len({edge.id for edge in taken}) < len(taken):
+            edge_ids = tuple(edge_id for edge_id, _, _, _ in taken)
+            if len(set(edge_ids)) < len(taken):
                 continue
             if pattern.path_var:
-                node_ids = (assignment[0].id,) + tuple(edge.target for edge in taken)
-                bindings[pattern.path_var] = Path(node_ids, tuple(edge.id for edge in taken))
+                node_ids = (assignment[0].id,) + tuple(target for _, _, target, _ in taken)
+                bindings[pattern.path_var] = Path(node_ids, edge_ids)
             yield dict(bindings)
 
 
 def naive_rows(graph, query):
     """The rows that reach the RETURN of a query of MATCH and OPTIONAL
     MATCH clauses, by naive_matches."""
-    nodes, edges = list(graph.nodes()), list(graph.edges())
+    nodes, edges = list(graph.nodes()), edge_rows(graph)
     rows = [{}]
     for clause in query.clauses[:-1]:
         pattern = clause.pattern

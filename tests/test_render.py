@@ -14,6 +14,7 @@ from conftest import (
     DOUBLE_FREE_SRC,
     call_graph_of,
     catalog_entry,
+    edge_rows,
     load_catalog,
     merged_graph_of,
 )
@@ -134,8 +135,8 @@ class TestRenderPath:
 def reference_path(graph, path):
     """A path's text with every node rendered afresh."""
     text = render_node(graph.node(path.nodes[0]))
-    for edge_id, node_id in zip(path.edges, path.nodes[1:]):
-        text += f"-[:{graph.edge(edge_id).type}]->" + render_node(graph.node(node_id))
+    for (_, _, _, edge_type), node_id in zip(edge_rows(graph, path.edges), path.nodes[1:]):
+        text += f"-[:{edge_type}]->" + render_node(graph.node(node_id))
     return text
 
 
@@ -640,7 +641,8 @@ def reference_export_import_csv(graph: PropertyGraph):
         node_rows.append(row)
 
     rows = sorted(
-        (canonical[e.source], canonical[e.target], e.type, e.id) for e in graph.edges()
+        (canonical[source], canonical[target], edge_type, edge_id)
+        for edge_id, source, target, edge_type in edge_rows(graph)
     )
     rel_rows = [[":START_ID", ":END_ID", ":TYPE"]] + [
         [str(source), str(target), edge_type] for source, target, edge_type, _ in rows
@@ -705,8 +707,8 @@ def read_back(graph: PropertyGraph) -> PropertyGraph:
             if cell:
                 properties[key] = value
         copy.add_node(node.label, properties)
-    for edge in graph.edges():
-        copy.add_edge(edge.source, edge.target, edge.type)
+    for _, source, target, edge_type in edge_rows(graph):
+        copy.add_edge(source, target, edge_type)
     copy.seal()
     return copy
 

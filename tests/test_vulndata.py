@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import edge_rows
 from pkgraph.graph import PropertyGraph
 from pkgraph.vulndata import (
     CsvError,
@@ -248,15 +249,15 @@ class TestBuildKnowledgeGraph:
         stats = build_knowledge_graph([cwe()], [cve(cwe_id="CWE-999")], g)
         assert stats.orphan_cves == 1
         cve_node = g.find_nodes("CVE")[0]
-        assert not any(e.type == "HAS_CVE" for e in g.in_edges(cve_node.id))
+        assert "HAS_CVE" not in [t for *_, t in edge_rows(g, g.in_edges(cve_node.id))]
 
     def test_cve_edge_invariants(self):
         g = PropertyGraph()
         build_knowledge_graph([cwe()], [cve(), cve(cve_id="CVE-2021-1111")], g)
         for node in g.find_nodes("CVE"):
-            out = [e.type for e in g.out_edges(node.id)]
+            out = [t for *_, t in edge_rows(g, g.out_edges(node.id))]
             assert out.count("SCORED") == 1
-            incoming = [e.type for e in g.in_edges(node.id)]
+            incoming = [t for *_, t in edge_rows(g, g.in_edges(node.id))]
             assert incoming.count("HAS_CVE") <= 1
 
     def test_function_events_stored_as_list(self):
@@ -269,8 +270,6 @@ class TestBuildKnowledgeGraph:
         def build():
             g = PropertyGraph()
             build_knowledge_graph([cwe(), cwe("CWE-242", ("gets", "atoi"))], [cve()], g)
-            return [(n.label, sorted(n.properties.items())) for n in g.nodes()], [
-                (e.source, e.target, e.type) for e in g.edges()
-            ]
+            return [(n.label, sorted(n.properties.items())) for n in g.nodes()], edge_rows(g)
 
         assert build() == build()
