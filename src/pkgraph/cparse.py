@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import itemgetter, sub
 
-from .graph import GraphError, PropertyGraph, Record
+from .graph import GraphError, PropertyGraph, Record, _labels
 
 # Keywords that look like calls but are statements/operators we descend
 # into rather than record. sizeof is intentionally absent: it must be a
@@ -480,7 +480,7 @@ def call_graph_index(graph: PropertyGraph) -> _CallGraphIndex:
     without CallGraph nodes has an empty index, and one whose CallGraph
     nodes build_call_graph did not index (added by hand, or changed after
     the build) is refused with GraphError."""
-    if graph.node_count and graph.find_nodes("CallGraph"):
+    if graph.derived(_labels).get("CallGraph"):
         raise GraphError(
             "CallGraph nodes not indexed by build_call_graph: build the call graph"
             " with build_call_graph and add nothing to the graph after it"
@@ -559,7 +559,7 @@ def build_call_graph(tu: TranslationUnit, graph: PropertyGraph) -> dict:
             else:
                 sites.append(site)
     graph.add(nodes(), edges)
-    if before == 0 or len(graph.find_nodes("CallGraph")) == node_id - before:
+    if before == 0 or len(graph.derived(_labels).get("CallGraph", ())) == node_id - before:
         graph.keep(call_graph_index, _classify(functions, entry_ids, callees, by_name))
     return entries
 

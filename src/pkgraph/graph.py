@@ -423,16 +423,15 @@ class PropertyGraph:
         the source's, the sealed source answers it from its (label, key)
         map, when the value is a text, int, float or bool; the source holds
         the same records under the same ids. Otherwise, and always for a
-        graph's own lookups, the candidates are a scan of the label's
-        nodes."""
+        graph's own lookups, it is tested while the label's ids are
+        walked, so no list of every node of the label is built."""
         entries = list(filters.items()) if filters else []
         ids = self.derived(_labels).get(label, ())
         found = None
         if entries and ids and self._source is not None and ids[-1] <= self._source.node_count:
             found = self._source._map_lookup(label, *entries[0])
         if found is None:
-            nodes = self._nodes
-            found = [nodes[node_id] for node_id in ids]
+            found = map(self._nodes.__getitem__, ids)  # the first filter walks it
         else:
             del entries[0]
         for key, value in entries:
@@ -440,7 +439,7 @@ class PropertyGraph:
                 node for node in found
                 if key in node.properties and values_equal(value, node.properties[key])
             ]
-        return found
+        return found if isinstance(found, list) else list(found)
 
     def _map_lookup(self, label: str, key: str, value) -> list | None:
         """The nodes of label whose key property equals value under

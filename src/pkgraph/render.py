@@ -22,13 +22,23 @@ module's own, not csv.writer, whose rule for a lone carriage return
 differs between Python versions, so the bytes are the same on every
 Python the package supports.
 
-Each graph has one text table: node texts, call-step texts (`-[:TYPE]->`
-plus the target node's text), and both again JSON-escaped. An entry is
-rendered on its first lookup and, once the graph is sealed, kept with
-it, so a path's text is one join of looked-up pieces however many paths
-share them. The JSON scan report is a plain dict written by one small
-writer that gives json.dumps(indent=2)'s text; a witness path in it is
-its escaped pieces between quotes, so no path is escaped as a whole.
+Each graph has one text table, of plain texts for tables and queries
+and JSON texts for the scan report. A plain node text is render_node's;
+a plain step is `-[:TYPE]->` and its target node's text. The JSON side
+escapes each node's property values once, on the node's first lookup,
+and each label, key and `-[:TYPE]->` once per graph. From those pieces
+it builds both a node's text as a JSON string holds it and, for a
+terminal, its object in the report; an escaped step is the escaped
+`-[:TYPE]->` and the target's escaped text. An entry is made on its
+first lookup and, once the graph is sealed, kept with it, so a path's
+text is one join of looked-up pieces however many paths share them, and
+a JSON scan makes no plain text and escapes no value twice.
+
+The JSON scan report has a fixed shape, so findings_to_json writes it
+piece by piece straight from the findings, with the text that
+json.dumps(indent=2, ensure_ascii=False) gives: a witness path is its
+escaped pieces between quotes, a terminal is its kept object, and any
+other field is escaped where it is written.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from itertools import repeat
 from json.encoder import encode_basestring  # the C escaper
 from operator import itemgetter
 
-from .graph import Node, Path, PropertyGraph
+from .graph import Node, Path, PropertyGraph, Record
 
 
 class ExportError(Exception):
@@ -95,42 +105,125 @@ class _Table(dict):
         return value
 
 
-def _texts(graph: PropertyGraph) -> tuple:
-    """graph's text table: node id -> node text, edge id -> step text,
-    and the same two JSON-escaped without their quotes. A step is keyed
-    by its edge id alone: path.nodes[k + 1] is the target of
-    path.edges[k] in every path that enumerate_paths or the query
-    matcher builds. The fills hold graph weakly: the table is kept in
-    graph, and a cycle through it would outlive the graph's last
-    reference until the cyclic collector ran."""
+class _TextTable(Record):
+    """A graph's texts, each made on its first lookup. nodes and steps
+    hold the plain texts of nodes, by node id, and of call steps,
+    `-[:TYPE]->` and the target node's text, by edge id. json_nodes and
+    json_steps hold the same texts as a JSON string holds them, without
+    its quotes, and terminals each node's object in the report's
+    terminals list."""
+
+    __slots__ = ("nodes", "steps", "json_nodes", "json_steps", "terminals")
+
+
+def _texts(graph: PropertyGraph) -> _TextTable:
+    """graph's text table. A step is keyed by its edge id alone:
+    path.nodes[k + 1] is the target of path.edges[k] in every path that
+    enumerate_paths or the query matcher builds. The JSON texts are
+    built from fields, each node's escaped label and properties, names,
+    each escaped label and key, and arrows, each escaped `-[:TYPE]->`.
+    The fills hold graph weakly: the table is kept in graph, and a cycle
+    through it would outlive the graph's last reference until the cyclic
+    collector ran."""
     graph = weakref.proxy(graph)
 
     def step(edge_id):
         _, targets, types = graph.edge_columns()
         return f"-[:{types[edge_id - 1]}]->" + nodes[targets[edge_id - 1]]
 
+    def json_step(edge_id):
+        _, targets, types = graph.edge_columns()
+        return arrows[types[edge_id - 1]] + json_nodes[targets[edge_id - 1]]
+
+    names = _Table(lambda text: encode_basestring(text)[1:-1])
+    arrows = _Table(lambda edge_type: encode_basestring(f"-[:{edge_type}]->")[1:-1])
+    fields = _Table(lambda node_id: _fields(graph.node(node_id), names))
     nodes = _Table(lambda node_id: render_node(graph.node(node_id)))
-    steps = _Table(step)
-    return (
+    json_nodes = _Table(lambda node_id: _json_node(*fields[node_id]))
+    return _TextTable(
         nodes,
-        steps,
-        _Table(lambda node_id: encode_basestring(nodes[node_id])[1:-1]),
-        _Table(lambda edge_id: encode_basestring(steps[edge_id])[1:-1]),
+        _Table(step),
+        json_nodes,
+        _Table(json_step),
+        _Table(lambda node_id: _terminal(*fields[node_id])),
     )
 
 
-def _texts_of(graph: PropertyGraph) -> tuple:
+def _texts_of(graph: PropertyGraph) -> _TextTable:
     """graph's text table, kept with the graph only once it is sealed: a
     node of an unsealed graph may still have its properties changed in
     place, which no batch marks, so a kept text could go stale."""
     return graph.derived(_texts) if graph.sealed else _texts(graph)
 
 
+def _fields(node: Node, names: dict) -> tuple:
+    """node's label and properties, JSON-escaped without their quotes:
+    (label, [(key, value), ...]) in key order, where a value that is not
+    text is kept as it is."""
+    return names[node.label], [
+        (names[key], encode_basestring(value)[1:-1] if type(value) is str else value)
+        for key, value in sorted(node.properties.items())
+    ]
+
+
+def _json_node(label: str, fields: list) -> str:
+    """render_node's text as a JSON string holds it, without its quotes,
+    from the node's escaped label and fields. The quotes round a text
+    value are escaped, and so is each backslash that render_scalar puts
+    before a quote inside it: `\\"` in the escaped value becomes
+    `\\\\\\"`."""
+    if not fields:
+        return f"(:{label})"
+    pieces = ["(:", label]
+    separator = " {"
+    for key, value in fields:
+        if type(value) is str:
+            if '"' in value:
+                value = value.replace('\\"', '\\\\\\"')
+            pieces += (separator, key, ': \\"', value, '\\"')
+        elif type(value) is int:
+            pieces += (separator, key, ": ", repr(value))
+        else:
+            pieces += (separator, key, ": ", encode_basestring(render_scalar(value))[1:-1])
+        separator = ", "
+    pieces.append("})")
+    return "".join(pieces)
+
+
+# The indentations of the report's fixed shape: a finding's or a
+# capability's fields, a finding's witness paths and terminals, a
+# terminal's label and properties, and one property.
+_FIELD = "\n      "
+_ITEM = "\n        "
+_TERMINAL_FIELD = "\n          "
+_PROPERTY = "\n            "
+_NEXT_ITEM = "," + _ITEM
+_NEXT_PATH = '"' + _NEXT_ITEM + '"'
+_NEXT_PROPERTY = "," + _PROPERTY + '"'
+
+
+def _terminal(label: str, fields: list) -> str:
+    """A terminal's object in the report, from the node's escaped label
+    and fields, as json.dumps(indent=2) writes it at its place there."""
+    pieces = ["{", _TERMINAL_FIELD, '"label": "', label, '",', _TERMINAL_FIELD, '"properties": ']
+    separator = "{" + _PROPERTY + '"'
+    for key, value in fields:
+        if type(value) is str:
+            pieces += (separator, key, '": "', value, '"')
+        elif type(value) is int:
+            pieces += (separator, key, '": ', repr(value))
+        else:
+            pieces += (separator, key, '": ', _json_value(value, _PROPERTY))
+        separator = _NEXT_PROPERTY
+    pieces += (_TERMINAL_FIELD + "}" if fields else "{}", _ITEM, "}")
+    return "".join(pieces)
+
+
 def render_path(graph: PropertyGraph, path: Path) -> str:
     """The head node's text followed by one `-[:TYPE]->(node)` step per
     edge."""
-    nodes, steps, _, _ = _texts_of(graph)
-    return "".join([nodes[path.nodes[0]], *map(steps.__getitem__, path.edges)])
+    table = _texts_of(graph)
+    return "".join([table.nodes[path.nodes[0]], *map(table.steps.__getitem__, path.edges)])
 
 
 def render_value(value, graph: PropertyGraph) -> str:
@@ -139,7 +232,7 @@ def render_value(value, graph: PropertyGraph) -> str:
     if value is None:
         return "null"
     if isinstance(value, Node):
-        return _texts_of(graph)[0][value.id]
+        return _texts_of(graph).nodes[value.id]
     if isinstance(value, Path):
         return render_path(graph, value)
     if isinstance(value, list):
@@ -169,72 +262,63 @@ def _render_list(value: list, graph: PropertyGraph, texts: dict) -> str:
     return "[" + ", ".join(pieces) + "]"
 
 
-def _write_json(value, newline: str, out: list, graph: PropertyGraph) -> None:
-    """Append to out the text json.dumps(value, indent=2,
-    ensure_ascii=False) gives for value on a line that newline ("\\n" and
-    that line's indentation) ends. A list whose first item is a Path
-    holds graph's paths only, each written as its rendered text."""
-    if isinstance(value, str):
-        out.append(encode_basestring(value))
-    elif isinstance(value, dict) and value:
-        inner = newline + "  "
-        opening, separator = "{" + inner, "," + inner
-        for key, item in value.items():
-            out += (opening, encode_basestring(key), ": ")
-            _write_json(item, inner, out, graph)
-            opening = separator
-        out += (newline, "}")
-    elif isinstance(value, list) and value:
-        inner = newline + "  "
-        if isinstance(value[0], Path):
-            _, _, nodes, steps = _texts_of(graph)
-            opening, separator = "[" + inner + '"', "," + inner + '"'
-            for path in value:
-                out += (opening, nodes[path.nodes[0]], *map(steps.__getitem__, path.edges), '"')
-                opening = separator
-        else:
-            opening, separator = "[" + inner, "," + inner
-            for item in value:
-                out.append(opening)
-                _write_json(item, inner, out, graph)
-                opening = separator
-        out += (newline, "]")
-    elif type(value) is int:  # as json.dumps writes it, without its per-call set-up
-        out.append(repr(value))
-    else:
-        out.append(json.dumps(value))
+def _json_value(value, newline: str) -> str:
+    """The text json.dumps(value, indent=2, ensure_ascii=False) gives for
+    value on a line that newline ("\\n" and that line's indentation)
+    ends. Each "\\n" of json.dumps's own text is re-indented, which is
+    exact: a JSON string never holds a raw newline."""
+    if type(value) is str:  # as json.dumps writes it, without its per-call set-up
+        return encode_basestring(value)
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
 
 
 def findings_to_json(findings: list, capabilities: list, graph: PropertyGraph) -> str:
     """The JSON scan report, one line per item as json.dumps(indent=2)
     writes it, with each witness path as its rendered text and each
-    terminal's properties in key order."""
-    report = {
-        "version": 1,
-        "findings": [
-            {
-                "cwe_id": finding.cwe_id,
-                "cwe_name": finding.cwe_name,
-                "message": finding.message,
-                "paths": finding.witness_paths,
-                "terminals": [
-                    {
-                        "label": terminal.label,
-                        "properties": dict(sorted(terminal.properties.items())),
-                    }
-                    for terminal in map(graph.node, finding.terminal_nodes)
-                ],
-            }
-            for finding in findings
-        ],
-        "unsupported": [
-            {"cwe_id": capability.cwe_id, "reason": capability.reason}
-            for capability in capabilities
-        ],
-    }
-    out = []
-    _write_json(report, "\n", out, graph)
-    out.append("\n")
+    terminal's properties in key order. The report's shape is fixed, so
+    it is written piece by piece from the findings, each witness path
+    from its escaped node and step texts and each terminal as its kept
+    object."""
+    table = _texts_of(graph)
+    nodes, steps, terminals = table.json_nodes, table.json_steps, table.terminals
+    out = ['{\n  "version": 1,\n  "findings": [']
+    opening = "\n    {"
+    for finding in findings:
+        out += (
+            opening, _FIELD, '"cwe_id": ', _json_value(finding.cwe_id, _FIELD),
+            ",", _FIELD, '"cwe_name": ', _json_value(finding.cwe_name, _FIELD),
+            ",", _FIELD, '"message": ', _json_value(finding.message, _FIELD),
+            ",", _FIELD, '"paths": [',
+        )
+        if finding.witness_paths:
+            separator = _ITEM + '"'
+            for path in finding.witness_paths:
+                out += (separator, nodes[path.nodes[0]])
+                out += map(steps.__getitem__, path.edges)
+                separator = _NEXT_PATH
+            out.append('"' + _FIELD + "],")
+        else:
+            out.append("],")
+        out += (_FIELD, '"terminals": [')
+        if finding.terminal_nodes:
+            separator = _ITEM
+            for node_id in finding.terminal_nodes:
+                out += (separator, terminals[node_id])
+                separator = _NEXT_ITEM
+            out.append(_FIELD + "]")
+        else:
+            out.append("]")
+        out.append("\n    }")
+        opening = ",\n    {"
+    out.append('\n  ],\n  "unsupported": [' if findings else '],\n  "unsupported": [')
+    opening = "\n    {"
+    for capability in capabilities:
+        out += (
+            opening, _FIELD, '"cwe_id": ', _json_value(capability.cwe_id, _FIELD),
+            ",", _FIELD, '"reason": ', _json_value(capability.reason, _FIELD), "\n    }",
+        )
+        opening = ",\n    {"
+    out.append("\n  ]\n}\n" if capabilities else "]\n}\n")
     return "".join(out)
 
 

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import subprocess
@@ -976,6 +977,44 @@ class TestKeptQueryParse:
             for source in SAMPLES:
                 argv = ["query", source, "--query-file", path]
                 assert [cli(*argv), cli(*argv)] == [fresh_cli(*argv)] * 2
+
+
+class TestNoCyclicGarbage:
+    """Every command frees what it made by reference counting alone: run
+    in-process with the cyclic collector off, the commands leave no
+    unreachable object for it to find. A kept text table, which holds
+    its graph weakly, is where a cycle would most likely start."""
+
+    def test_commands_over_every_sample(self, tmp_path):
+        cve = tmp_path / "cve.csv"
+        cve.write_text(
+            "cve_id,description,cwe_id,cvss2_score,product,affected_versions\n"
+            "CVE-2020-0001,d,CWE-415,7.5,Lib,1.0;1.1\n"
+        )
+        runs = [
+            ["ingest", "--cwe", str(DATA / "cwe-catalog.csv"), "--cve", str(cve),
+             "--out", str(tmp_path / "ingest")],
+        ]
+        templates = write_templates(tmp_path).values()
+        for source in SAMPLES:
+            runs += [
+                ["scan", source, "--format", "json"],
+                ["scan", source],
+                *(["query", source, "--query-file", path] for path in templates),
+                ["extract", source],
+                ["export", source, "--out", str(tmp_path / "export")],
+            ]
+        for argv in runs[:2]:  # fill the per-process caches first
+            cli(*argv)
+        gc.collect()
+        gc.disable()
+        try:
+            for argv in runs:
+                code, _, err = cli(*argv)
+                assert code in (0, 1), (argv, err)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestUnreadableInput:

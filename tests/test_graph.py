@@ -27,7 +27,7 @@ from pkgraph.graph import (
     UnknownNode,
     values_equal,
 )
-from pkgraph.render import export_import_csv
+from pkgraph.render import _TextTable, export_import_csv
 from pkgraph.vulndata import CveRecord, CweRecord, IngestStats
 
 
@@ -1157,6 +1157,7 @@ RECORDS = [
     (ast.Query, ((ast.WhereClause(_VAR),),)),
     (_Tok, ("id", "MATCH", 0)),
     (ResultTable, (["n"], [("gets",)])),
+    (_TextTable, ({1: "(:A)"}, {}, {1: "(:A)"}, {}, {})),
 ]
 RECORD_IDS = [cls.__qualname__ for cls, _ in RECORDS]
 

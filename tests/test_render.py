@@ -365,7 +365,7 @@ class TestRenderCache:
             foo = node_named(graph, "foo")
             for path in graph.enumerate_paths(foo.id, {n.id for n in graph.nodes()}):
                 render_path(graph, path)
-            nodes, _, _, _ = graph.derived(render._texts)
+            nodes = graph.derived(render._texts).nodes
             assert nodes
             marker = nodes[0] = Marker()
             return weakref.ref(graph), weakref.ref(marker)
@@ -401,30 +401,36 @@ class TestRenderCache:
             graph, _ = call_graph_of(DOUBLE_FREE_SRC)
             foo = node_named(graph, "foo")
             paths = graph.enumerate_paths(foo.id, {n.id for n in graph.nodes()})
-            findings_to_json([Finding("CWE-415", "x", paths, [], "m")], [], graph)
-            _, _, nodes, steps = graph.derived(render._texts)
-            assert nodes and steps
-            marker = nodes[0] = Marker()
-            return weakref.ref(graph), weakref.ref(marker)
+            terminals = [n.id for n in graph.nodes()]
+            findings_to_json([Finding("CWE-415", "x", paths, terminals, "m")], [], graph)
+            table = graph.derived(render._texts)
+            assert table.json_nodes and table.json_steps and table.terminals
+            markers = [Marker(), Marker(), Marker()]
+            table.json_nodes[0], table.json_steps[0], table.terminals[0] = markers
+            return weakref.ref(graph), [weakref.ref(marker) for marker in markers]
 
         gc.collect()
         gc.disable()  # reference counting alone must free them
         try:
-            graph, marker = reported_graph()
+            graph, markers = reported_graph()
             assert graph() is None
-            assert marker() is None
+            assert [marker() for marker in markers] == [None, None, None]
         finally:
             gc.enable()
 
     @pytest.mark.parametrize("sealed", [True, False])
     def test_only_a_sealed_graph_keeps_its_escaped_texts(self, sealed, monkeypatch):
+        """Each label, key, value and edge type of a graph is escaped once
+        per report of an unsealed graph and once in all for a sealed one,
+        though the call site is both on a path and a terminal; the
+        finding's own fields are escaped in every report."""
         graph = PropertyGraph()
         main = graph.add_node("CallGraph", {"Name": "main"})
-        call = graph.add_node("CallGraph", {"Name": "gets"})
+        call = graph.add_node("CallGraph", {"Argument1": "buf", "Name": "gets"})
         path = Path((main, call), (graph.add_edge(main, call, "CALLS"),))
         if sealed:
             graph.seal()
-        finding = Finding("CWE-242", "gets", [path], [], "m")
+        finding = Finding("CWE-242", "banned", [path], [call], "m")
         escaped = []
 
         def escape(text):
@@ -432,11 +438,13 @@ class TestRenderCache:
             return json.encoder.encode_basestring(text)
 
         monkeypatch.setattr(render, "encode_basestring", escape)
-        findings_to_json([finding], [], graph)
-        findings_to_json([finding], [], graph)
-        node, step = render_node(graph.node(main)), "-[:CALLS]->" + render_node(graph.node(call))
-        pieces = sorted(text for text in escaped if text in (node, step))
-        assert pieces == ([node, step] if sealed else [node, node, step, step])
+        own = ["CWE-242", "banned", "m"]
+        graph_texts = ["-[:CALLS]->", "Argument1", "CallGraph", "Name", "buf", "gets", "main"]
+        first = findings_to_json([finding], [], graph)
+        assert sorted(escaped) == sorted(own + graph_texts)
+        escaped.clear()
+        assert findings_to_json([finding], [], graph) == first
+        assert sorted(escaped) == sorted(own + ([] if sealed else graph_texts))
 
 
 # Each of d1..d10 calls the next twice, so gets has 2**10 witness paths.
@@ -520,9 +528,11 @@ class TestFindingsToJson:
     @settings(max_examples=300, deadline=None)
     @given(JSON_VALUES)
     def test_writer_matches_json_dumps(self, value):
-        out = []
-        render._write_json(value, "\n", out, None)
-        assert "".join(out) == json.dumps(value, indent=2, ensure_ascii=False)
+        """A report field is written as json.dumps writes it, at the top
+        level and nested, where each of its lines is indented further."""
+        assert render._json_value(value, "\n") == json.dumps(value, indent=2, ensure_ascii=False)
+        nested = "[\n  {\n    " + '"key": ' + render._json_value(value, "\n    ") + "\n  }\n]"
+        assert nested == json.dumps([{"key": value}], indent=2, ensure_ascii=False)
 
     @pytest.mark.parametrize("sample", BUNDLED, ids=lambda path: path.name)
     def test_bundled_samples_match_json_dumps(self, sample):
@@ -531,6 +541,98 @@ class TestFindingsToJson:
         want = reference_report(findings, capabilities, graph)
         assert findings_to_json(findings, capabilities, graph) == want
         assert findings_to_json(findings, capabilities, graph) == want
+
+
+def chain_source(length):
+    """main -> f1 -> ... -> f<length-1>, each calling strlen(x) first; the
+    last calls gets and frees one handle twice."""
+    lines = []
+    for i in range(length):
+        name = "main" if i == 0 else f"f{i}"
+        tail = f"f{i + 1}();" if i + 1 < length else "gets(buf); free(p); free(p);"
+        lines.append(f"void {name}() {{ strlen(x); {tail} }}")
+    return "\n".join(lines) + "\n"
+
+
+def diamond_source(levels):
+    """Each level calls the next twice, so the gets call in the last level
+    has 2**levels witness paths, which share their steps; a mid-level atoi
+    has fewer."""
+    lines = []
+    for i in range(levels + 1):
+        name = "main" if i == 0 else f"d{i}"
+        body = f"d{i + 1}(); d{i + 1}();" if i < levels else "gets(buf);"
+        if i == levels // 2:
+            body += " atoi(s);"
+        lines.append(f"void {name}() {{ puts(x); {body} }}")
+    return "\n".join(lines) + "\n"
+
+
+def nested_source(depth):
+    """main holds atoi(atoi(...(s))) nested depth deep: depth terminals,
+    the outer ones with arguments of every inner call's text."""
+    return "void main() { puts(x); " + "atoi(" * depth + "s" + ")" * depth + "; }\n"
+
+
+class TestReportShapes:
+    """The report against reference_report on the shapes the writer is
+    tuned for: deep nesting, steps shared by many paths, long paths,
+    values that escape, and empty lists."""
+
+    @staticmethod
+    def check(source, findings_count):
+        graph, _, catalog = merged_graph_of(source)
+        findings, capabilities = run_all(graph, catalog)
+        assert len(findings) == findings_count
+        want = reference_report(findings, capabilities, graph)
+        assert findings_to_json(findings, capabilities, graph) == want
+        assert findings_to_json(findings, capabilities, graph) == want
+        return json.loads(want)
+
+    def test_call_nested_200_deep(self):
+        findings = self.check(nested_source(200), 200)["findings"]
+        assert all(len(f["paths"]) == len(f["terminals"]) == 1 for f in findings)
+        arguments = sorted(f["terminals"][0]["properties"]["Argument1"] for f in findings)
+        assert arguments[-1] == "s" and max(a.count("atoi(") for a in arguments) == 199
+
+    def test_diamond_with_shared_steps(self):
+        findings = self.check(diamond_source(9), 2)["findings"]
+        assert sorted(len(f["paths"]) for f in findings) == [2**4, 2**9]
+
+    def test_chain_of_300_functions(self):
+        report = self.check(chain_source(300), 3)
+        for finding in report["findings"]:
+            assert all(path.count("-[:CALLS]->") == 599 for path in finding["paths"])
+
+    def test_values_with_quotes_and_backslashes(self):
+        source = r"""void main() { gets("say \"hi\" \\ \\\""); gets('\\'); }"""
+        findings = self.check(source + "\n", 2)["findings"]
+        assert [f["terminals"][0]["properties"]["Argument1"] for f in findings] == [
+            r'say \"hi\" \\ \\\"', r"'\\'",
+        ]
+        graph = PropertyGraph()
+        first = graph.add_node('La"b\\el', {'k"\\': 'v"\\"', "n": 1, "l": ['"', "\\"]})
+        second = graph.add_node("\\", {})
+        edge = graph.add_edge(first, second, 'T"\\')
+        graph.seal()
+        findings = [Finding('"\\', "\\", [Path((first, second), (edge,))], [first, second], '"')]
+        want = reference_report(findings, [], graph)
+        assert findings_to_json(findings, [], graph) == want
+
+    def test_empty_path_and_terminal_lists(self):
+        graph, _ = call_graph_of(DOUBLE_FREE_SRC)
+        foo = node_named(graph, "foo")
+        path = Path((foo.id,), ())
+        findings = [
+            Finding("CWE-1", "none", [], [], "no paths, no terminals"),
+            Finding("CWE-2", "paths", [path], [], "no terminals"),
+            Finding("CWE-3", "terminals", [], [foo.id], "no paths"),
+        ]
+        capabilities = [DetectorCapability("CWE-401", False, "no model")]
+        for reported in (findings, findings[:1], []):
+            for unsupported in (capabilities, []):
+                want = reference_report(reported, unsupported, graph)
+                assert findings_to_json(reported, unsupported, graph) == want
 
 
 def _parse_cell(column: str, cell: str):
