@@ -4,14 +4,18 @@ Exit codes: 0 ran with no findings, 1 findings present (scan), 2 usage
 error, 3 parse/ingest error. Machine output goes to stdout, diagnostics
 to stderr. Output is plain text (no ANSI styling), so NO_COLOR is
 honored by construction.
+
+The command line is described once, in _COMMANDS. An argv spelled in
+full from it is parsed without argparse; help, version, abbreviated
+options and usage errors go to argparse, which is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .cparse import ParseError, extract_translation_unit, build_call_graph
@@ -37,60 +41,6 @@ class _InputError(Exception):
 
 class _Exit(Exception):
     """-h or --version: the text to write to stdout before exiting 0."""
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
-
-    def print_help(self, file=None):
-        raise _Exit(self.format_help())
-
-
-class _VersionAction(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        raise _Exit(f"pkgraph {__version__}\n")
-
-
-# Built once per process and shared by every run_cli call: parse_args
-# returns a fresh Namespace and keeps no state in the parser, and help and
-# usage read the terminal width when they are formatted.
-@functools.cache
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="pkgraph", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--version", action=_VersionAction, nargs=0, default=argparse.SUPPRESS,
-        help="show program's version number and exit",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    ingest = sub.add_parser("ingest", help="build the vulnerability knowledge graph")
-    ingest.add_argument("--cwe", required=True, help="weakness catalog CSV")
-    ingest.add_argument("--cve", required=True, help="vulnerability catalog CSV")
-    ingest.add_argument("--out", default=".", help="output directory for CSV export")
-    ingest.set_defaults(run=_cmd_ingest)
-
-    extract = sub.add_parser("extract", help="print the call-graph node table for a C file")
-    extract.add_argument("source", help="C source file")
-    extract.set_defaults(run=_cmd_extract)
-
-    scan = sub.add_parser("scan", help="scan a C file for weaknesses")
-    scan.add_argument("source", help="C source file")
-    scan.add_argument("--catalog", help="weakness catalog CSV (default: bundled)")
-    scan.add_argument("--format", choices=("table", "json"), default="table")
-    scan.set_defaults(run=_cmd_scan)
-
-    query = sub.add_parser("query", help="run a query over the merged graph of a C file")
-    query.add_argument("source", help="C source file")
-    query.add_argument("--query-file", help="query text file (default: stdin)")
-    query.add_argument("--catalog", help="weakness catalog CSV (default: bundled)")
-    query.set_defaults(run=_cmd_query)
-
-    export = sub.add_parser("export", help="export a C file's call graph")
-    export.add_argument("source", help="C source file")
-    export.add_argument("--out", required=True, help="output directory")
-    export.set_defaults(run=_cmd_export)
-    return parser
 
 
 def _fs_path(text: str) -> str:
@@ -249,12 +199,116 @@ def _cmd_export(args, stdin, stdout) -> int:
     return 0
 
 
+# The grammar of every subcommand, in the order help lists them: the
+# function that runs it, its help, its positionals as (name, help) and its
+# options as flag: (help, choices, default, required). It is the only
+# description of the command line: _parse_exact reads it, and
+# _build_parser makes argparse's parser of it.
+_COMMANDS = {
+    "ingest": (_cmd_ingest, "build the vulnerability knowledge graph", (), {
+        "--cwe": ("weakness catalog CSV", None, None, True),
+        "--cve": ("vulnerability catalog CSV", None, None, True),
+        "--out": ("output directory for CSV export", None, ".", False),
+    }),
+    "extract": (_cmd_extract, "print the call-graph node table for a C file", (
+        ("source", "C source file"),
+    ), {}),
+    "scan": (_cmd_scan, "scan a C file for weaknesses", (("source", "C source file"),), {
+        "--catalog": ("weakness catalog CSV (default: bundled)", None, None, False),
+        "--format": (None, ("table", "json"), "table", False),
+    }),
+    "query": (_cmd_query, "run a query over the merged graph of a C file", (
+        ("source", "C source file"),
+    ), {
+        "--query-file": ("query text file (default: stdin)", None, None, False),
+        "--catalog": ("weakness catalog CSV (default: bundled)", None, None, False),
+    }),
+    "export": (_cmd_export, "export a C file's call graph", (("source", "C source file"),), {
+        "--out": ("output directory", None, None, True),
+    }),
+}
+
+
+def _parse_exact(argv):
+    """What parse_args makes of argv, when argv is the subcommand, then
+    exactly its positionals and each option spelled in full at most once,
+    with a value that does not start with "-" and is one of its choices;
+    otherwise None. Help, version, abbreviations, "--" and every usage
+    error are left to argparse, and so is anything else it might read
+    differently."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    run, _, positionals, options = _COMMANDS[argv[0]]
+    operands, given = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            operands.append(token)
+            continue
+        flag, equals, value = token.partition("=")
+        if not equals:
+            value = next(tokens, "-")  # a flag with no value is left to argparse
+        option = options.get(flag)
+        if option is None or flag in given or value.startswith("-"):
+            return None
+        if option[1] is not None and value not in option[1]:
+            return None
+        given[flag] = value
+    if len(operands) != len(positionals):
+        return None
+    args = SimpleNamespace(subcommand=argv[0], run=run)
+    for (name, _), operand in zip(positionals, operands):
+        setattr(args, name, operand)
+    for flag, (_, _, default, required) in options.items():
+        if required and flag not in given:
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
+# Built once per process, and only for an argv _parse_exact leaves to it,
+# so a command spelled in full never imports argparse. parse_args returns
+# a fresh Namespace and keeps no state in the parser, and help and usage
+# read the terminal width when they are formatted.
+@functools.cache
+def _build_parser():
+    import argparse
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+        def print_help(self, file=None):
+            raise _Exit(self.format_help())
+
+    class _VersionAction(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            raise _Exit(f"pkgraph {__version__}\n")
+
+    parser = _ArgumentParser(prog="pkgraph", description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--version", action=_VersionAction, nargs=0, default=argparse.SUPPRESS,
+        help="show program's version number and exit",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (run, text, positionals, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        for positional, text in positionals:
+            command.add_argument(positional, help=text)
+        for flag, (text, choices, default, required) in options.items():
+            command.add_argument(
+                flag, help=text, choices=choices, default=default, required=required
+            )
+        command.set_defaults(run=run)
+    return parser
+
+
 def run_cli(argv, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_exact(argv) or _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(str(exc), file=stderr)
         return 2

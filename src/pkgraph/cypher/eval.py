@@ -451,11 +451,18 @@ class _Evaluator:
                     (expr, alias or ast.expr_text(expr)) for expr, alias in clause.items
                 ]
                 out_columns = _distinct_columns(items)
-                projected = self.project(items, rows)
+                # Every row is evaluated before any is rendered, so an
+                # evaluation error comes before a rendering error.
+                if any(ast.has_aggregate(expr) for expr, _ in items):
+                    values = [
+                        [row[c] for c in out_columns] for row in self.project(items, rows)
+                    ]
+                else:
+                    values = [[self.scalar(expr, row) for expr, _ in items] for row in rows]
                 try:
                     rendered = [
-                        tuple(render_value(row[c], self.graph) for c in out_columns)
-                        for row in projected
+                        tuple(render_value(value, self.graph) for value in row)
+                        for row in values
                     ]
                 except CellTooLong as exc:
                     raise EvalError(str(exc)) from None

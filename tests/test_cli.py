@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import json
@@ -402,18 +403,175 @@ class TestUsage:
         )
 
 
+def reference_parser():
+    """The argument parser as pkgraph built it before its grammar became a
+    table, kept as the reference for help, version and usage errors."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="pkgraph", description="Command-line pipeline: ingest, extract, scan, query, export."
+    )
+    parser.add_argument("--version", action="version", version=f"pkgraph {pkgraph.__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    ingest = sub.add_parser("ingest", help="build the vulnerability knowledge graph")
+    ingest.add_argument("--cwe", required=True, help="weakness catalog CSV")
+    ingest.add_argument("--cve", required=True, help="vulnerability catalog CSV")
+    ingest.add_argument("--out", default=".", help="output directory for CSV export")
+
+    extract = sub.add_parser("extract", help="print the call-graph node table for a C file")
+    extract.add_argument("source", help="C source file")
+
+    scan = sub.add_parser("scan", help="scan a C file for weaknesses")
+    scan.add_argument("source", help="C source file")
+    scan.add_argument("--catalog", help="weakness catalog CSV (default: bundled)")
+    scan.add_argument("--format", choices=("table", "json"), default="table")
+
+    query = sub.add_parser("query", help="run a query over the merged graph of a C file")
+    query.add_argument("source", help="C source file")
+    query.add_argument("--query-file", help="query text file (default: stdin)")
+    query.add_argument("--catalog", help="weakness catalog CSV (default: bundled)")
+
+    export = sub.add_parser("export", help="export a C file's call graph")
+    export.add_argument("source", help="C source file")
+    export.add_argument("--out", required=True, help="output directory")
+    return parser
+
+
+def reference_answer(argv):
+    """(exit code or None, stdout, stderr, namespace without run or None)
+    of the reference parser for argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace, code = vars(reference_parser().parse_args(argv)), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+def argparse_answer(argv):
+    """vars() of what pkgraph's argparse parser makes of argv, or None
+    for help, version or a usage error."""
+    try:
+        return vars(pkgraph.cli._build_parser().parse_args(argv))
+    except (pkgraph.cli._UsageError, pkgraph.cli._Exit):
+        return None
+
+
+# Each command name's number of positionals and options, spelled in full.
+COMMAND_GRAMMAR = {
+    "ingest": (0, ["--cwe", "--cve", "--out"]),
+    "extract": (1, []),
+    "scan": (1, ["--catalog", "--format"]),
+    "query": (1, ["--query-file", "--catalog"]),
+    "export": (1, ["--out"]),
+    "frobnicate": (1, []),
+}
+FLAGS = sorted(
+    {flag[:end] for _, flags in COMMAND_GRAMMAR.values() for flag in flags
+     for end in range(3, len(flag) + 1)}
+    | {"-h", "--help", "--version", "--"}
+)
+PLAIN_VALUES = ["table", "json", "a.c", "dir/a b.c", "a=b.c", ""]
+VALUES = PLAIN_VALUES + ["-", "-x", "--", "-1", "xml", "scan", "out dir/"]
+
+
+@st.composite
+def argvs(draw):
+    """A command name or none, then, in any order, 0-3 positionals, some
+    of the command's options and up to two flags or abbreviations of any
+    command, each with a value, as flag=value or alone. The draws lean to
+    what the command takes, so that many argvs are spelled in full."""
+    name = draw(st.sampled_from(sorted(COMMAND_GRAMMAR)))
+    positionals, own_flags = COMMAND_GRAMMAR[name]
+    value = st.sampled_from(PLAIN_VALUES * 3 + VALUES)
+    count = draw(st.sampled_from([positionals] * 3 + [0, 1, 2, 3]))
+    chunks = [[draw(value)] for _ in range(count)]
+    flags = [flag for flag in own_flags if draw(st.booleans())]
+    flags += draw(st.lists(st.sampled_from(FLAGS), max_size=draw(st.sampled_from([0, 0, 1, 2]))))
+    for flag in flags:
+        text = draw(value)
+        chunks.append(draw(st.sampled_from([[flag, text]] * 3 + [[f"{flag}={text}"], [flag]])))
+    head = draw(st.sampled_from([[name], [name], [name], []]))
+    return head + [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+
+
+class TestExactParse:
+    """A command line spelled in full is parsed from the command table
+    without argparse, into what argparse makes of it; every other is left
+    to argparse, whose help, version and usage errors read as they did."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(argvs())
+    def test_agrees_with_argparse_or_leaves_the_argv_to_it(self, argv):
+        exact = pkgraph.cli._parse_exact(argv)
+        if exact is not None:
+            assert vars(exact) == argparse_answer(argv)
+
+    @pytest.mark.parametrize("argv", [
+        # README's examples
+        ["extract", "program.c"],
+        ["scan", "program.c"],
+        ["scan", "program.c", "--format", "json"],
+        ["scan", "program.c", "--catalog", "my-catalog.csv"],
+        ["query", "program.c", "--query-file", "rule.cql"],
+        ["query", "program.c"],
+        ["ingest", "--cwe", "cwe.csv", "--cve", "cve.csv", "--out", "outdir/"],
+        ["export", "program.c", "--out", "outdir/"],
+        # the benchmark's operations
+        ["scan", "/w/p.c", "--format", "json", "--catalog", "/w/c.csv"],
+        ["query", "/w/p.c", "--query-file", "/w/q.cypher", "--catalog", "/w/c.csv"],
+        # the other spellings the table allows
+        ["scan", "--format=table", "a b.c", "--catalog=x=y.csv"],
+        ["ingest", "--out", "", "--cve", "cve.csv", "--cwe=cwe.csv"],
+        ["ingest", "--cve", "cve.csv", "--cwe", "cwe.csv"],
+    ])
+    def test_accepts_every_argv_spelled_in_full(self, argv):
+        exact = pkgraph.cli._parse_exact(argv)
+        assert exact is not None and vars(exact) == argparse_answer(argv)
+        assert {k: v for k, v in vars(exact).items() if k != "run"} == reference_answer(argv)[3]
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--version"], ["frobnicate"], ["scan", "a.c", "--form", "json"],
+        ["scan", "a.c", "--format", "json", "--format", "json"], ["scan", "--", "a.c"],
+        ["scan", "a.c", "--format", "xml"], ["scan", "a.c", "b.c"], ["export", "a.c"],
+        ["scan", "-x.c"], ["scan", "a.c", "--catalog"], ["ingest", "--cwe", "c", "--cve", "-"],
+    ])
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert pkgraph.cli._parse_exact(argv) is None
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], *([name, "-h"] for name in sorted(COMMAND_GRAMMAR) if name != "frobnicate"), ["--version"],
+        [], ["frobnicate"], ["scan", "a.c", "--format", "xml"], ["export", "a.c"],
+        ["ingest", "--cve", "cve.csv"], ["extract", "a.c", "b.c"], ["scan", "a.c", "--form", "xml"],
+        ["scan", "a.c", "--form", "json"], ["query", "a.c", "--q", "q.cypher", "--cat=c.csv"],
+    ], ids=repr)
+    def test_help_version_and_usage_errors_read_as_the_reference_parser(
+        self, argv, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "100")
+        code, out, err, namespace = reference_answer(argv)
+        if code is None:  # an abbreviation the reference parser accepts
+            parsed = argparse_answer(argv)
+            assert {k: v for k, v in parsed.items() if k != "run"} == namespace
+        else:
+            assert fresh_cli(*argv) == (code, out, err)
+
+
 SRC = Path(pkgraph.__file__).parent.parent
 
 # Runs pkgraph commands in a fresh interpreter, started with the given
 # flags, and prints, as JSON, the modules loaded before pkgraph and, for
 # each command, its exit code and the modules loaded since. The baseline
-# is taken after importing the standard-library modules pkgraph imports,
-# so that what they load by themselves on some Python version is not
-# counted against pkgraph.
+# is taken after importing the standard-library modules every command
+# imports, so that what they load by themselves on some Python version is
+# not counted against pkgraph. It leaves out argparse, which only help,
+# abbreviations and usage errors load.
 _FRESH_RUN = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
-import argparse, bisect, csv, itertools, operator, re
+import bisect, csv, itertools, operator, re
 baseline = set(sys.modules)
 from pkgraph.cli import run_cli
 report = []
@@ -480,6 +638,24 @@ class TestStartUp:
         modules = report[-1][1]
         assert "pkgraph.cli" in modules
         assert [m for m in modules if m.startswith(unwanted)] == []
+
+    def test_commands_spelled_in_full_load_no_argparse(self, tmp_path):
+        """Neither argparse nor gettext, which it imports, loads for a
+        command spelled in full; help and a usage error still load it."""
+        query = tmp_path / "q.cypher"
+        query.write_text('MATCH (n:CallGraph {Name: "free"}) RETURN n.Name')
+        source = str(CORPUS / "cwe415_double_free.c")
+        commands = [
+            *one_shot_commands(tmp_path),
+            ["query", source, "--query-file", str(query), "--catalog", str(DATA / "cwe-catalog.csv")],
+            ["scan", "-h"],
+            ["scan", source, "--form", "xml"],
+        ]
+        baseline, report = fresh_run(*commands)
+        assert not {"argparse", "gettext"} & set(baseline)
+        assert [code for code, _ in report] == [1, 1, 0, 0, 0, 0, 0, 2]
+        assert not {"argparse", "gettext"} & set(report[5][1])
+        assert "argparse" in report[6][1]
 
     def test_query_loads_the_query_engine(self, tmp_path):
         query = tmp_path / "q.cypher"
@@ -551,16 +727,16 @@ class TestStartUp:
 # every argument parser constructed, and whether the catalog records the
 # process kept equal a fresh parse of the kept bytes.
 _SEQUENCE_RUN = """
-import io, json, os, sys
+import argparse, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 from pkgraph import cli
 from pkgraph.vulndata import parse_cwe_csv
 built = []
-init = cli._ArgumentParser.__init__
+init = argparse.ArgumentParser.__init__
 def counted_init(self, *args, **kwargs):
     init(self, *args, **kwargs)
     built.append(self.prog)
-cli._ArgumentParser.__init__ = counted_init
+argparse.ArgumentParser.__init__ = counted_init
 results = []
 for columns, argv, *files in json.loads(sys.argv[2]):
     for path, text in (files[0] if files else {}).items():
