@@ -6,16 +6,28 @@ projects (grouping when an aggregate appears), WHERE filters, UNWIND
 fans lists out into rows, RETURN renders the final table. Null follows
 the usual rules: comparisons with null are false, aggregates skip
 nulls, property access on null is null.
+
+What follows from the query alone is worked out once, into its plan
+(_plan): each clause's columns and the error it raises when it runs
+(a column named twice, a variable bound twice), which variable each
+pattern level newly binds, which projection items aggregate, the step
+lists of compound expressions and what each RETURN item reads. A plan
+is made on its query's first run and kept with the parse
+(parser._kept_plan), so a text run again pays none of it. It holds no
+graph and no evaluator: an _Evaluator holds what depends on its graph,
+the scans of literal-only node patterns, and is made per run.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import partial
 
 from ..graph import Node, Path, PropertyGraph, Record, values_equal
-from ..render import CellTooLong, render_value
+from ..render import CellTooLong, _texts_of
 from . import ast
-from .ast import Binary, Func, Literal, Not, Prop, Var
+from .ast import Binary, Func, Literal, MatchClause, Not, Prop, UnwindClause, Var, WhereClause
+from .parser import _kept_plan
 
 
 _ORDERINGS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -34,22 +46,12 @@ class TypeMismatch(EvalError):
 
 
 class AlreadyBound(EvalError):
-    """A path variable names a variable that is already bound."""
+    """A path variable or an UNWIND alias names a variable that is
+    already bound."""
 
 
 class DuplicateColumn(EvalError):
     """A WITH or RETURN list names one column twice."""
-
-
-def _distinct_columns(items) -> list:
-    """The column names of a WITH or RETURN list, which must differ."""
-    columns = [alias for _, alias in items]
-    seen = set()
-    for column in columns:
-        if column in seen:
-            raise DuplicateColumn(f"column {column!r} is named more than once")
-        seen.add(column)
-    return columns
 
 
 class ResultTable(Record):
@@ -89,19 +91,30 @@ def _bound_node(np, bound: dict):
     return node
 
 
-def _walk(trail: list, end: Node, hop) -> Path:
-    """The path of a finished match: the nodes and hops of trail, then hop
-    into end, each hop a Path. A match of one hop walks that hop's Path,
-    which is handed on as it is."""
-    if not trail:
-        return Path((end.id,), ())
-    if len(trail) == 1:
-        return hop
-    nodes, edges = [trail[0][1].id], []
-    for step in [step for _, _, step in trail[1:]] + [hop]:
-        nodes += step.nodes[1:]
-        edges += step.edges
-    return Path(tuple(nodes), tuple(edges))
+def _finish(level, trail: list, ends: dict, hops: list, bound: dict, path_var) -> list:
+    """The results of a pattern's last level, one per hop into it: a copy
+    of bound, with the level's new variable bound to the hop's end node
+    (ends by id) and path_var to the walk over trail's nodes and then the
+    hop. A pattern of one node or one hop binds each hop's Path as it
+    is."""
+    var = level.var
+    paths = hops
+    if path_var and len(trail) > 1:
+        nodes, edges = [trail[0][1].id], []
+        for _, _, step in trail[1:]:
+            nodes += step.nodes[1:]
+            edges += step.edges
+        nodes, edges = tuple(nodes), tuple(edges)
+        paths = [Path(nodes + hop.nodes[1:], edges + hop.edges) for hop in hops]
+    results = []
+    for hop, path in zip(hops, paths):
+        result = bound.copy()
+        if var:
+            result[var] = ends[hop.end]
+        if path_var:
+            result[path_var] = path
+        results.append(result)
+    return results
 
 
 #: How deep COLLECT may nest lists. Rendering, grouping and comparing a
@@ -146,6 +159,131 @@ def _size(value, expr: Func) -> int:
     return len(value)
 
 
+# -- plans -------------------------------------------------------------------
+
+class _Level(Record):
+    """One node of a pattern and the relationship into it."""
+
+    __slots__ = (
+        "rel",  # None for the pattern's first node
+        "np",
+        "var",  # the variable the level newly binds; None when it binds none
+    )
+
+
+class _Match(Record):
+    __slots__ = (
+        "levels",
+        "path_var",
+        "optional",
+        "nulls",  # each variable the clause binds, as null: an unmatched optional row's
+    )
+
+
+class _Projection(Record):
+    """A WITH or RETURN list."""
+
+    __slots__ = (
+        "items",  # (expression, column)
+        "aggregated",  # per item: whether it holds an aggregate
+        "reads",  # per item: the input column a bare variable names, else None
+    )
+
+
+class _Plan(Record):
+    __slots__ = (
+        "clauses",  # (error, step) per clause before the RETURN
+        "result",  # (error, _Projection) of the RETURN; None when there is none
+        "step_lists",  # id(compound expression) -> _steps(expression)
+    )
+
+
+def _repeated(columns: list):
+    """The first column named twice in columns, or None."""
+    seen = set()
+    for column in columns:
+        if column in seen:
+            return column
+        seen.add(column)
+    return None
+
+
+def _plan(query) -> _Plan:
+    """query's plan. Each step is the clause's _Match or _Projection, or
+    the WHERE or UNWIND clause itself; its error, None or (class,
+    message), is raised when the clause runs, before any row reaches it.
+    The step lists are those of each compound expression the evaluator
+    reads, whole: a WHERE, UNWIND, property filter or non-aggregate item,
+    or the argument of an aggregate. The plan holds the query's nodes,
+    so their ids are not reused while it is kept."""
+    step_lists = {}
+
+    def reads(expr):
+        if isinstance(expr, (Binary, Func, Not)) and id(expr) not in step_lists:
+            step_lists[id(expr)] = _steps(expr)
+
+    def projection(items, known):
+        """The columns and the (error, _Projection) of a WITH or RETURN
+        list, known the columns it reads."""
+        aggregated = tuple(ast.has_aggregate(expr) for expr, _ in items)
+        for (expr, _), aggregate in zip(items, aggregated):
+            if aggregate:  # _aggregate reads the aggregate's argument, inside any SIZEs
+                while isinstance(expr, Func) and expr.name == "SIZE":
+                    expr = expr.arg
+                expr = expr.arg if isinstance(expr, Func) else expr
+            reads(expr)
+        columns = [alias for _, alias in items]
+        name = _repeated(columns)
+        error = None if name is None else (
+            DuplicateColumn, f"column {name!r} is named more than once"
+        )
+        columns_read = tuple(
+            expr.name if isinstance(expr, Var) and expr.name in known else None
+            for expr, _ in items
+        )
+        return columns, (error, _Projection(items, aggregated, columns_read))
+
+    clauses, columns = [], []
+    for clause in query.clauses:
+        known = set(columns)
+        error = None
+        if isinstance(clause, MatchClause):
+            pattern = clause.pattern
+            path_var = pattern.path_var
+            if path_var and (path_var in known or path_var in {np.var for np in pattern.nodes}):
+                error = (AlreadyBound, f"path variable {path_var!r} is already bound")
+            levels, new_vars = [], []
+            for rel, np in zip((None, *pattern.rels), pattern.nodes):
+                var = np.var if np.var and np.var not in known and np.var not in new_vars else None
+                if var:
+                    new_vars.append(var)
+                levels.append(_Level(rel, np, var))
+                for _, expr in np.props:
+                    reads(expr)
+            if path_var:
+                new_vars.append(path_var)
+            step = _Match(tuple(levels), path_var, clause.optional, dict.fromkeys(new_vars))
+            columns = columns + new_vars
+        elif isinstance(clause, ast.WithClause):
+            columns, (error, step) = projection(clause.items, known)
+        elif isinstance(clause, WhereClause):
+            reads(clause.expr)
+            step = clause
+        elif isinstance(clause, UnwindClause):
+            if clause.alias in known:
+                error = (AlreadyBound, f"variable {clause.alias!r} is already bound")
+            reads(clause.expr)
+            step = clause
+            columns = columns + [clause.alias]
+        elif isinstance(clause, ast.ReturnClause):
+            items = tuple((expr, alias or ast.expr_text(expr)) for expr, alias in clause.items)
+            return _Plan(tuple(clauses), projection(items, known)[1], step_lists)
+        else:
+            continue
+        clauses.append((error, step))
+    return _Plan(tuple(clauses), None, step_lists)
+
+
 class _Evaluator:
     def __init__(self, graph: PropertyGraph):
         self.graph = graph
@@ -154,7 +292,9 @@ class _Evaluator:
         # do, and 1, 1.0 and True are equal but match different nodes. The
         # query holds each pattern, so an id is not reused while it is kept.
         self._scans = {}
-        self._step_lists = {}  # id(compound expression) -> _steps(expression)
+        # id(compound expression) -> _steps(expression): a copy of the
+        # running query's plan's, plus any other expression folded.
+        self._step_lists = {}
 
     # -- scalar expressions ------------------------------------------------
 
@@ -236,40 +376,43 @@ class _Evaluator:
 
     # -- pattern matching --------------------------------------------------
 
-    def match_pattern(self, pattern, row: dict) -> list:
-        """The rows by which the pattern extends row, each a new dict: row
-        plus every variable the pattern binds, its path variable included.
+    def match_pattern(self, match: _Match, row: dict) -> list:
+        """The rows by which match's pattern extends row, each a new dict:
+        row plus every variable the pattern binds, its path variable
+        included.
 
-        The search is depth-first over an explicit stack of lazy
-        iterators, one per matched node, so a long pattern does not
-        recurse. bound is the row plus the pattern's bindings so far, so
-        a finished match is one copy of it."""
-        results = []
+        The search is depth-first over an explicit stack of iterators,
+        one per level entered, so a long pattern does not recurse. bound
+        is the row plus the pattern's bindings so far. The last level is
+        not entered: _finish makes one result per hop into it, and an
+        empty iterator then takes the search back out of the level before
+        it."""
+        levels, path_var = match.levels, match.path_var
         bound = dict(row)
-        path_var = pattern.path_var
-        last = len(pattern.rels)
+        starts = self._candidates(levels[0].np, bound)
+        if len(levels) == 1:
+            hops = [Path((node.id,), ()) for node in starts]
+            return _finish(levels[0], [], {node.id: node for node in starts}, hops, bound, path_var)
+        results = []
+        last = len(levels) - 1
         used = set()  # ids of the edges matched so far
-        trail = []  # (newly bound var, node, hop into it) per node before the last
-        stack = [((n, None) for n in self._candidates(pattern.nodes[0], bound))]
+        trail = []  # (newly bound var, node, hop into it) per level entered
+        stack = [((node, None) for node in starts)]
         while stack:
             for node, hop in stack[-1]:
-                var = pattern.nodes[len(trail)].var
-                var = var if var and var not in bound else None
-                if len(trail) == last:
-                    result = dict(bound)
-                    if var:
-                        result[var] = node
-                    if path_var:
-                        result[path_var] = _walk(trail, node, hop)
-                    results.append(result)
-                    continue
+                var = levels[len(trail)].var
                 if var:
                     bound[var] = node
                 if hop is not None:  # the start node's; a zero-length Path is falsy
                     used.update(hop.edges)
                 trail.append((var, node, hop))
-                rel, np = pattern.rels[len(trail) - 1], pattern.nodes[len(trail)]
-                stack.append(self._extend(rel, np, node, bound, used))
+                level = levels[len(trail)]
+                ends, hops = self._hops(level, node, bound, used)
+                if len(trail) < last:
+                    stack.append(zip([ends[hop.end] for hop in hops], hops))
+                else:
+                    results += _finish(level, trail, ends, hops, bound, path_var)
+                    stack.append(())
                 break
             else:
                 stack.pop()
@@ -281,30 +424,34 @@ class _Evaluator:
                         del bound[var]
         return results
 
-    def _extend(self, rel, np, node: Node, bound: dict, used: set):
-        """Each (end, hop) by which a match at node goes on over rel to a
-        node matching np, hop the Path from node to end. A single hop's
-        Path is made only once the edge and its end have matched; a `*`
-        hop's is the Path that enumerate_paths returned, which already
-        ends only at np's candidates. No edge is used twice in the
-        pattern. An end variable bound to null matches nothing."""
+    def _hops(self, level: _Level, node: Node, bound: dict, used: set):
+        """(ends, hops): each Path by which a match at node goes on over
+        level's relationship to a node matching its node pattern, and
+        those nodes by id. A single hop's Path is made only once the edge
+        and its end have matched; a `*` hop's are the Paths that
+        enumerate_paths returned, which already end only at the node
+        pattern's candidates. No edge is used twice in the pattern, so a
+        `*` hop's Paths are filtered when edges are used already. An end
+        variable bound to null matches nothing."""
+        rel, np = level.rel, level.np
+        if rel.var_length is not None:
+            ends = {n.id: n for n in self._candidates(np, bound)}
+            hops = self.graph.enumerate_paths(node.id, ends, rel.type, *rel.var_length)
+            if used:
+                hops = [hop for hop in hops if used.isdisjoint(hop.edges)]
+            return ends, hops
+        ends, hops = {}, []
         pinned = np.var in bound
         if pinned and _bound_node(np, bound) is None:
-            return
-        if rel.var_length is None:
-            _, targets, types = self.graph.edge_columns()
-            for edge_id in self.graph.out_edges(node.id):
-                if (rel.type is None or types[edge_id - 1] == rel.type) and edge_id not in used:
-                    end = self.graph.node(targets[edge_id - 1])
-                    if (not pinned or bound[np.var] is end) and self._node_matches(
-                        np, end, bound
-                    ):
-                        yield end, Path((node.id, end.id), (edge_id,))
-        else:
-            ends = {n.id: n for n in self._candidates(np, bound)}
-            for path in self.graph.enumerate_paths(node.id, ends, rel.type, *rel.var_length):
-                if used.isdisjoint(path.edges):
-                    yield ends[path.end], path
+            return ends, hops
+        _, targets, types = self.graph.edge_columns()
+        for edge_id in self.graph.out_edges(node.id):
+            if (rel.type is None or types[edge_id - 1] == rel.type) and edge_id not in used:
+                end = self.graph.node(targets[edge_id - 1])
+                if (not pinned or bound[np.var] is end) and self._node_matches(np, end, bound):
+                    ends[end.id] = end
+                    hops.append(Path((node.id, end.id), (edge_id,)))
+        return ends, hops
 
     def _candidates(self, np, bound: dict) -> list:
         """The nodes np matches under bound: its variable's node if bound,
@@ -355,31 +502,21 @@ class _Evaluator:
 
     # -- clauses -----------------------------------------------------------
 
-    def apply_match(self, clause, columns: list, rows: list):
-        pattern = clause.pattern
-        path_var = pattern.path_var
-        if path_var and (path_var in columns or path_var in {np.var for np in pattern.nodes}):
-            raise AlreadyBound(f"path variable {path_var!r} is already bound")
-        new_vars = []
-        for np in pattern.nodes:
-            if np.var and np.var not in columns and np.var not in new_vars:
-                new_vars.append(np.var)
-        if path_var:
-            new_vars.append(path_var)
+    def apply_match(self, match: _Match, rows: list) -> list:
         out = []
         for row in rows:
-            matches = self.match_pattern(pattern, row)
+            matches = self.match_pattern(match, row)
             if matches:
                 out += matches
-            elif clause.optional:
-                out.append({**row, **dict.fromkeys(new_vars)})
-        return columns + new_vars, out
+            elif match.optional:
+                out.append({**row, **match.nulls})
+        return out
 
-    def project(self, items, rows: list):
+    def project(self, projection: _Projection, rows: list) -> list:
         """Shared WITH/RETURN projection with aggregate grouping. Without
         a grouping item, all rows form one group, which exists over zero
         rows too, so COUNT reads 0 and COLLECT [] there."""
-        aggregated = [ast.has_aggregate(expr) for expr, _ in items]
+        items, aggregated = projection.items, projection.aggregated
         if not any(aggregated):
             return [
                 {alias: self.scalar(expr, row) for expr, alias in items} for row in rows
@@ -424,51 +561,63 @@ class _Evaluator:
     # -- pipeline ----------------------------------------------------------
 
     def execute(self, query) -> ResultTable:
-        columns = []
+        plan = _kept_plan(query, _plan)
+        self._step_lists = dict(plan.step_lists)
         rows = [{}]
-        for clause in query.clauses:
-            if isinstance(clause, ast.MatchClause):
-                columns, rows = self.apply_match(clause, columns, rows)
-            elif isinstance(clause, ast.WithClause):
-                columns = _distinct_columns(clause.items)
-                rows = self.project(clause.items, rows)
-            elif isinstance(clause, ast.WhereClause):
-                rows = [r for r in rows if self.scalar(clause.expr, r) is True]
-            elif isinstance(clause, ast.UnwindClause):
+        for error, step in plan.clauses:
+            if error is not None:
+                raise error[0](error[1])
+            if type(step) is _Match:
+                rows = self.apply_match(step, rows)
+            elif type(step) is _Projection:
+                rows = self.project(step, rows)
+            elif type(step) is WhereClause:
+                rows = [r for r in rows if self.scalar(step.expr, r) is True]
+            else:  # UNWIND
                 out = []
                 for row in rows:
-                    value = self.scalar(clause.expr, row)
+                    value = self.scalar(step.expr, row)
                     if value is None:
                         continue
                     elements = value if isinstance(value, list) else [value]
                     for element in elements:
-                        out.append({**row, clause.alias: element})
+                        out.append({**row, step.alias: element})
                 rows = out
-                if clause.alias not in columns:
-                    columns = columns + [clause.alias]
-            elif isinstance(clause, ast.ReturnClause):
-                items = [
-                    (expr, alias or ast.expr_text(expr)) for expr, alias in clause.items
+        if plan.result is None:
+            raise TypeMismatch("query has no RETURN clause")  # parser guarantees otherwise
+        error, projection = plan.result
+        if error is not None:
+            raise error[0](error[1])
+        return self.result_table(projection, rows)
+
+    def result_table(self, projection: _Projection, rows: list) -> ResultTable:
+        """The RETURN's table. Every row is evaluated before any is
+        rendered, so an evaluation error comes before a rendering error;
+        an item that reads an input column cannot fail, so when every
+        item does, each row is read and rendered in one step. Every cell
+        goes through one renderer, which fetched the graph's text table
+        once."""
+        columns = [alias for _, alias in projection.items]
+        cell = _texts_of(self.graph).cell
+        reads = projection.reads
+        try:
+            if any(projection.aggregated):
+                rendered = [
+                    tuple([cell(row[c]) for c in columns]) for row in self.project(projection, rows)
                 ]
-                out_columns = _distinct_columns(items)
-                # Every row is evaluated before any is rendered, so an
-                # evaluation error comes before a rendering error.
-                if any(ast.has_aggregate(expr) for expr, _ in items):
-                    values = [
-                        [row[c] for c in out_columns] for row in self.project(items, rows)
-                    ]
-                else:
-                    values = [[self.scalar(expr, row) for expr, _ in items] for row in rows]
-                try:
-                    rendered = [
-                        tuple(render_value(value, self.graph) for value in row)
-                        for row in values
-                    ]
-                except CellTooLong as exc:
-                    raise EvalError(str(exc)) from None
-                rendered.sort()
-                return ResultTable(out_columns, rendered)
-        raise TypeMismatch("query has no RETURN clause")  # parser guarantees otherwise
+            elif None not in reads:
+                rendered = [tuple([cell(row[c]) for c in reads]) for row in rows]
+            else:
+                readers = [
+                    partial(self.scalar, expr) if column is None else operator.itemgetter(column)
+                    for (expr, _), column in zip(projection.items, reads)
+                ]
+                values = [[read(row) for read in readers] for row in rows]
+                rendered = [tuple(map(cell, row)) for row in values]
+        except CellTooLong as exc:
+            raise EvalError(str(exc)) from None
+        rendered.sort()
+        return ResultTable(columns, rendered)
 
 
 def execute_query(query, graph: PropertyGraph) -> ResultTable:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
+import threading
 
 from ..cparse import _position
 from ..graph import FrozenRecord
@@ -353,7 +354,45 @@ def parse_query(text: str) -> Query:
     The last 64 distinct texts parsed keep their Query, so a text that runs
     again is not parsed again; a text that fails is never kept and raises
     the same error each time. Callers share the kept Query. That is safe
-    because the tree is FrozenRecords and tuples, and the evaluator never
-    writes to it: a fresh _Evaluator per run keys its caches by id() of
-    the tree's nodes. parse_query.cache_clear() forgets every kept parse."""
+    because the tree is FrozenRecords and tuples, and nothing writes to
+    it: the evaluator keeps what it works out from a query in the query's
+    plan (_kept_plan), and what depends on the graph in an _Evaluator made
+    per run. parse_query.cache_clear() forgets every kept parse and
+    plan."""
     return _Parser(text).parse()
+
+
+#: id(Query) -> (Query, its plan) for the last 64 queries planned. Keyed
+#: by identity, not equality: patterns whose literals 1, 1.0 and True
+#: differ compare equal but match different nodes. The entry holds its
+#: Query, so the id is not reused while the plan is kept. Entries are
+#: added and removed under _plans_lock.
+_plans = {}
+_plans_lock = threading.Lock()
+
+
+def _kept_plan(query: Query, make):
+    """query's plan: make(query) on the query's first run, kept until 64
+    other queries have been planned since or the parses are forgotten. A
+    plan depends on the query alone, so two threads that both make one
+    make equal plans."""
+    kept = _plans.get(id(query))
+    if kept is not None:
+        return kept[1]
+    plan = make(query)
+    with _plans_lock:
+        if len(_plans) >= 64:
+            del _plans[next(iter(_plans))]
+        _plans[id(query)] = (query, plan)
+    return plan
+
+
+def _forget_kept() -> None:
+    """parse_query.cache_clear: forget every kept parse and plan."""
+    _forget_parses()
+    with _plans_lock:
+        _plans.clear()
+
+
+_forget_parses = parse_query.cache_clear
+parse_query.cache_clear = _forget_kept

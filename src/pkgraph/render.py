@@ -111,9 +111,21 @@ class _TextTable(Record):
     `-[:TYPE]->` and the target node's text, by edge id. json_nodes and
     json_steps hold the same texts as a JSON string holds them, without
     its quotes, and terminals each node's object in the report's
-    terminals list."""
+    terminals list. cell gives a query result cell's text from them."""
 
     __slots__ = ("nodes", "steps", "json_nodes", "json_steps", "terminals")
+
+    def cell(self, value) -> str:
+        """value's text as a query result cell: see render_value."""
+        if value is None:
+            return "null"
+        if isinstance(value, Path):
+            return "".join([self.nodes[value.nodes[0]], *map(self.steps.__getitem__, value.edges)])
+        if isinstance(value, Node):
+            return self.nodes[value.id]
+        if isinstance(value, list):
+            return _render_list(value, self.cell, {})
+        return render_scalar(value, quote_text=False)
 
 
 def _texts(graph: PropertyGraph) -> _TextTable:
@@ -222,29 +234,22 @@ def _terminal(label: str, fields: list) -> str:
 def render_path(graph: PropertyGraph, path: Path) -> str:
     """The head node's text followed by one `-[:TYPE]->(node)` step per
     edge."""
-    table = _texts_of(graph)
-    return "".join([table.nodes[path.nodes[0]], *map(table.steps.__getitem__, path.edges)])
+    return _texts_of(graph).cell(path)
 
 
 def render_value(value, graph: PropertyGraph) -> str:
     """A query result cell: `null`, a node, a path, a list of values, or
-    a scalar with text unquoted. Nodes in value are graph's nodes."""
-    if value is None:
-        return "null"
-    if isinstance(value, Node):
-        return _texts_of(graph).nodes[value.id]
-    if isinstance(value, Path):
-        return render_path(graph, value)
-    if isinstance(value, list):
-        return _render_list(value, graph, {})
-    return render_scalar(value, quote_text=False)
+    a scalar with text unquoted. Nodes in value are graph's nodes. A
+    query renders its cells with the graph's _TextTable.cell, which this
+    calls, so the table is fetched once per query, not once per cell."""
+    return _texts_of(graph).cell(value)
 
 
-def _render_list(value: list, graph: PropertyGraph, texts: dict) -> str:
-    """value's text as render_value gives it. texts maps id(list) -> text
-    for the lists of one cell rendered so far, so a list held many times
-    is rendered once; the cell holds every one of them, so no id is
-    reused. Raises CellTooLong as soon as the text would pass
+def _render_list(value: list, cell, texts: dict) -> str:
+    """value's text as cell, a _TextTable's, gives it. texts maps id(list)
+    -> text for the lists of one cell rendered so far, so a list held
+    many times is rendered once; the cell holds every one of them, so no
+    id is reused. Raises CellTooLong as soon as the text would pass
     MAX_CELL_CHARS, before it is joined."""
     pieces = []
     length = 0  # "[" and "]" stand in for the first element's ", "
@@ -252,9 +257,9 @@ def _render_list(value: list, graph: PropertyGraph, texts: dict) -> str:
         if isinstance(v, list):
             text = texts.get(id(v))
             if text is None:
-                text = texts[id(v)] = _render_list(v, graph, texts)
+                text = texts[id(v)] = _render_list(v, cell, texts)
         else:
-            text = render_value(v, graph)
+            text = cell(v)
         length += len(text) + 2
         if length > MAX_CELL_CHARS:
             raise CellTooLong(f"a list cell renders longer than {MAX_CELL_CHARS} characters")

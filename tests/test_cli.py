@@ -1135,24 +1135,52 @@ class TestKeptCweGraph:
         }
 
 
-def fresh_cli(*argv):
+def fresh_cli(*argv, stdin_text=""):
     """cli as the first call of a fresh process answers: with no query
-    parse, catalog or argument parser kept from an earlier call."""
+    parse or plan, catalog or argument parser kept from an earlier call."""
     pkgraph.cypher.parser.parse_query.cache_clear()
+    assert not pkgraph.cypher.parser._plans
     pkgraph.cli._build_parser.cache_clear()
     pkgraph.cli._kept_catalog = (None, Catalog())
-    return cli(*argv)
+    return cli(*argv, stdin_text=stdin_text)
 
 
 class TestKeptQueryParse:
-    """A detection template parsed once per process answers every sample,
-    call after call, as a process that keeps nothing does."""
+    """A query parsed and planned once per process answers call after
+    call as a process that keeps nothing does: the detection templates
+    over every sample, and queries that fail."""
 
     def test_templates_over_every_sample(self, tmp_path):
         for path in write_templates(tmp_path).values():
             for source in SAMPLES:
                 argv = ["query", source, "--query-file", path]
                 assert [cli(*argv), cli(*argv)] == [fresh_cli(*argv)] * 2
+
+    FAILING = {
+        "duplicate-column-after-a-failing-clause": (
+            "MATCH (n:CallGraph {k: missing}) RETURN n.Name, n.Name",
+            "unbound variable 'missing'",
+        ),
+        "cell-too-long": (
+            "MATCH (n:CallGraph) WITH COLLECT(n) AS x"
+            + " MATCH (m:CallGraph) WITH COLLECT(x) AS x" * 8
+            + " RETURN x",
+            "a list cell renders longer than 10000000 characters",
+        ),
+        "unwind-rebinding": (
+            "MATCH (n:CallGraph) MATCH (m:CallGraph) WITH COLLECT(m) AS ms, n"
+            " UNWIND ms AS n RETURN n.Name",
+            "variable 'n' is already bound",
+        ),
+    }
+
+    @pytest.mark.parametrize("text, error", FAILING.values(), ids=FAILING)
+    def test_failing_queries(self, text, error):
+        argv = ["query", str(CORPUS / "cwe242_gets.c")]
+        pkgraph.cypher.parser.parse_query.cache_clear()
+        first, second = cli(*argv, stdin_text=text), cli(*argv, stdin_text=text)
+        assert first == second == fresh_cli(*argv, stdin_text=text)
+        assert first == (3, "", f"pkgraph: error: {error}\n")
 
 
 class TestNoCyclicGarbage:

@@ -12,7 +12,7 @@ import pkgraph.graph
 from conftest import edge_rows
 from pkgraph.cparse import CallSite, FunctionDef, TranslationUnit, _CallGraphIndex
 from pkgraph.cypher import ast
-from pkgraph.cypher.eval import ResultTable
+from pkgraph.cypher.eval import ResultTable, _Level, _Match, _Plan, _Projection
 from pkgraph.cypher.parser import _Tok
 from pkgraph.detectors import DetectorCapability, Finding, _Family
 from pkgraph.graph import (
@@ -1157,6 +1157,10 @@ RECORDS = [
     (ast.Query, ((ast.WhereClause(_VAR),),)),
     (_Tok, ("id", "MATCH", 0)),
     (ResultTable, (["n"], [("gets",)])),
+    (_Level, (None, _NODE_PATTERN, "x")),
+    (_Match, ((), "p", False, {"p": None})),
+    (_Projection, (((_VAR, "x"),), (False,), ("x",))),
+    (_Plan, ((), None, {})),
     (_TextTable, ({1: "(:A)"}, {}, {1: "(:A)"}, {}, {})),
 ]
 RECORD_IDS = [cls.__qualname__ for cls, _ in RECORDS]

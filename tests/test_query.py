@@ -2,6 +2,8 @@ import collections
 import io
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,11 +29,12 @@ from pkgraph.cypher.eval import (
     _Evaluator,
     _group_key,
     _list_depth,
+    _plan,
     _size,
     execute_query,
     format_result_table,
 )
-from pkgraph.cypher.parser import FUNCTIONS, QuerySyntaxError, _Parser, parse_query
+from pkgraph.cypher.parser import FUNCTIONS, QuerySyntaxError, _Parser, _plans, parse_query
 from pkgraph.detectors import generate_detection_query
 from pkgraph.graph import Node, Path, PropertyGraph, values_equal
 from pkgraph.render import MAX_CELL_CHARS, render_node, render_value
@@ -171,6 +174,61 @@ class TestKeptParse:
             errors.append((exc.value.line, exc.value.column, exc.value.message))
         assert errors[0] == errors[1] == (2, 8, "expected an expression, found ','")
         assert parse_query.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("shouting_first", [True, False], ids=["subclass-first", "subclass-last"])
+    def test_no_plan_holds_an_evaluator(self, shouting_first):
+        """One Query run by an evaluator whose scalar differs and by
+        _Evaluator, in either order, gives each its own table: the plan
+        the first run keeps holds neither evaluator's scalar."""
+
+        class Shouting(_Evaluator):
+            def scalar(self, expr, row):
+                value = super().scalar(expr, row)
+                return value.upper() if isinstance(value, str) else value
+
+        graph = merged_graph_of(GETS_SAMPLE.read_text())[0]
+        parse_query.cache_clear()
+        query = parse_query('MATCH (n:CallGraph) WHERE n.Name <> "GETS" RETURN n.Name, n')
+        order = [Shouting, _Evaluator] if shouting_first else [_Evaluator, Shouting]
+        tables = {cls: cls(graph).execute(query) for cls in order}
+        plain = tables[_Evaluator].rows
+        assert [name for name, _ in plain].count("gets") == 1
+        assert tables[Shouting].rows == sorted(
+            (name.upper(), node) for name, node in plain if name != "gets"
+        )
+
+    def test_threads_share_the_kept_plans(self):
+        """Eight threads run 80 texts, more than the 64 plans kept, so
+        plans are made, kept and dropped while other threads read them;
+        every table is the one a lone run gives."""
+        graph = merged_graph_of(GETS_SAMPLE.read_text())[0]
+        texts = [f'MATCH (n:CallGraph) WHERE n.ExecOrder > {i} RETURN n.Name, {i} AS i'
+                 for i in range(80)]
+        want = {text: execute_query(_Parser(text).parse(), graph) for text in texts}
+        parse_query.cache_clear()
+        errors = []
+
+        def run(offset):
+            try:
+                for _ in range(3):
+                    for text in texts[offset:] + texts[:offset]:
+                        assert execute_query(parse_query(text), graph) == want[text], text
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(10 * k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(_plans) == 64
 
     def test_only_the_last_64_texts_are_kept(self):
         parse_query.cache_clear()
@@ -640,8 +698,17 @@ HOPS = ["-[]->", "-[:CALLS]->", "-[*]->", "-[*0..2]->", "-[:CALLS*1..3]->"]
 def small_graph(rng):
     """2-6 nodes labelled X or Y, each with k its place, and 2-6 edges of
     types CALLS and USES, plus a self-loop and an edge parallel to one of
-    them."""
+    them. One time in four, instead, a diamond of 4-6 levels: nodes k = 0
+    to d, each calling the next twice, so node k has 2**k paths from the
+    top."""
     graph = PropertyGraph()
+    if rng.random() < 0.25:
+        nodes = [graph.add_node(rng.choice("XY"), {"k": i}) for i in range(rng.randint(5, 7))]
+        for source, target in zip(nodes, nodes[1:]):
+            graph.add_edge(source, target, "CALLS")
+            graph.add_edge(source, target, "CALLS")
+        graph.seal()
+        return graph
     nodes = [graph.add_node(rng.choice("XY"), {"k": i}) for i in range(rng.randint(2, 6))]
     for _ in range(rng.randint(2, 6)):
         graph.add_edge(rng.choice(nodes), rng.choice(nodes), rng.choice(["CALLS", "USES"]))
@@ -653,11 +720,12 @@ def small_graph(rng):
     return graph
 
 
-def path_binding_query(rng, node_count):
+def path_binding_query(rng, node_count, diamond=False):
     """A query whose last clause, a MATCH or OPTIONAL MATCH, binds p over
-    0-3 hops from HOPS. Its node variables are new, repeated, or b, which
-    a first clause may bind: to every node, to every X node, to the node
-    with a given k (or none), or to null. It returns p and every
+    0-3 hops from HOPS, or over a diamond one `*` hop from its top, which
+    has 2**k paths to node k. Its node variables are new, repeated, or b,
+    which a first clause may bind: to every node, to every X node, to the
+    node with a given k (or none), or to null. It returns p and every
     variable."""
     first, variables = rng.choice([
         ("", []),
@@ -674,7 +742,10 @@ def path_binding_query(rng, node_count):
             variables.append(var)
         return f"({var}{rng.choice(['', '', ':X', ':Y'])})"
 
-    pattern = node() + "".join(rng.choice(HOPS) + node() for _ in range(rng.randint(0, 3)))
+    if diamond:
+        pattern = "({k: 0})" + rng.choice(["-[*]->", "-[:CALLS*]->"]) + node()
+    else:
+        pattern = node() + "".join(rng.choice(HOPS) + node() for _ in range(rng.randint(0, 3)))
     match = rng.choice(["MATCH", "OPTIONAL MATCH"])
     return f"{first}{match} p={pattern} RETURN " + ", ".join(["p"] + sorted(variables))
 
@@ -757,9 +828,9 @@ def naive_rows(graph, query):
 def matched_rows(graph, query):
     """The rows that reach the RETURN of a query of MATCH and OPTIONAL
     MATCH clauses, by the evaluator."""
-    evaluator, columns, rows = _Evaluator(graph), [], [{}]
-    for clause in query.clauses[:-1]:
-        columns, rows = evaluator.apply_match(clause, columns, rows)
+    evaluator, rows = _Evaluator(graph), [{}]
+    for _, match in _plan(query).clauses:
+        rows = evaluator.apply_match(match, rows)
     return rows
 
 
@@ -770,17 +841,19 @@ def row_multiset(rows):
 
 
 class TestPathBindings:
-    """Path variables over zero to three hops of every kind, with bound,
-    null and new end nodes, against naive_rows: the rendered table, and
-    the bound values themselves, since a path renders from its first node
-    and its edges alone."""
+    """Path variables over zero to three hops of every kind, and over
+    diamonds whose one `*` hop gives up to 64 paths into one end node and
+    126 in all per row, with bound, null and new end nodes, against
+    naive_rows: the rendered table, and the bound values themselves,
+    since a path renders from its first node and its edges alone."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_the_naive_matcher(self, seed):
         rng = random.Random(seed)
         graph = small_graph(rng)
+        diamond = all(source != target for _, source, target, _ in edge_rows(graph))  # no loop
         for _ in range(6):
-            text = path_binding_query(rng, graph.node_count)
+            text = path_binding_query(rng, graph.node_count, diamond)
             query = parse_query(text)
             rows = naive_rows(graph, query)
             columns = [expr.name for expr, _ in query.clauses[-1].items]
@@ -800,7 +873,8 @@ class TestPathBindings:
 
         monkeypatch.setattr(graph, "enumerate_paths", recording)
         query = parse_query('MATCH p=(a:CallGraph {Name: "foo"})-[*]->(b) RETURN p')
-        rows = _Evaluator(graph).match_pattern(query.clauses[0].pattern, {})
+        (_, match), = _plan(query).clauses
+        rows = _Evaluator(graph).match_pattern(match, {})
         assert len(rows) == len(found) > 0
         assert all(row["p"] is path for row, path in zip(rows, found))
 
@@ -1214,6 +1288,47 @@ class TestFilterErrors:
     )
     def test_exit_code_and_output(self, text, want):
         assert run_query(text) == want
+
+
+class TestUnwindRebinding:
+    """UNWIND ... AS name binds a new variable, as in openCypher: naming a
+    variable the rows already bind is an error when the clause runs,
+    however many rows reach it, and an error of an earlier clause comes
+    first. A name that a WITH dropped is free again, as the double-release
+    template's `UNWIND sameArgument1 AS buggyNodes` relies on."""
+
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            (
+                "MATCH (n:CallGraph) MATCH (m:CallGraph) WITH COLLECT(m) AS ms, n "
+                "UNWIND ms AS n RETURN n.Name",
+                "n",
+            ),
+            ("MATCH (n:CallGraph) WITH n.Name AS x UNWIND x AS x RETURN x", "x"),
+            ("MATCH (n:Nope) UNWIND n AS n RETURN n", "n"),
+            ("MATCH (n:CallGraph) WITH COLLECT(n) AS ns UNWIND ns AS m UNWIND ns AS m RETURN m",
+             "m"),
+        ],
+        ids=["the-query-openCypher-rejects", "a-with-column", "no-row-reaches-it", "twice"],
+    )
+    def test_a_bound_name_is_an_error(self, text, name):
+        assert run_query(text) == (3, "", f"pkgraph: error: variable {name!r} is already bound\n")
+
+    def test_an_earlier_error_comes_first(self):
+        text = "MATCH (n:CallGraph {k: missing}) UNWIND n AS n RETURN n"
+        assert run_query(text) == (3, "", "pkgraph: error: unbound variable 'missing'\n")
+
+    def test_a_dropped_name_is_free(self):
+        text = "MATCH (n:CallGraph) WITH COLLECT(n) AS ns UNWIND ns AS n RETURN n.Name"
+        code, out, err = run_query(text)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "n.Name" and "gets" in out.splitlines()
+
+    def test_the_double_release_template_is_unaffected(self):
+        graph, _, _ = merged_graph_of(DOUBLE_FREE_SRC)
+        table = execute_query(parse_query(DETECTION_QUERY), graph)
+        assert table.rows == [(TABLE3_PATH1,), (TABLE3_PATH2,)]
 
 
 class TestZeroRowAggregates:

@@ -20,7 +20,6 @@ from conftest import (
 )
 from pkgraph import render
 from pkgraph.cli import run_cli
-from pkgraph.cypher import eval as cypher_eval
 from pkgraph.cypher.eval import execute_query
 from pkgraph.cypher.parser import parse_query
 from pkgraph.detectors import (
@@ -310,12 +309,13 @@ class TestRenderCache:
                 assert render_path(graph, path) == want
                 assert render_path(graph, path) == want
         cells = []
+        cell = render._TextTable.cell
 
-        def recording(value, graph):
-            cells.append((value, render_value(value, graph)))
+        def recording(table, value):
+            cells.append((value, cell(table, value)))
             return cells[-1][1]
 
-        monkeypatch.setattr(cypher_eval, "render_value", recording)
+        monkeypatch.setattr(render._TextTable, "cell", recording)
         for text in CELL_QUERIES:
             query = parse_query(text)
             assert execute_query(query, graph) == execute_query(query, graph)
